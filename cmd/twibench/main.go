@@ -129,9 +129,11 @@ func main() {
 		// Keep the final counters scrapeable until signalled, then exit 0
 		// through the shared drain path so SIGTERM (systemd, CI, docker
 		// stop) terminates the process cleanly instead of relying on a
-		// hard kill; a second signal force-exits.
-		fmt.Println("\nexperiments done; telemetry stays up until interrupted")
+		// hard kill; a second signal force-exits. The handler is
+		// registered before the banner: a signal sent as soon as the
+		// banner appears must already take the drain path.
 		ctx, stop := shutdown.Context(context.Background())
+		fmt.Println("\nexperiments done; telemetry stays up until interrupted")
 		<-ctx.Done()
 		stop()
 	}

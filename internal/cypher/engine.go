@@ -105,8 +105,9 @@ type StageProfile struct {
 	DBHits  uint64
 	Elapsed time.Duration // cumulative stage wall time
 	// Self is the stage time not attributed to any operator — loop
-	// overhead, WHERE filtering, row widening. For stages without an
-	// operator breakdown, Self equals Elapsed.
+	// overhead, row widening, WHERE conjuncts tested before the first
+	// operator. For stages without an operator breakdown, Self equals
+	// Elapsed.
 	Self time.Duration
 }
 
@@ -190,8 +191,9 @@ func (e *Engine) prepare(query string) (*Prepared, bool, time.Duration, error) {
 }
 
 func (e *Engine) execute(ctx context.Context, prep *Prepared, params map[string]graph.Value, cached bool, compileTime time.Duration) (*Result, error) {
-	ec := &execCtx{db: e.db, ctx: ctx, params: params, profileOps: prep.profiled,
+	ec := &execCtx{db: e.db, rd: e.db.Reader(), ctx: ctx, params: params, profileOps: prep.profiled,
 		method: e.ExecMethod(), spm: e.spm}
+	defer ec.rd.Close()
 	res := &Result{Columns: prep.columns}
 	var prof *ProfileInfo
 	if prep.profiled {

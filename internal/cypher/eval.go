@@ -11,12 +11,10 @@ import (
 // e.g. index-seek values).
 func evalExpr(ec *execCtx, vars *varMap, e Expr, r row) (any, error) {
 	switch x := e.(type) {
-	case *Lit:
-		return x.Val, nil
-	case *Param:
-		v, ok := ec.params[x.Name]
-		if !ok {
-			return nil, fmt.Errorf("cypher: missing parameter $%s", x.Name)
+	case *Lit, *Param, *PropAccess:
+		v, _, err := scalar(ec, vars, e, r)
+		if err != nil {
+			return nil, err
 		}
 		return v, nil
 	case *Var:
@@ -24,28 +22,7 @@ func evalExpr(ec *execCtx, vars *varMap, e Expr, r row) (any, error) {
 		if !ok {
 			return nil, fmt.Errorf("cypher: unknown variable %q", x.Name)
 		}
-		return r[slot], nil
-	case *PropAccess:
-		slot, ok := lookupVar(vars, x.Var)
-		if !ok {
-			return nil, fmt.Errorf("cypher: unknown variable %q", x.Var)
-		}
-		switch ref := r[slot].(type) {
-		case NodeRef:
-			key := ec.propKey(x.Key)
-			if key == graph.NilAttr {
-				return graph.NilValue, nil
-			}
-			v, err := ec.db.NodeProp(graph.NodeID(ref), key)
-			if err != nil {
-				return nil, err
-			}
-			return v, nil
-		case nil:
-			return graph.NilValue, nil
-		default:
-			return graph.NilValue, nil
-		}
+		return ec.cellAt(r, slot), nil
 	case *UnaryOp:
 		v, err := evalExpr(ec, vars, x.X, r)
 		if err != nil {
@@ -56,7 +33,7 @@ func evalExpr(ec *execCtx, vars *varMap, e Expr, r row) (any, error) {
 			if cellIsNull(v) {
 				return graph.NilValue, nil
 			}
-			return graph.BoolValue(!cellTruth(v)), nil
+			return boolCell(!cellTruth(v)), nil
 		case "-":
 			gv, ok := v.(graph.Value)
 			if !ok {
@@ -77,9 +54,83 @@ func evalExpr(ec *execCtx, vars *varMap, e Expr, r row) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		return graph.BoolValue(ok), nil
+		return boolCell(ok), nil
 	}
 	return nil, fmt.Errorf("cypher: cannot evaluate %T", e)
+}
+
+// The two boolean cells, boxed once: predicates return these instead of
+// boxing a fresh graph.Value per row.
+var cellTrue, cellFalse any = graph.BoolValue(true), graph.BoolValue(false)
+
+func boolCell(b bool) any {
+	if b {
+		return cellTrue
+	}
+	return cellFalse
+}
+
+// scalar evaluates literals, parameters and property accesses straight
+// to a graph.Value, without boxing; ok is false (and nothing is
+// evaluated) for every other expression.
+func scalar(ec *execCtx, vars *varMap, e Expr, r row) (v graph.Value, ok bool, err error) {
+	switch x := e.(type) {
+	case *Lit:
+		return x.Val, true, nil
+	case *Param:
+		v, ok := ec.params[x.Name]
+		if !ok {
+			return graph.NilValue, true, fmt.Errorf("cypher: missing parameter $%s", x.Name)
+		}
+		return v, true, nil
+	case *PropAccess:
+		slot, ok := lookupVar(vars, x.Var)
+		if !ok {
+			return graph.NilValue, true, fmt.Errorf("cypher: unknown variable %q", x.Var)
+		}
+		ref, ok := ec.nodeAt(r, slot)
+		if !ok {
+			return graph.NilValue, true, nil // unbound, or not a node
+		}
+		key := ec.propKey(x.Key)
+		if key == graph.NilAttr {
+			return graph.NilValue, true, nil
+		}
+		v, err := ec.rd.NodeProp(graph.NodeID(ref), key)
+		return v, true, err
+	}
+	return graph.NilValue, false, nil
+}
+
+// compareScalars applies a comparison operator to two scalars with the
+// same null rules as the boxed path: = and <> are false when either
+// side is null, and so is every ordering comparison. ok is false for
+// non-comparison operators.
+func compareScalars(op string, a, b graph.Value) (result, ok bool) {
+	switch op {
+	case "=", "<>", "<", "<=", ">", ">=":
+	default:
+		return false, false
+	}
+	if a.IsNil() || b.IsNil() {
+		return false, true
+	}
+	switch op {
+	case "=":
+		return a.Equal(b), true
+	case "<>":
+		return !a.Equal(b), true
+	}
+	c := a.Compare(b)
+	switch op {
+	case "<":
+		return c < 0, true
+	case "<=":
+		return c <= 0, true
+	case ">":
+		return c > 0, true
+	}
+	return c >= 0, true
 }
 
 func lookupVar(vars *varMap, name string) (int, bool) {
@@ -98,26 +149,26 @@ func evalBinOp(ec *execCtx, vars *varMap, x *BinOp, r row) (any, error) {
 			return nil, err
 		}
 		if !cellIsNull(l) && !cellTruth(l) {
-			return graph.BoolValue(false), nil
+			return cellFalse, nil
 		}
 		rv, err := evalExpr(ec, vars, x.R, r)
 		if err != nil {
 			return nil, err
 		}
-		return graph.BoolValue(cellTruth(l) && cellTruth(rv)), nil
+		return boolCell(cellTruth(l) && cellTruth(rv)), nil
 	case "OR":
 		l, err := evalExpr(ec, vars, x.L, r)
 		if err != nil {
 			return nil, err
 		}
 		if cellTruth(l) {
-			return graph.BoolValue(true), nil
+			return cellTrue, nil
 		}
 		rv, err := evalExpr(ec, vars, x.R, r)
 		if err != nil {
 			return nil, err
 		}
-		return graph.BoolValue(cellTruth(rv)), nil
+		return boolCell(cellTruth(rv)), nil
 	case "XOR":
 		l, err := evalExpr(ec, vars, x.L, r)
 		if err != nil {
@@ -127,53 +178,64 @@ func evalBinOp(ec *execCtx, vars *varMap, x *BinOp, r row) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		return graph.BoolValue(cellTruth(l) != cellTruth(rv)), nil
+		return boolCell(cellTruth(l) != cellTruth(rv)), nil
 	}
 
-	l, err := evalExpr(ec, vars, x.L, r)
+	// Scalar operands stay unboxed; a comparison of two of them never
+	// boxes at all.
+	var l, rv any
+	ls, lScalar, err := scalar(ec, vars, x.L, r)
+	if !lScalar {
+		l, err = evalExpr(ec, vars, x.L, r)
+	}
 	if err != nil {
 		return nil, err
 	}
-	rv, err := evalExpr(ec, vars, x.R, r)
+	rs, rScalar, err := scalar(ec, vars, x.R, r)
+	if !rScalar {
+		rv, err = evalExpr(ec, vars, x.R, r)
+	}
 	if err != nil {
 		return nil, err
+	}
+	if lScalar && rScalar {
+		if b, ok := compareScalars(x.Op, ls, rs); ok {
+			return boolCell(b), nil
+		}
+	}
+	if lScalar {
+		l = ls
+	}
+	if rScalar {
+		rv = rs
 	}
 	switch x.Op {
 	case "=":
-		return graph.BoolValue(cellEqual(l, rv)), nil
+		return boolCell(cellEqual(l, rv)), nil
 	case "<>":
 		if cellIsNull(l) || cellIsNull(rv) {
-			return graph.BoolValue(false), nil
+			return cellFalse, nil
 		}
-		return graph.BoolValue(!cellEqual(l, rv)), nil
+		return boolCell(!cellEqual(l, rv)), nil
 	case "<", "<=", ">", ">=":
 		lv, ok1 := l.(graph.Value)
 		rg, ok2 := rv.(graph.Value)
-		if !ok1 || !ok2 || lv.IsNil() || rg.IsNil() {
-			return graph.BoolValue(false), nil
+		if !ok1 || !ok2 {
+			return cellFalse, nil
 		}
-		c := lv.Compare(rg)
-		switch x.Op {
-		case "<":
-			return graph.BoolValue(c < 0), nil
-		case "<=":
-			return graph.BoolValue(c <= 0), nil
-		case ">":
-			return graph.BoolValue(c > 0), nil
-		default:
-			return graph.BoolValue(c >= 0), nil
-		}
+		b, _ := compareScalars(x.Op, lv, rg)
+		return boolCell(b), nil
 	case "IN":
 		list, ok := rv.(ListVal)
 		if !ok {
-			return graph.BoolValue(false), nil
+			return cellFalse, nil
 		}
 		for _, item := range list {
 			if cellEqual(l, item) {
-				return graph.BoolValue(true), nil
+				return cellTrue, nil
 			}
 		}
-		return graph.BoolValue(false), nil
+		return cellFalse, nil
 	case "+", "-", "*", "/", "%":
 		return evalArith(x.Op, l, rv)
 	}
@@ -311,7 +373,7 @@ func evalFunc(ec *execCtx, vars *varMap, x *FuncCall, r row) (any, error) {
 			return nil, err
 		}
 		if ref, ok := v.(NodeRef); ok {
-			n, err := ec.db.NodeByID(graph.NodeID(ref))
+			n, err := ec.rd.NodeByID(graph.NodeID(ref))
 			if err != nil {
 				return nil, err
 			}
@@ -470,7 +532,7 @@ func evalPatternPred(ec *execCtx, vars *varMap, p *PatternPred, r row) (bool, er
 	if !ok {
 		return false, fmt.Errorf("cypher: pattern predicate must start at a bound variable (%q)", nodes[0].Var)
 	}
-	start, ok := r[startSlot].(NodeRef)
+	start, ok := ec.nodeAt(r, startSlot)
 	if !ok {
 		return false, nil // unmatched OPTIONAL binding
 	}
@@ -496,7 +558,7 @@ func existsChain(ec *execCtx, vars *varMap, r row, cur graph.NodeID, nodes []Nod
 	haveTarget := false
 	if target.Var != "" {
 		if slot, ok := lookupVar(vars, target.Var); ok {
-			if ref, ok := r[slot].(NodeRef); ok {
+			if ref, ok := ec.nodeAt(r, slot); ok {
 				want = graph.NodeID(ref)
 				haveTarget = true
 			}
@@ -510,7 +572,7 @@ func existsChain(ec *execCtx, vars *varMap, r row, cur graph.NodeID, nodes []Nod
 				return true
 			}
 			if target.Label != "" {
-				n, err := ec.db.NodeByID(end)
+				n, err := ec.rd.NodeByID(end)
 				if err != nil || n.Label != ec.db.LabelID(target.Label) {
 					return true
 				}

@@ -6,19 +6,33 @@ import (
 	"sort"
 	"time"
 
+	"twigraph/internal/bitmap"
 	"twigraph/internal/graph"
 	"twigraph/internal/neodb"
 	"twigraph/internal/spmat"
 )
 
 // execCtx carries per-execution state: the engine's database handle,
-// the bounding context (nil when unbounded), query parameters, and a
-// property-key name cache.
+// the record reader every operator reads through, the bounding context
+// (nil when unbounded) and the query parameters.
 type execCtx struct {
 	db     *neodb.DB
+	rd     neodb.Reader // closed by the engine on every exit path
 	ctx    context.Context
 	params map[string]graph.Value
 	ticks  uint
+
+	// The node candidate a binding step is testing against its placed
+	// WHERE conjuncts: while candOn, reads of candSlot see cand instead
+	// of the row's cell, so a rejected candidate is never boxed into a
+	// row.
+	candOn   bool
+	candSlot int
+	cand     NodeRef
+
+	// Property-key ids resolved so far, by name: a WHERE over a scan
+	// would otherwise take the catalog lock once per candidate.
+	keys []propKeyID
 
 	// Algebraic execution: the engine's method knob snapshot for this
 	// execution, plan-choice counters, and a dense-accumulator pool for
@@ -48,8 +62,20 @@ type opAcc struct {
 	elapsed time.Duration
 }
 
+type propKeyID struct {
+	name string
+	id   graph.AttrID
+}
+
 func (ec *execCtx) propKey(name string) graph.AttrID {
-	return ec.db.PropKeyID(name)
+	for _, k := range ec.keys {
+		if k.name == name {
+			return k.id
+		}
+	}
+	id := ec.db.PropKeyID(name)
+	ec.keys = append(ec.keys, propKeyID{name, id})
+	return id
 }
 
 // ctxErr polls the bounding context and, on abort, counts it (exactly
@@ -89,7 +115,7 @@ type stage interface {
 type matchStage struct {
 	optional bool
 	steps    []step
-	where    Expr
+	pre      where // conjuncts over slots no step binds
 	vars     *varMap
 	width    int
 }
@@ -112,7 +138,17 @@ func (st *matchStage) run(ec *execCtx, in []row) ([]row, error) {
 		base := make(row, st.width)
 		copy(base, r)
 		rows := []row{base}
+		ok, err := st.pre.admit(ec, base)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			rows = nil
+		}
 		for i, s := range st.steps {
+			if len(rows) == 0 {
+				break
+			}
 			var err error
 			if ec.profileOps {
 				ec.curStep = i
@@ -128,22 +164,6 @@ func (st *matchStage) run(ec *execCtx, in []row) ([]row, error) {
 			if err != nil {
 				return nil, err
 			}
-			if len(rows) == 0 {
-				break
-			}
-		}
-		if st.where != nil {
-			filtered := rows[:0]
-			for _, rr := range rows {
-				v, err := evalExpr(ec, st.vars, st.where, rr)
-				if err != nil {
-					return nil, err
-				}
-				if cellTruth(v) {
-					filtered = append(filtered, rr)
-				}
-			}
-			rows = filtered
 		}
 		if len(rows) == 0 && st.optional {
 			rows = []row{base} // unmatched vars stay nil
@@ -159,7 +179,88 @@ type step interface {
 	describe() string
 }
 
+// bindingStep is a step that binds new slots. The planner places each
+// WHERE conjunct on the earliest binding step after which its variables
+// are bound; the step tests candidates against it before it copies
+// them into output rows.
+type bindingStep interface {
+	step
+	binds() []int
+	placed() *where
+}
+
+// where is a list of WHERE conjuncts placed at one point of a match
+// stage.
+type where struct {
+	preds []Expr
+	vars  *varMap
+}
+
+func (w *where) placed() *where { return w }
+
+// admit reports whether every conjunct holds on r.
+func (w *where) admit(ec *execCtx, r row) (bool, error) {
+	for _, p := range w.preds {
+		v, err := evalExpr(ec, w.vars, p, r)
+		if err != nil || !cellTruth(v) {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+// emit tests the candidate "cand with node id bound at slot" against
+// the conjuncts and, when they hold, appends a copy of it to out. cand
+// is only read, so steps pass their input row or one scratch row per
+// input row; only admitted candidates are copied and boxed.
+func (w *where) emit(ec *execCtx, cand row, slot int, id NodeRef, out []row) ([]row, error) {
+	if len(w.preds) > 0 {
+		ec.candOn, ec.candSlot, ec.cand = true, slot, id
+		ok, err := w.admit(ec, cand)
+		ec.candOn = false
+		if err != nil || !ok {
+			return out, err
+		}
+	}
+	nr := cloneRow(cand)
+	nr[slot] = id
+	return append(out, nr), nil
+}
+
+// nodeAt returns the node bound at slot of r, seeing the candidate
+// under test.
+func (ec *execCtx) nodeAt(r row, slot int) (NodeRef, bool) {
+	if ec.candOn && slot == ec.candSlot {
+		return ec.cand, true
+	}
+	ref, ok := r[slot].(NodeRef)
+	return ref, ok
+}
+
+// cellAt returns the cell at slot of r, seeing the candidate under
+// test.
+func (ec *execCtx) cellAt(r row, slot int) any {
+	if ec.candOn && slot == ec.candSlot {
+		return ec.cand
+	}
+	return r[slot]
+}
+
+// scan emits one candidate per id of ids, bound at slot on top of r.
+func (w *where) scan(ec *execCtx, r row, slot int, ids *bitmap.Bitmap, out []row) ([]row, error) {
+	var err error
+	ids.ForEach(func(id uint64) bool {
+		if err = ec.tick(); err != nil {
+			return false
+		}
+		out, err = w.emit(ec, r, slot, NodeRef(id), out)
+		return err == nil
+	})
+	return out, err
+}
+
 type stepIndexSeek struct {
+	where
 	slot  int
 	label graph.TypeID
 	key   graph.AttrID
@@ -167,6 +268,7 @@ type stepIndexSeek struct {
 }
 
 func (s *stepIndexSeek) describe() string { return "NodeIndexSeek" }
+func (s *stepIndexSeek) binds() []int     { return []int{s.slot} }
 
 func (s *stepIndexSeek) apply(ec *execCtx, in []row) ([]row, error) {
 	var out []row
@@ -183,29 +285,21 @@ func (s *stepIndexSeek) apply(ec *execCtx, in []row) ([]row, error) {
 		if ids == nil {
 			continue
 		}
-		var abort error
-		ids.ForEach(func(id uint64) bool {
-			if abort = ec.tick(); abort != nil {
-				return false
-			}
-			nr := cloneRow(r)
-			nr[s.slot] = NodeRef(id)
-			out = append(out, nr)
-			return true
-		})
-		if abort != nil {
-			return nil, abort
+		if out, err = s.scan(ec, r, s.slot, ids, out); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
 }
 
 type stepLabelScan struct {
+	where
 	slot  int
 	label graph.TypeID
 }
 
 func (s *stepLabelScan) describe() string { return "NodeByLabelScan" }
+func (s *stepLabelScan) binds() []int     { return []int{s.slot} }
 
 func (s *stepLabelScan) apply(ec *execCtx, in []row) ([]row, error) {
 	var out []row
@@ -214,26 +308,21 @@ func (s *stepLabelScan) apply(ec *execCtx, in []row) ([]row, error) {
 		if nodes == nil {
 			continue
 		}
-		var abort error
-		nodes.ForEach(func(id uint64) bool {
-			if abort = ec.tick(); abort != nil {
-				return false
-			}
-			nr := cloneRow(r)
-			nr[s.slot] = NodeRef(id)
-			out = append(out, nr)
-			return true
-		})
-		if abort != nil {
-			return nil, abort
+		var err error
+		if out, err = s.scan(ec, r, s.slot, nodes, out); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
 }
 
-type stepAllNodes struct{ slot int }
+type stepAllNodes struct {
+	where
+	slot int
+}
 
 func (s *stepAllNodes) describe() string { return "AllNodesScan" }
+func (s *stepAllNodes) binds() []int     { return []int{s.slot} }
 
 func (s *stepAllNodes) apply(ec *execCtx, in []row) ([]row, error) {
 	// Enumerate all labels through the label scan store.
@@ -247,18 +336,9 @@ func (s *stepAllNodes) apply(ec *execCtx, in []row) ([]row, error) {
 			if nodes == nil {
 				continue
 			}
-			var abort error
-			nodes.ForEach(func(id uint64) bool {
-				if abort = ec.tick(); abort != nil {
-					return false
-				}
-				nr := cloneRow(r)
-				nr[s.slot] = NodeRef(id)
-				out = append(out, nr)
-				return true
-			})
-			if abort != nil {
-				return nil, abort
+			var err error
+			if out, err = s.scan(ec, r, s.slot, nodes, out); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -266,6 +346,7 @@ func (s *stepAllNodes) apply(ec *execCtx, in []row) ([]row, error) {
 }
 
 type stepLabelFilter struct {
+	where
 	slot  int
 	label graph.TypeID
 }
@@ -279,11 +360,13 @@ func (s *stepLabelFilter) apply(ec *execCtx, in []row) ([]row, error) {
 		if !ok {
 			continue
 		}
-		n, err := ec.db.NodeByID(graph.NodeID(ref))
-		if err != nil {
+		n, err := ec.rd.NodeByID(graph.NodeID(ref))
+		if err != nil || n.Label != s.label {
 			continue
 		}
-		if n.Label == s.label {
+		if ok, err := s.admit(ec, r); err != nil {
+			return nil, err
+		} else if ok {
 			out = append(out, r)
 		}
 	}
@@ -291,6 +374,7 @@ func (s *stepLabelFilter) apply(ec *execCtx, in []row) ([]row, error) {
 }
 
 type stepPropFilter struct {
+	where
 	slot int
 	key  string
 	val  Expr
@@ -310,11 +394,16 @@ func (s *stepPropFilter) apply(ec *execCtx, in []row) ([]row, error) {
 		if err != nil {
 			return nil, err
 		}
-		got, err := ec.db.NodeProp(graph.NodeID(ref), key)
+		got, err := ec.rd.NodeProp(graph.NodeID(ref), key)
 		if err != nil {
 			continue
 		}
-		if wv, ok := want.(graph.Value); ok && got.Equal(wv) {
+		if wv, ok := want.(graph.Value); !ok || !got.Equal(wv) {
+			continue
+		}
+		if ok, err := s.admit(ec, r); err != nil {
+			return nil, err
+		} else if ok {
 			out = append(out, r)
 		}
 	}
@@ -322,6 +411,7 @@ func (s *stepPropFilter) apply(ec *execCtx, in []row) ([]row, error) {
 }
 
 type stepExpand struct {
+	where
 	fromSlot, toSlot, relSlot int
 	relType                   string
 	dir                       graph.Direction
@@ -337,6 +427,17 @@ func (s *stepExpand) describe() string {
 		return "ExpandInto"
 	}
 	return "Expand"
+}
+
+func (s *stepExpand) binds() []int {
+	var b []int
+	if !s.toBound {
+		b = append(b, s.toSlot)
+	}
+	if s.relSlot >= 0 {
+		b = append(b, s.relSlot)
+	}
+	return b
 }
 
 func (s *stepExpand) apply(ec *execCtx, in []row) ([]row, error) {
@@ -364,6 +465,14 @@ func (s *stepExpand) apply(ec *execCtx, in []row) ([]row, error) {
 				continue
 			}
 		}
+		// A relationship binding changes per path, so it goes into a
+		// scratch copy of the input row; without one the input row is
+		// the candidate.
+		cand := r
+		if s.relSlot >= 0 {
+			cand = cloneRow(r)
+		}
+		var emitErr error
 		err := expandPaths(ec, graph.NodeID(from), t, s.dir, s.minHops, s.maxHops,
 			func(end graph.NodeID, rels []graph.EdgeID) bool {
 				if s.toBound {
@@ -372,22 +481,23 @@ func (s *stepExpand) apply(ec *execCtx, in []row) ([]row, error) {
 						return true
 					}
 				}
-				nr := cloneRow(r)
-				nr[s.toSlot] = NodeRef(end)
 				if s.relSlot >= 0 {
 					if len(rels) == 1 {
-						nr[s.relSlot] = RelRef(rels[0])
+						cand[s.relSlot] = RelRef(rels[0])
 					} else {
 						lv := make(ListVal, len(rels))
 						for i, e := range rels {
 							lv[i] = RelRef(e)
 						}
-						nr[s.relSlot] = lv
+						cand[s.relSlot] = lv
 					}
 				}
-				out = append(out, nr)
-				return true
+				out, emitErr = s.emit(ec, cand, s.toSlot, NodeRef(end), out)
+				return emitErr == nil
 			})
+		if err == nil {
+			err = emitErr
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -401,7 +511,6 @@ func (s *stepExpand) apply(ec *execCtx, in []row) ([]row, error) {
 // path's end node and relationship ids; returning false stops the
 // enumeration.
 func expandPaths(ec *execCtx, start graph.NodeID, t graph.TypeID, dir graph.Direction, minHops, maxHops int, fn func(graph.NodeID, []graph.EdgeID) bool) error {
-	db := ec.db
 	if maxHops < 0 {
 		maxHops = 15
 	}
@@ -426,7 +535,7 @@ func expandPaths(ec *execCtx, start graph.NodeID, t graph.TypeID, dir graph.Dire
 		if depth >= maxHops {
 			return nil
 		}
-		err := db.Relationships(cur, t, dir, func(r neodb.Rel) bool {
+		err := ec.rd.Relationships(cur, t, dir, func(r neodb.Rel) bool {
 			if stop || used[r.ID] {
 				return !stop
 			}
@@ -458,6 +567,7 @@ func expandPaths(ec *execCtx, start graph.NodeID, t graph.TypeID, dir graph.Dire
 }
 
 type stepShortestPath struct {
+	where
 	pathSlot, fromSlot, toSlot int
 	relType                    string
 	dir                        graph.Direction
@@ -465,6 +575,13 @@ type stepShortestPath struct {
 }
 
 func (s *stepShortestPath) describe() string { return "ShortestPath" }
+
+func (s *stepShortestPath) binds() []int {
+	if s.pathSlot < 0 {
+		return nil
+	}
+	return []int{s.pathSlot}
+}
 
 func (s *stepShortestPath) apply(ec *execCtx, in []row) ([]row, error) {
 	t := graph.NilType
@@ -478,6 +595,9 @@ func (s *stepShortestPath) apply(ec *execCtx, in []row) ([]row, error) {
 		if !ok1 || !ok2 {
 			continue
 		}
+		// The search reads through readers of its own; drop this one's
+		// pins so a small page cache can serve both.
+		ec.rd.Close()
 		p, found, err := ec.db.ShortestPathCtx(ec.ctx, graph.NodeID(from), graph.NodeID(to),
 			[]neodb.Expander{{Type: t, Dir: s.dir}}, s.maxHops)
 		if err != nil {
@@ -490,7 +610,13 @@ func (s *stepShortestPath) apply(ec *execCtx, in []row) ([]row, error) {
 		if s.pathSlot >= 0 {
 			nr[s.pathSlot] = PathVal{Nodes: p.Nodes, Rels: p.Rels}
 		}
-		out = append(out, nr)
+		ok, err := s.admit(ec, nr)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out = append(out, nr)
+		}
 	}
 	return out, nil
 }

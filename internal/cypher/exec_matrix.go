@@ -36,6 +36,9 @@ func (s *stepExpand) matrixEligible(ec *execCtx) bool {
 // which Cypher's per-path relationship uniqueness forbids — only the
 // DFS tracks edge identity).
 func (s *stepExpand) expandMatrix(ec *execCtx, r row, from graph.NodeID, t graph.TypeID, out []row) ([]row, bool, error) {
+	// The kernels read through readers of their own; drop this one's
+	// pins so a small page cache can serve both.
+	ec.rd.Close()
 	src := ec.db.RelSource(t, s.dir)
 	g := spmat.NewGate(int(ec.db.NodeCount()), int(ec.db.NodeCount()), int(ec.db.RelCount()))
 	// Auto mode pre-gates on the anchor's O(1) degree bound so sparse
@@ -64,16 +67,24 @@ func (s *stepExpand) expandMatrix(ec *execCtx, r row, from graph.NodeID, t graph
 	if err := ec.ctxErr(); err != nil {
 		return out, true, err
 	}
-	emit := func(end uint64, paths int64) {
-		for i := int64(0); i < paths; i++ {
-			nr := cloneRow(r)
-			nr[s.toSlot] = NodeRef(graph.NodeID(end))
-			out = append(out, nr)
+	// One output row per path: the placed conjuncts see only the end
+	// node, so they are tested once per end node.
+	emit := func(end uint64, paths int64) error {
+		n := len(out)
+		var err error
+		if out, err = s.emit(ec, r, s.toSlot, NodeRef(end), out); err != nil || len(out) == n {
+			return err
 		}
+		for i := int64(1); i < paths; i++ {
+			out = append(out, cloneRow(out[n]))
+		}
+		return nil
 	}
 	if s.minHops == 1 {
 		for _, f := range frontier {
-			emit(f.ID, f.W)
+			if err := emit(f.ID, f.W); err != nil {
+				return out, true, err
+			}
 		}
 	}
 	// The executor is single-goroutine; the gather runs inline (the
@@ -89,7 +100,9 @@ func (s *stepExpand) expandMatrix(ec *execCtx, r row, from graph.NodeID, t graph
 	ec.accPool.Put(acc)
 	sort.Slice(ends, func(i, j int) bool { return ends[i].ID < ends[j].ID })
 	for _, e := range ends {
-		emit(e.ID, e.W)
+		if err := emit(e.ID, e.W); err != nil {
+			return out, true, err
+		}
 	}
 	return out, true, nil
 }

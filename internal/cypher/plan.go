@@ -10,7 +10,10 @@ import (
 
 // The planner compiles an AST into a pipeline of stages. Each MATCH
 // becomes a matchStage holding primitive steps (anchor, expand, filter);
-// WITH and RETURN become projectStages. Anchor selection is cost-based
+// WITH and RETURN become projectStages. A MATCH's WHERE is split into
+// its AND-conjuncts, and each conjunct is placed on the earliest step
+// after which all of its variables are bound, so rows that fail it are
+// dropped before they are materialised. Anchor selection is cost-based
 // using store statistics: an index seek costs ~1, a label scan costs the
 // label cardinality, a full node scan costs the node count, and an
 // already-bound variable costs nothing. This mirrors the paper's
@@ -111,7 +114,7 @@ func compile(db *neodb.DB, q *Query, text string) (*Prepared, error) {
 // ---------- MATCH compilation ----------
 
 func compileMatch(db *neodb.DB, c *MatchClause, vm *varMap) (*matchStage, error) {
-	st := &matchStage{optional: c.Optional, where: c.Where}
+	st := &matchStage{optional: c.Optional}
 	for _, pat := range c.Patterns {
 		if err := compilePattern(db, pat, vm, st); err != nil {
 			return nil, err
@@ -119,7 +122,95 @@ func compileMatch(db *neodb.DB, c *MatchClause, vm *varMap) (*matchStage, error)
 	}
 	st.vars = vm.clone()
 	st.width = vm.n
+	if c.Where != nil {
+		placeWhere(st, c.Where)
+	}
 	return st, nil
+}
+
+// placeWhere attaches each AND-conjunct of cond to the earliest step
+// after which every variable it mentions is bound, or to the last of the
+// label and property filters that directly follow that step. Conjuncts
+// over slots no step binds — those the input rows carry, or none at all
+// — run once per input row, before the first step (after any leading
+// filters). Only rows for which every conjunct is true survive, so the
+// split keeps WHERE's meaning.
+func placeWhere(st *matchStage, cond Expr) {
+	boundAt := make([]int, st.width) // slot -> index of the step binding it
+	for i := range boundAt {
+		boundAt[i] = -1
+	}
+	for i := len(st.steps) - 1; i >= 0; i-- {
+		if b, ok := st.steps[i].(bindingStep); ok {
+			for _, slot := range b.binds() {
+				boundAt[slot] = i
+			}
+		}
+	}
+	for _, conj := range conjuncts(cond, nil) {
+		at := -1
+		for _, name := range exprVars(conj, nil) {
+			if slot, ok := st.vars.lookup(name); ok && boundAt[slot] > at {
+				at = boundAt[slot]
+			}
+		}
+		// The pattern's own label and property checks on what the step
+		// bound come first: a conjunct must not see (or fail on) a node
+		// the pattern rejects.
+		for at+1 < len(st.steps) && isNodeFilter(st.steps[at+1]) {
+			at++
+		}
+		w := &st.pre
+		if at >= 0 {
+			w = st.steps[at].(interface{ placed() *where }).placed()
+		}
+		w.vars = st.vars
+		w.preds = append(w.preds, conj)
+	}
+}
+
+func isNodeFilter(s step) bool {
+	switch s.(type) {
+	case *stepLabelFilter, *stepPropFilter:
+		return true
+	}
+	return false
+}
+
+// conjuncts flattens nested ANDs into their operands, in source order.
+func conjuncts(e Expr, out []Expr) []Expr {
+	if b, ok := e.(*BinOp); ok && b.Op == "AND" {
+		return conjuncts(b.R, conjuncts(b.L, out))
+	}
+	return append(out, e)
+}
+
+// exprVars appends the variable names e mentions: plain references,
+// property owners, and every node variable of a pattern predicate (a
+// pattern node that names a variable bound in the stage is a join, not
+// an existential, so it must be bound before the predicate runs).
+func exprVars(e Expr, out []string) []string {
+	switch x := e.(type) {
+	case *Var:
+		out = append(out, x.Name)
+	case *PropAccess:
+		out = append(out, x.Var)
+	case *BinOp:
+		out = exprVars(x.R, exprVars(x.L, out))
+	case *UnaryOp:
+		out = exprVars(x.X, out)
+	case *FuncCall:
+		for _, a := range x.Args {
+			out = exprVars(a, out)
+		}
+	case *PatternPred:
+		for _, p := range x.Parts {
+			if !p.IsRel && p.Node.Var != "" {
+				out = append(out, p.Node.Var)
+			}
+		}
+	}
+	return out
 }
 
 func compilePattern(db *neodb.DB, pat Pattern, vm *varMap, st *matchStage) error {
@@ -231,7 +322,7 @@ func anchorCost(db *neodb.DB, n NodePattern, bound bool) float64 {
 func emitAnchor(db *neodb.DB, n NodePattern, slot int, bound bool, st *matchStage) {
 	if bound {
 		// Already bound: just verify label/props.
-		emitNodeFilters(db, n, slot, st, "")
+		emitNodeFilters(db, n, slot, st)
 		return
 	}
 	label := graph.NilType
@@ -243,26 +334,35 @@ func emitAnchor(db *neodb.DB, n NodePattern, slot int, bound bool, st *matchStag
 		for _, pm := range n.Props {
 			key := db.PropKeyID(pm.Key)
 			if key != graph.NilAttr && db.HasIndex(label, key) {
+				// Index postings hold only nodes of the indexed label.
 				st.steps = append(st.steps, &stepIndexSeek{slot: slot, label: label, key: key, val: pm.Expr})
-				emitNodeFilters(db, n, slot, st, pm.Key)
+				emitPropFilters(n, slot, st, pm.Key)
 				return
 			}
 		}
+		// The scan yields exactly the label's live nodes (the label scan
+		// store is kept exact on create and delete), so only the
+		// property constraints need a filter.
 		st.steps = append(st.steps, &stepLabelScan{slot: slot, label: label})
-		emitNodeFilters(db, n, slot, st, "")
+		emitPropFilters(n, slot, st, "")
 		return
 	}
 	st.steps = append(st.steps, &stepAllNodes{slot: slot})
-	emitNodeFilters(db, n, slot, st, "")
+	emitNodeFilters(db, n, slot, st)
 }
 
 // emitNodeFilters adds label and property-equality filters for a node
-// already bound at slot. skipKey names a property already satisfied by
-// an index seek.
-func emitNodeFilters(db *neodb.DB, n NodePattern, slot int, st *matchStage, skipKey string) {
+// already bound at slot.
+func emitNodeFilters(db *neodb.DB, n NodePattern, slot int, st *matchStage) {
 	if n.Label != "" {
 		st.steps = append(st.steps, &stepLabelFilter{slot: slot, label: db.LabelID(n.Label)})
 	}
+	emitPropFilters(n, slot, st, "")
+}
+
+// emitPropFilters adds the property-equality filters for a node bound at
+// slot. skipKey names a property already satisfied by an index seek.
+func emitPropFilters(n NodePattern, slot int, st *matchStage, skipKey string) {
 	for _, pm := range n.Props {
 		if skipKey != "" && pm.Key == skipKey {
 			continue
@@ -288,7 +388,7 @@ func emitExpand(db *neodb.DB, vm *varMap, rel RelPattern, fromSlot, toSlot int, 
 		minHops: rel.MinHops, maxHops: rel.MaxHops,
 		toBound: toBound,
 	})
-	emitNodeFilters(db, to, toSlot, st, "")
+	emitNodeFilters(db, to, toSlot, st)
 }
 
 // ---------- projection compilation ----------

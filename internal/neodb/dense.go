@@ -261,57 +261,3 @@ func (db *DB) convertToDense(n graph.NodeID, nodeRec *storage.NodeRecord) error 
 	}
 	return nil
 }
-
-// relationshipsDense iterates a dense node's group chains.
-func (db *DB) relationshipsDense(id graph.NodeID, nodeRec storage.NodeRecord, t graph.TypeID, dir graph.Direction, fn func(Rel) bool) error {
-	gid := uint64(nodeRec.FirstRel)
-	for gid != 0 {
-		db.cGroupScans.Inc()
-		g, err := db.groups.Get(gid)
-		if err != nil {
-			return err
-		}
-		gid = g.Next
-		if t != graph.NilType && g.Type != t {
-			continue
-		}
-		if dir == graph.Outgoing || dir == graph.Any {
-			cur := g.FirstOut
-			for cur != 0 {
-				db.cChainHops.Inc()
-				rec, err := db.rels.Get(cur)
-				if err != nil {
-					return err
-				}
-				if !rec.InUse {
-					return fmt.Errorf("neodb: dense out-chain of node %d reaches dead relationship %d", id, cur)
-				}
-				if !fn(Rel{ID: cur, Type: rec.Type, Src: rec.Src, Dst: rec.Dst}) {
-					return nil
-				}
-				cur = rec.SrcNext
-			}
-		}
-		if dir == graph.Incoming || dir == graph.Any {
-			cur := g.FirstIn
-			for cur != 0 {
-				rec, err := db.rels.Get(cur)
-				if err != nil {
-					return err
-				}
-				if !rec.InUse {
-					return fmt.Errorf("neodb: dense in-chain of node %d reaches dead relationship %d", id, cur)
-				}
-				// A self-loop sits in both chains; emit it only once
-				// when both directions are being walked.
-				if !(dir == graph.Any && rec.Src == rec.Dst) {
-					if !fn(Rel{ID: cur, Type: rec.Type, Src: rec.Src, Dst: rec.Dst}) {
-						return nil
-					}
-				}
-				cur = rec.DstNext
-			}
-		}
-	}
-	return nil
-}

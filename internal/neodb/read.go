@@ -2,9 +2,11 @@ package neodb
 
 import (
 	"fmt"
+	"math"
 
 	"twigraph/internal/bitmap"
 	"twigraph/internal/graph"
+	"twigraph/internal/storage"
 )
 
 // Node is a read snapshot of a node: its id and label. Properties are
@@ -22,21 +24,67 @@ type Rel struct {
 	Src, Dst graph.NodeID
 }
 
+// Reader is a single-goroutine read handle: one storage cursor per
+// store file, each keeping the last page it read pinned, so a scan that
+// reads a node record and then its property records — usually on the
+// pages it just read — skips the page cache's lookup for most of them.
+// Every record read still counts one db hit. Reader is the one
+// implementation of the record reads; the DB methods of the same names
+// run a transient Reader. Close releases the pins; a closed Reader
+// stays usable and re-pins on its next read. A Reader must not be
+// shared between goroutines: parallel shards each take their own.
+type Reader struct {
+	db     *DB
+	nodes  storage.NodeCursor
+	rels   storage.RelCursor
+	props  storage.PropCursor
+	strs   storage.DynCursor
+	groups storage.GroupCursor
+}
+
+// Reader returns an unpinned Reader over the database's store files.
+func (db *DB) Reader() Reader {
+	return Reader{
+		db:     db,
+		nodes:  db.nodes.Cursor(),
+		rels:   db.rels.Cursor(),
+		props:  db.props.Cursor(),
+		strs:   db.strs.Cursor(),
+		groups: db.groups.Cursor(),
+	}
+}
+
+// Close releases every page the Reader holds pinned.
+func (r *Reader) Close() {
+	r.nodes.Close()
+	r.rels.Close()
+	r.props.Close()
+	r.strs.Close()
+	r.groups.Close()
+}
+
+// liveNode reads a node record, failing with ErrNotFound when the
+// record is not in use.
+func (r *Reader) liveNode(id graph.NodeID) (storage.NodeRecord, error) {
+	rec, err := r.nodes.Get(id)
+	if err == nil && !rec.InUse {
+		err = fmt.Errorf("%w: node %d", graph.ErrNotFound, id)
+	}
+	return rec, err
+}
+
 // NodeByID returns the node with the given id.
-func (db *DB) NodeByID(id graph.NodeID) (Node, error) {
-	rec, err := db.nodes.Get(id)
+func (r *Reader) NodeByID(id graph.NodeID) (Node, error) {
+	rec, err := r.liveNode(id)
 	if err != nil {
 		return Node{}, err
-	}
-	if !rec.InUse {
-		return Node{}, fmt.Errorf("%w: node %d", graph.ErrNotFound, id)
 	}
 	return Node{ID: id, Label: rec.Label}, nil
 }
 
 // RelByID returns the relationship with the given id.
-func (db *DB) RelByID(id graph.EdgeID) (Rel, error) {
-	rec, err := db.rels.Get(id)
+func (r *Reader) RelByID(id graph.EdgeID) (Rel, error) {
+	rec, err := r.rels.Get(id)
 	if err != nil {
 		return Rel{}, err
 	}
@@ -49,22 +97,19 @@ func (db *DB) RelByID(id graph.EdgeID) (Rel, error) {
 // NodeProp returns the value of one property on a node (NilValue when
 // unset). Cost: one node record plus one property record per chain
 // entry scanned.
-func (db *DB) NodeProp(id graph.NodeID, key graph.AttrID) (graph.Value, error) {
-	rec, err := db.nodes.Get(id)
+func (r *Reader) NodeProp(id graph.NodeID, key graph.AttrID) (graph.Value, error) {
+	rec, err := r.liveNode(id)
 	if err != nil {
 		return graph.NilValue, err
 	}
-	if !rec.InUse {
-		return graph.NilValue, fmt.Errorf("%w: node %d", graph.ErrNotFound, id)
-	}
 	pid := rec.FirstProp
 	for pid != 0 {
-		prec, err := db.props.Get(pid)
+		prec, err := r.props.Get(pid)
 		if err != nil {
 			return graph.NilValue, err
 		}
 		if prec.Key == key {
-			return db.decodePropValue(prec)
+			return r.propValue(prec)
 		}
 		pid = prec.Next
 	}
@@ -72,42 +117,58 @@ func (db *DB) NodeProp(id graph.NodeID, key graph.AttrID) (graph.Value, error) {
 }
 
 // NodeProps returns all properties of a node.
-func (db *DB) NodeProps(id graph.NodeID) (graph.Properties, error) {
-	rec, err := db.nodes.Get(id)
+func (r *Reader) NodeProps(id graph.NodeID) (graph.Properties, error) {
+	rec, err := r.liveNode(id)
 	if err != nil {
 		return nil, err
-	}
-	if !rec.InUse {
-		return nil, fmt.Errorf("%w: node %d", graph.ErrNotFound, id)
 	}
 	props := graph.Properties{}
 	pid := rec.FirstProp
 	for pid != 0 {
-		prec, err := db.props.Get(pid)
+		prec, err := r.props.Get(pid)
 		if err != nil {
 			return nil, err
 		}
 		if prec.Kind != graph.KindNil {
-			v, err := db.decodePropValue(prec)
+			v, err := r.propValue(prec)
 			if err != nil {
 				return nil, err
 			}
-			props[db.PropKeyName(prec.Key)] = v
+			props[r.db.PropKeyName(prec.Key)] = v
 		}
 		pid = prec.Next
 	}
 	return props, nil
 }
 
+// propValue decodes a property record's value, reading the dynamic
+// store for strings.
+func (r *Reader) propValue(rec storage.PropRecord) (graph.Value, error) {
+	switch rec.Kind {
+	case graph.KindNil:
+		return graph.NilValue, nil
+	case graph.KindInt:
+		return graph.IntValue(int64(rec.Payload)), nil
+	case graph.KindBool:
+		return graph.BoolValue(rec.Payload != 0), nil
+	case graph.KindFloat:
+		return graph.FloatValue(math.Float64frombits(rec.Payload)), nil
+	case graph.KindString:
+		s, err := r.strs.GetString(rec.Payload)
+		if err != nil {
+			return graph.NilValue, err
+		}
+		return graph.StringValue(s), nil
+	}
+	return graph.NilValue, fmt.Errorf("neodb: unknown stored kind %d", rec.Kind)
+}
+
 // Degree returns a node's cached degree. Per the record layout this is
 // O(1): the counters live in the node record.
-func (db *DB) Degree(id graph.NodeID, dir graph.Direction) (int, error) {
-	rec, err := db.nodes.Get(id)
+func (r *Reader) Degree(id graph.NodeID, dir graph.Direction) (int, error) {
+	rec, err := r.liveNode(id)
 	if err != nil {
 		return 0, err
-	}
-	if !rec.InUse {
-		return 0, fmt.Errorf("%w: node %d", graph.ErrNotFound, id)
 	}
 	switch dir {
 	case graph.Outgoing:
@@ -122,22 +183,20 @@ func (db *DB) Degree(id graph.NodeID, dir graph.Direction) (int, error) {
 // Relationships iterates a node's relationship chain, invoking fn for
 // each relationship matching the type filter (NilType matches all) and
 // direction. Each chain step costs one relationship-record fetch. fn
-// returning false stops the iteration.
-func (db *DB) Relationships(id graph.NodeID, t graph.TypeID, dir graph.Direction, fn func(Rel) bool) error {
-	nodeRec, err := db.nodes.Get(id)
+// returning false stops the iteration. fn may read through the same
+// Reader: the walk keeps no record bytes across the call.
+func (r *Reader) Relationships(id graph.NodeID, t graph.TypeID, dir graph.Direction, fn func(Rel) bool) error {
+	nodeRec, err := r.liveNode(id)
 	if err != nil {
 		return err
 	}
-	if !nodeRec.InUse {
-		return fmt.Errorf("%w: node %d", graph.ErrNotFound, id)
-	}
 	if nodeRec.Dense {
-		return db.relationshipsDense(id, nodeRec, t, dir, fn)
+		return r.relationshipsDense(id, nodeRec, t, dir, fn)
 	}
 	cur := nodeRec.FirstRel
 	for cur != 0 {
-		db.cChainHops.Inc()
-		rec, err := db.rels.Get(cur)
+		r.db.cChainHops.Inc()
+		rec, err := r.rels.Get(cur)
 		if err != nil {
 			return err
 		}
@@ -160,6 +219,110 @@ func (db *DB) Relationships(id graph.NodeID, t graph.TypeID, dir graph.Direction
 		}
 	}
 	return nil
+}
+
+// relationshipsDense iterates a dense node's group chains.
+func (r *Reader) relationshipsDense(id graph.NodeID, nodeRec storage.NodeRecord, t graph.TypeID, dir graph.Direction, fn func(Rel) bool) error {
+	gid := uint64(nodeRec.FirstRel)
+	for gid != 0 {
+		r.db.cGroupScans.Inc()
+		g, err := r.groups.Get(gid)
+		if err != nil {
+			return err
+		}
+		gid = g.Next
+		if t != graph.NilType && g.Type != t {
+			continue
+		}
+		if dir == graph.Outgoing || dir == graph.Any {
+			cur := g.FirstOut
+			for cur != 0 {
+				r.db.cChainHops.Inc()
+				rec, err := r.rels.Get(cur)
+				if err != nil {
+					return err
+				}
+				if !rec.InUse {
+					return fmt.Errorf("neodb: dense out-chain of node %d reaches dead relationship %d", id, cur)
+				}
+				if !fn(Rel{ID: cur, Type: rec.Type, Src: rec.Src, Dst: rec.Dst}) {
+					return nil
+				}
+				cur = rec.SrcNext
+			}
+		}
+		if dir == graph.Incoming || dir == graph.Any {
+			cur := g.FirstIn
+			for cur != 0 {
+				rec, err := r.rels.Get(cur)
+				if err != nil {
+					return err
+				}
+				if !rec.InUse {
+					return fmt.Errorf("neodb: dense in-chain of node %d reaches dead relationship %d", id, cur)
+				}
+				// A self-loop sits in both chains; emit it only once
+				// when both directions are being walked.
+				if !(dir == graph.Any && rec.Src == rec.Dst) {
+					if !fn(Rel{ID: cur, Type: rec.Type, Src: rec.Src, Dst: rec.Dst}) {
+						return nil
+					}
+				}
+				cur = rec.DstNext
+			}
+		}
+	}
+	return nil
+}
+
+// NodeByID is Reader.NodeByID on a transient Reader.
+func (db *DB) NodeByID(id graph.NodeID) (Node, error) {
+	r := db.Reader()
+	defer r.Close()
+	return r.NodeByID(id)
+}
+
+// RelByID is Reader.RelByID on a transient Reader.
+func (db *DB) RelByID(id graph.EdgeID) (Rel, error) {
+	r := db.Reader()
+	defer r.Close()
+	return r.RelByID(id)
+}
+
+// NodeProp is Reader.NodeProp on a transient Reader.
+func (db *DB) NodeProp(id graph.NodeID, key graph.AttrID) (graph.Value, error) {
+	r := db.Reader()
+	defer r.Close()
+	return r.NodeProp(id, key)
+}
+
+// NodeProps is Reader.NodeProps on a transient Reader.
+func (db *DB) NodeProps(id graph.NodeID) (graph.Properties, error) {
+	r := db.Reader()
+	defer r.Close()
+	return r.NodeProps(id)
+}
+
+// Degree is Reader.Degree on a transient Reader.
+func (db *DB) Degree(id graph.NodeID, dir graph.Direction) (int, error) {
+	r := db.Reader()
+	defer r.Close()
+	return r.Degree(id, dir)
+}
+
+// Relationships is Reader.Relationships on a transient Reader.
+func (db *DB) Relationships(id graph.NodeID, t graph.TypeID, dir graph.Direction, fn func(Rel) bool) error {
+	r := db.Reader()
+	defer r.Close()
+	return r.Relationships(id, t, dir, fn)
+}
+
+// decodePropValue is Reader.propValue on a transient Reader (the write
+// path's decode of a record it is about to replace or drop).
+func (db *DB) decodePropValue(rec storage.PropRecord) (graph.Value, error) {
+	r := db.Reader()
+	defer r.Close()
+	return r.propValue(rec)
 }
 
 // Neighbors collects the distinct far endpoints of a node's

@@ -298,8 +298,8 @@ type shardExpand struct {
 
 // expandSideParallel advances one side of the bidirectional search by a
 // full level, sharding the frontier across workers. The scatter phase
-// reads side.parents (frozen for the whole level) through the
-// concurrent-safe read path; the gather phase mutates the BFS state
+// reads side.parents (frozen for the whole level) and walks chains
+// through one Reader per shard; the gather phase mutates the BFS state
 // sequentially in shard order.
 func (db *DB) expandSideParallel(side, other *bfsSide, expanders []Expander, reversed bool, workers int) ([]graph.NodeID, error) {
 	// Narrow levels expand inline; walking a few relationship chains is
@@ -309,13 +309,15 @@ func (db *DB) expandSideParallel(side, other *bfsSide, expanders []Expander, rev
 	w := par.WorkersForSize(workers, len(frontier), minPerShard)
 	shards := par.RunRanges(w, len(frontier), db.parMetrics, func(lo, hi int) shardExpand {
 		var sh shardExpand
+		rd := db.Reader()
+		defer rd.Close()
 		for _, n := range frontier[lo:hi] {
 			for _, ex := range expanders {
 				dir := ex.Dir
 				if reversed {
 					dir = dir.Reverse()
 				}
-				err := db.Relationships(n, ex.Type, dir, func(r Rel) bool {
+				err := rd.Relationships(n, ex.Type, dir, func(r Rel) bool {
 					m := r.Dst
 					if m == n && r.Src != r.Dst {
 						m = r.Src

@@ -635,23 +635,3 @@ func (db *DB) encodePropValue(v graph.Value) (graph.Kind, uint64, error) {
 	}
 	return graph.KindNil, 0, fmt.Errorf("neodb: cannot store %v", v.Kind())
 }
-
-func (db *DB) decodePropValue(rec storage.PropRecord) (graph.Value, error) {
-	switch rec.Kind {
-	case graph.KindNil:
-		return graph.NilValue, nil
-	case graph.KindInt:
-		return graph.IntValue(int64(rec.Payload)), nil
-	case graph.KindBool:
-		return graph.BoolValue(rec.Payload != 0), nil
-	case graph.KindFloat:
-		return graph.FloatValue(math.Float64frombits(rec.Payload)), nil
-	case graph.KindString:
-		s, err := db.strs.GetString(rec.Payload)
-		if err != nil {
-			return graph.NilValue, err
-		}
-		return graph.StringValue(s), nil
-	}
-	return graph.NilValue, fmt.Errorf("neodb: unknown stored kind %d", rec.Kind)
-}

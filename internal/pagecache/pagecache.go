@@ -81,6 +81,7 @@ type stripe struct {
 	lruHead  *page // most recently used
 	lruTail  *page // least recently used
 	stats    Stats
+	rehits   atomic.Uint64 // counted by Hit; added to stats.Hits on read
 }
 
 // Instruments binds a cache to the shared observability registry: each
@@ -205,6 +206,17 @@ func (pg Page) Unpin() {
 		pg.p.pins--
 	}
 	pg.s.mu.Unlock()
+}
+
+// Hit counts n hits on a page the caller holds pinned: a reader that
+// keeps its page pinned across records reports the Gets it skipped, so
+// the hit ratio keeps its meaning. It takes no lock and leaves the LRU
+// order alone.
+func (pg Page) Hit(n uint64) {
+	pg.s.rehits.Add(n)
+	if h := pg.s.c.ins.Load().Hits; h != nil {
+		h.Add(n)
+	}
 }
 
 // Get pins the page with the given id, faulting it in if necessary. Page
@@ -369,6 +381,7 @@ func (c *Cache) Stats() Stats {
 		s.mu.Lock()
 		out.add(s.stats)
 		s.mu.Unlock()
+		out.Hits += s.rehits.Load()
 	}
 	return out
 }
@@ -379,6 +392,7 @@ func (c *Cache) ResetStats() {
 		s.mu.Lock()
 		s.stats = Stats{}
 		s.mu.Unlock()
+		s.rehits.Store(0)
 	}
 }
 

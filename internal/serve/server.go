@@ -655,6 +655,21 @@ type servedQuery struct {
 	lastRec   time.Time
 	rows      int
 	status    string // obs.Status*; completed unless a path overrides
+
+	// finish closes the books: it frees the admission slot and records
+	// the phases, statistics and trace events. close runs it once,
+	// before the terminal frame goes out, so a client that has seen the
+	// final SUCCESS or FAILURE also sees the query accounted.
+	finish func()
+	closed bool
+}
+
+// close runs finish once; later calls are no-ops.
+func (sq *servedQuery) close() {
+	if !sq.closed {
+		sq.closed = true
+		sq.finish()
+	}
 }
 
 // noteResult copies the producer's execution bounds (first consumption
@@ -835,16 +850,13 @@ func (ss *session) handleRun(run Run) bool {
 		done <- queryResult{rows: rows, err: err, execStart: execStart, execDur: time.Since(execStart)}
 	}()
 
-	released := false
-	finish := func() {
-		if !released {
-			released = true
-			runCancel()
-			srv.release()
-			srv.finishQuery(sq)
-		}
+	sq.finish = func() {
+		runCancel()
+		srv.release()
+		srv.finishQuery(sq)
+		ss.setCurrent("", "", 0, "")
 	}
-	defer finish()
+	defer sq.close()
 
 	// The result-set fields are known from the catalogue before the
 	// query computes — answer RUN immediately so the client can send its
@@ -946,7 +958,16 @@ func (ss *session) stream(eng *Engine, runCtx context.Context, runCancel context
 			srv.cRows.Add(uint64(end - next))
 			next = end
 			hasMore := next < len(res.rows)
+			if !hasMore {
+				sq.close()
+			}
 			if ss.send(EncodeSuccess(Success{Meta: map[string]any{"has_more": hasMore}})) != nil {
+				if !hasMore {
+					// The books already closed this query as completed:
+					// every row went out, only the final ack was lost.
+					// Leave status and outcome counters as recorded.
+					return false
+				}
 				ss.abortWith(eng, runCtx, runCancel, done, &res, &have, countAbort, sq)
 				return false
 			}
@@ -964,6 +985,7 @@ func (ss *session) stream(eng *Engine, runCtx context.Context, runCancel context
 				sq.noteResult(&res)
 			}
 			sq.setStatus(obs.StatusCancelled)
+			sq.close()
 			return ss.send(EncodeSuccess(Success{Meta: map[string]any{"has_more": false}})) == nil
 		case MsgGoodbye:
 			ss.abortWith(eng, runCtx, runCancel, done, &res, &have, countAbort, sq)
@@ -1024,5 +1046,6 @@ func (ss *session) failQuery(err error, sq *servedQuery) bool {
 	default:
 		sq.setStatus(obs.StatusFailed)
 	}
+	sq.close()
 	return ss.fail(f.Code, f.Message) == nil
 }

@@ -112,6 +112,12 @@ func startServer(t *testing.T, cfg serve.Config, engines ...*serve.Engine) (stri
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serveOn(t, ln, cfg, engines...)
+}
+
+// serveOn serves on ln, shutting down in Cleanup.
+func serveOn(t *testing.T, ln net.Listener, cfg serve.Config, engines ...*serve.Engine) (string, *serve.Server) {
+	t.Helper()
 	srv := serve.NewServer(cfg, engines...)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
@@ -838,5 +844,86 @@ func TestShedAccountedPerStatement(t *testing.T) {
 	}
 	if !ok {
 		t.Fatalf("no per-statement entry for %s", sn)
+	}
+}
+
+// cutListener hands out connections whose writes fail, closing the
+// connection, once the test arms them.
+type cutListener struct {
+	net.Listener
+	conns chan *cutConn
+}
+
+type cutConn struct {
+	net.Conn
+	armed atomic.Bool
+}
+
+func (l cutListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	cc := &cutConn{Conn: c}
+	l.conns <- cc
+	return cc, nil
+}
+
+func (c *cutConn) Write(p []byte) (int, error) {
+	if c.armed.Load() {
+		c.Conn.Close()
+		return 0, errors.New("cutConn: write after cut")
+	}
+	return c.Conn.Write(p)
+}
+
+// TestFinalAckLossKeepsBooksConsistent: when the connection fails at
+// the final SUCCESS of a fully streamed result, the query was already
+// accounted as completed. The serve qstats status split, the serve
+// outcome counters and the engine's abort counter must all agree.
+func TestFinalAckLossKeepsBooksConsistent(t *testing.T) {
+	leakcheck.Check(t)
+	eng := newStubEngine("stub", func() *stubStore { return &stubStore{} })
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := cutListener{Listener: ln, conns: make(chan *cutConn, 1)}
+	addr, srv := serveOn(t, cl, serve.Config{}, eng.Engine)
+	fc := dialRaw(t, addr)
+	server := <-cl.conns
+
+	if err := fc.Send(serve.EncodeRun(serve.Run{
+		Engine: "stub", Query: "followees", Params: map[string]any{"uid": int64(1)},
+	})); err != nil {
+		t.Fatal(err)
+	}
+	if tag, msg, err := recvMsg(fc); err != nil || tag != serve.MsgSuccess {
+		t.Fatalf("RUN reply: tag=0x%02x msg=%v err=%v", tag, msg, err)
+	}
+	// The result is empty, so the next server write is the final ack.
+	server.armed.Store(true)
+	if err := fc.Send(serve.EncodePull(serve.Pull{N: 64})); err != nil {
+		t.Fatal(err)
+	}
+	if tag, _, err := recvMsg(fc); err == nil {
+		t.Fatalf("final ack arrived (tag=0x%02x) through a cut connection", tag)
+	}
+	waitFor(t, func() bool { return len(srv.Sessions()) == 0 }, "session teardown")
+
+	var calls, cancelled uint64
+	for _, sn := range srv.QueryStats().Snapshot() {
+		if sn.Query == serve.QueryStatement("stub", "followees") {
+			calls, cancelled = sn.Calls, sn.Cancelled+sn.TimedOut+sn.Failed
+		}
+	}
+	if calls != 1 {
+		t.Fatalf("serve qstats calls=%d, want 1", calls)
+	}
+	counters := srv.Metrics().Snapshot().Counters
+	outcome := counters["queries_cancelled"] + counters["queries_timed_out"]
+	if cancelled != outcome || outcome != 0 || eng.aborts.Load() != 0 {
+		t.Fatalf("books disagree: qstats non-completed=%d, serve outcome counters=%d, engine aborts=%d; want all 0",
+			cancelled, outcome, eng.aborts.Load())
 	}
 }

@@ -225,23 +225,78 @@ func (f *RecordFile) pageFor(id uint64) (int64, int) {
 }
 
 // Read pins the record's page and invokes fn with the record bytes. The
-// slice is only valid inside fn. Counts one db hit.
+// slice is only valid inside fn. Counts one db hit. It is a one-read
+// Cursor.
 func (f *RecordFile) Read(id uint64, fn func(rec []byte)) error {
+	c := f.Cursor()
+	err := c.Read(id, fn)
+	c.Close()
+	return err
+}
+
+// Cursor is a read position over one record file that keeps the last
+// page it read pinned, so consecutive reads from the same page skip the
+// page cache's lookup, LRU touch and unpin. Every read still counts one
+// db hit and still runs under the page's read latch, so it sees
+// concurrent writes. Each read served by the pinned page counts as a
+// page cache hit, as the lookup it replaces would have; the cursor
+// reports them when it unpins. A Cursor belongs to one goroutine; Close
+// releases its pin and leaves it reusable.
+type Cursor struct {
+	f      *RecordFile
+	pg     pagecache.Page
+	first  uint64 // id of the first record on the pinned page
+	rehits uint64 // reads served by the pinned page, reported on unpin
+	pinned bool
+}
+
+// Cursor returns an unpinned cursor over f.
+func (f *RecordFile) Cursor() Cursor { return Cursor{f: f} }
+
+// Read invokes fn with the bytes of record id, re-pinning only when the
+// record lives on a different page from the previous read. The slice is
+// only valid inside fn. Counts one db hit.
+func (c *Cursor) Read(id uint64, fn func(rec []byte)) error {
 	if id == 0 {
 		return fmt.Errorf("storage: read of nil record")
 	}
+	f := c.f
 	f.hits.Add(1)
 	if f.fetches != nil {
 		f.fetches.Inc()
 	}
-	pageID, off := f.pageFor(id)
-	pg, err := f.cache.Get(pageID)
-	if err != nil {
-		return err
+	if !c.pinned || id < c.first || id-c.first >= uint64(f.perPage) {
+		// Unpin first: on a cache with one free frame the next page
+		// needs the frame this cursor holds.
+		c.Close()
+		pageID, _ := f.pageFor(id)
+		pg, err := f.cache.Get(pageID)
+		if err != nil {
+			return err
+		}
+		c.pg, c.first, c.pinned = pg, uint64(pageID-1)*uint64(f.perPage)+1, true
+	} else {
+		c.rehits++
 	}
-	pg.Read(func(buf []byte) { fn(buf[off : off+f.recSize]) })
-	pg.Unpin()
+	off := int(id-c.first) * f.recSize
+	c.pg.Read(func(buf []byte) { fn(buf[off : off+f.recSize]) })
 	return nil
+}
+
+// Close releases the cursor's pin, if any.
+func (c *Cursor) Close() {
+	if c.pinned {
+		c.unpin()
+	}
+}
+
+func (c *Cursor) unpin() {
+	if c.rehits > 0 {
+		c.pg.Hit(c.rehits)
+		c.rehits = 0
+	}
+	c.pg.Unpin()
+	c.pinned = false
 }
 
 // Update pins the record's page, invokes fn to mutate the record bytes,

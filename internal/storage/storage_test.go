@@ -359,6 +359,50 @@ func TestCoolSurvivesAndFaultsAfter(t *testing.T) {
 	}
 }
 
+// TestCursorAccounting: a cursor reading across pages counts one db hit
+// per record and one page cache access (fault or hit) per record, like
+// one-shot reads, and holds at most one pin, released by Close.
+func TestCursorAccounting(t *testing.T) {
+	// 1024-byte records: 8 per page; a one-page cache fails any second
+	// concurrent pin.
+	f, err := OpenRecordFile(filepath.Join(t.TempDir(), "r.store"), 1024, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	const n = 20 // three pages
+	for i := 0; i < n; i++ {
+		id := f.Allocate()
+		if err := f.Update(id, func(rec []byte) { rec[0] = byte(id) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hits0, cs0 := f.Hits(), f.CacheStats()
+	c := f.Cursor()
+	for id := uint64(1); id <= n; id++ {
+		var got byte
+		if err := c.Read(id, func(rec []byte) { got = rec[0] }); err != nil {
+			t.Fatalf("read %d: %v", id, err)
+		}
+		if got != byte(id) {
+			t.Fatalf("record %d reads %d", id, got)
+		}
+	}
+	c.Close()
+	cs := f.CacheStats()
+	if got := f.Hits() - hits0; got != n {
+		t.Errorf("db hits %d, want %d", got, n)
+	}
+	if got := cs.Hits + cs.Faults - cs0.Hits - cs0.Faults; got != n {
+		t.Errorf("page cache accesses %d, want %d (one per record)", got, n)
+	}
+	// The pin is gone: a one-shot read of another page still finds the
+	// cache's only frame free.
+	if err := f.Read(1, func([]byte) {}); err != nil {
+		t.Fatalf("read after Close: %v", err)
+	}
+}
+
 func TestGroupRecordRoundTrip(t *testing.T) {
 	rt := func(typ uint32, next, out, in uint64) bool {
 		r := GroupRecord{InUse: true, Type: graph.TypeID(typ), Next: next,

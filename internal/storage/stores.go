@@ -154,6 +154,19 @@ func decodeNode(rec []byte) NodeRecord {
 	}
 }
 
+// NodeCursor reads node records through a pinned-page Cursor.
+type NodeCursor struct{ Cursor }
+
+// Cursor returns an unpinned node cursor.
+func (s NodeStore) Cursor() NodeCursor { return NodeCursor{s.RecordFile.Cursor()} }
+
+// Get reads the node record with the given id.
+func (c *NodeCursor) Get(id graph.NodeID) (NodeRecord, error) {
+	var r NodeRecord
+	err := c.Read(uint64(id), func(rec []byte) { r = decodeNode(rec) })
+	return r, err
+}
+
 // Get reads the node record with the given id.
 func (s NodeStore) Get(id graph.NodeID) (NodeRecord, error) {
 	var r NodeRecord
@@ -197,6 +210,19 @@ func decodeRel(rec []byte) RelRecord {
 	}
 }
 
+// RelCursor reads relationship records through a pinned-page Cursor.
+type RelCursor struct{ Cursor }
+
+// Cursor returns an unpinned relationship cursor.
+func (s RelStore) Cursor() RelCursor { return RelCursor{s.RecordFile.Cursor()} }
+
+// Get reads the relationship record with the given id.
+func (c *RelCursor) Get(id graph.EdgeID) (RelRecord, error) {
+	var r RelRecord
+	err := c.Read(uint64(id), func(rec []byte) { r = decodeRel(rec) })
+	return r, err
+}
+
 // Get reads the relationship record with the given id.
 func (s RelStore) Get(id graph.EdgeID) (RelRecord, error) {
 	var r RelRecord
@@ -230,6 +256,19 @@ func decodeProp(rec []byte) PropRecord {
 		Payload: binary.LittleEndian.Uint64(rec[6:14]),
 		Next:    binary.LittleEndian.Uint64(rec[14:22]),
 	}
+}
+
+// PropCursor reads property records through a pinned-page Cursor.
+type PropCursor struct{ Cursor }
+
+// Cursor returns an unpinned property cursor.
+func (s PropStore) Cursor() PropCursor { return PropCursor{s.RecordFile.Cursor()} }
+
+// Get reads the property record with the given id.
+func (c *PropCursor) Get(id uint64) (PropRecord, error) {
+	var r PropRecord
+	err := c.Read(id, func(rec []byte) { r = decodeProp(rec) })
+	return r, err
 }
 
 // Get reads the property record with the given id.
@@ -281,12 +320,25 @@ func (s DynStore) PutString(str string) (uint64, error) {
 	return ids[0], nil
 }
 
+// DynCursor reads dynamic string chains through a pinned-page Cursor.
+type DynCursor struct{ Cursor }
+
+// Cursor returns an unpinned dynamic-store cursor.
+func (s DynStore) Cursor() DynCursor { return DynCursor{s.RecordFile.Cursor()} }
+
 // GetString reads the string chain headed at id.
 func (s DynStore) GetString(id uint64) (string, error) {
+	c := s.Cursor()
+	defer c.Close()
+	return c.GetString(id)
+}
+
+// GetString reads the string chain headed at id.
+func (c *DynCursor) GetString(id uint64) (string, error) {
 	var out []byte
 	for id != 0 {
 		var next uint64
-		err := s.Read(id, func(rec []byte) {
+		err := c.Read(id, func(rec []byte) {
 			if rec[0]&flagInUse == 0 {
 				next = 0
 				return
@@ -375,6 +427,20 @@ func decodeGroup(rec []byte) GroupRecord {
 		FirstOut: graph.EdgeID(binary.LittleEndian.Uint64(rec[13:21])),
 		FirstIn:  graph.EdgeID(binary.LittleEndian.Uint64(rec[21:29])),
 	}
+}
+
+// GroupCursor reads relationship-group records through a pinned-page
+// Cursor.
+type GroupCursor struct{ Cursor }
+
+// Cursor returns an unpinned group cursor.
+func (s GroupStore) Cursor() GroupCursor { return GroupCursor{s.RecordFile.Cursor()} }
+
+// Get reads the group record with the given id.
+func (c *GroupCursor) Get(id uint64) (GroupRecord, error) {
+	var r GroupRecord
+	err := c.Read(id, func(rec []byte) { r = decodeGroup(rec) })
+	return r, err
 }
 
 // Get reads the group record with the given id.

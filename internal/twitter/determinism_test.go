@@ -2,9 +2,13 @@ package twitter_test
 
 import (
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"testing"
 
+	"twigraph/internal/gen"
+	"twigraph/internal/load"
+	"twigraph/internal/neodb"
 	"twigraph/internal/twitter"
 )
 
@@ -25,7 +29,36 @@ func TestWorkerCountDeterminism(t *testing.T) {
 		t.Skip("determinism test builds two databases")
 	}
 	neo, spark, _ := buildBoth(t, smallCfg())
+	for _, s := range []workerStore{neo, spark} {
+		checkWorkerCounts(t, s, 8)
+	}
+}
 
+// TestWorkersOnSmallCache runs the sharded neo paths with more workers
+// than CPUs on a 16-page cache per store file. Every shard reads through
+// its own Reader and so holds at most one page of each file pinned at a
+// time; the results must match the sequential paths.
+func TestWorkersOnSmallCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a database")
+	}
+	dir := t.TempDir()
+	csvDir := filepath.Join(dir, "csv")
+	if _, err := gen.Generate(smallCfg(), csvDir); err != nil {
+		t.Fatal(err)
+	}
+	res, err := load.BuildNeo(csvDir, filepath.Join(dir, "neo"), neodb.Config{CachePages: 16}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { res.Store.Close() })
+	checkWorkerCounts(t, res.Store, 4)
+}
+
+// checkWorkerCounts runs every multi-hop workload query at Workers=1
+// and at Workers=workers and requires identical results.
+func checkWorkerCounts(t *testing.T, s workerStore, workers int) {
+	t.Helper()
 	probes := []int64{1, 2, 3, 5, 17, 42, 100, 250, 299}
 	tags := []string{"topic1", "topic2", "topic3", "topic10", "missing"}
 	pairs := [][2]int64{{1, 2}, {1, 50}, {5, 250}, {17, 42}, {100, 299}, {3, 3}}
@@ -119,25 +152,23 @@ func TestWorkerCountDeterminism(t *testing.T) {
 		}},
 	}
 
-	for _, s := range []workerStore{neo, spark} {
-		for _, q := range queries {
-			t.Run(fmt.Sprintf("%s/%s", s.Name(), q.name), func(t *testing.T) {
-				s.SetWorkers(1)
-				seq, err := q.run(s)
-				if err != nil {
-					t.Fatalf("workers=1: %v", err)
-				}
-				s.SetWorkers(8)
-				par, err := q.run(s)
-				s.SetWorkers(0) // back to the default for other tests
-				if err != nil {
-					t.Fatalf("workers=8: %v", err)
-				}
-				if !reflect.DeepEqual(seq, par) {
-					t.Fatalf("workers=1 vs workers=8 diverge:\n w1: %v\n w8: %v", seq, par)
-				}
-			})
-		}
+	for _, q := range queries {
+		t.Run(fmt.Sprintf("%s/%s", s.Name(), q.name), func(t *testing.T) {
+			s.SetWorkers(1)
+			seq, err := q.run(s)
+			if err != nil {
+				t.Fatalf("workers=1: %v", err)
+			}
+			s.SetWorkers(workers)
+			par, err := q.run(s)
+			s.SetWorkers(0) // back to the default for other tests
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			if !reflect.DeepEqual(seq, par) {
+				t.Fatalf("workers=1 vs workers=%d diverge:\n w1: %v\n w%d: %v", workers, seq, workers, par)
+			}
+		})
 	}
 }
 
