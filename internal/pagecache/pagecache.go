@@ -10,10 +10,20 @@
 // faults it in from the backing file, and the cache exposes hit/fault
 // statistics plus an explicit Cool operation used by the cold-cache
 // experiments.
+//
+// Frames are reused, as in a buffer pool: a fault on a full stripe
+// evicts an unpinned page and reads the new page into that page's
+// frame, so faults allocate nothing once the cache has filled. Page
+// bytes — Data and the slices Read and Write pass to their callbacks —
+// are therefore valid only while the caller holds the pin; after Unpin
+// the same memory may hold another page. Keep a copy, never a
+// sub-slice.
 package pagecache
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -106,6 +116,9 @@ func (c *Cache) Instrument(ins Instruments) {
 	c.ins.Store(&ins)
 }
 
+// page is one frame: a PageSize buffer and the residency state of the
+// page it currently holds. An evicted frame is reused for the fault
+// that evicted it.
 type page struct {
 	id         int64
 	buf        []byte
@@ -169,13 +182,15 @@ type Page struct {
 }
 
 // Data returns the page's byte slice (always PageSize long). The slice
-// is valid until Unpin. Callers using Data directly must serialise
-// against concurrent mutators themselves; prefer Read/Write, which
-// synchronise with the write-back path.
+// must not outlive Unpin: the frame is reused for another page. Callers
+// using Data directly must serialise against concurrent mutators
+// themselves; prefer Read/Write, which synchronise with the write-back
+// path.
 func (pg Page) Data() []byte { return pg.p.buf }
 
 // Read invokes fn with the page bytes under the shared data lock, so it
-// is safe against concurrent Write and write-back.
+// is safe against concurrent Write and write-back. fn must not keep the
+// slice or a sub-slice of it.
 func (pg Page) Read(fn func(buf []byte)) {
 	pg.s.dataMu.RLock()
 	fn(pg.p.buf)
@@ -183,7 +198,7 @@ func (pg Page) Read(fn func(buf []byte)) {
 }
 
 // Write invokes fn with the page bytes under the exclusive data lock
-// and marks the page dirty.
+// and marks the page dirty. Like Read, fn must not keep the slice.
 func (pg Page) Write(fn func(buf []byte)) {
 	pg.s.dataMu.Lock()
 	fn(pg.p.buf)
@@ -199,13 +214,16 @@ func (pg Page) MarkDirty() {
 	pg.s.mu.Unlock()
 }
 
-// Unpin releases the pin taken by Get.
+// Unpin releases the pin taken by Get. Unpinning a page more times
+// than it was pinned panics: the frame may already hold another page,
+// whose pin a stale Unpin would drop.
 func (pg Page) Unpin() {
 	pg.s.mu.Lock()
-	if pg.p.pins > 0 {
-		pg.p.pins--
+	defer pg.s.mu.Unlock()
+	if pg.p.pins == 0 {
+		panic(fmt.Sprintf("pagecache: Unpin of page %d, which is not pinned", pg.p.id))
 	}
-	pg.s.mu.Unlock()
+	pg.p.pins--
 }
 
 // Hit counts n hits on a page the caller holds pinned: a reader that
@@ -252,50 +270,67 @@ func (s *stripe) get(id int64) (Page, error) {
 	if ins.Trace.Enabled() {
 		ins.Trace.Instant("pagecache", "page_fault", 1, map[string]any{"page": id})
 	}
-	if err := s.evictIfFullLocked(ins); err != nil {
+	p, err := s.evictIfFullLocked(ins)
+	if err != nil {
 		return Page{}, err
 	}
-	p := &page{id: id, buf: make([]byte, PageSize), pins: 1}
-	off := id * PageSize
-	if size := s.c.size.Load(); off < size {
-		if _, err := s.c.file.ReadAt(p.buf, off); err != nil {
-			// Short read at EOF leaves the tail zeroed, which is
-			// exactly what a lazily-grown file should produce.
-			n := size - off
-			if n < 0 || n >= PageSize {
-				return Page{}, err
-			}
-		}
+	if p == nil {
+		p = &page{buf: make([]byte, PageSize)}
 	}
+	if err := s.c.readPage(p.buf, id*PageSize); err != nil {
+		return Page{}, err
+	}
+	p.id, p.pins, p.dirty = id, 1, false
 	s.pages[id] = p
 	s.pushFront(p)
 	return Page{s: s, p: p}, nil
 }
 
-// evictIfFullLocked evicts the least-recently-used unpinned page when at
-// capacity. It fails if every resident page is pinned.
-func (s *stripe) evictIfFullLocked(ins *Instruments) error {
-	for len(s.pages) >= s.capacity {
-		victim := s.lruTail
-		for victim != nil && victim.pins > 0 {
-			victim = victim.prev
-		}
-		if victim == nil {
-			return fmt.Errorf("pagecache: all %d pages pinned", len(s.pages))
-		}
-		if victim.dirty {
-			if err := s.writeBackLocked(victim, ins); err != nil {
-				return err
-			}
-		}
-		s.unlink(victim)
-		delete(s.pages, victim.id)
-		s.stats.Evictions++
-		if ins.Evictions != nil {
-			ins.Evictions.Inc()
+// readPage fills buf with the page at byte offset off. Bytes the file
+// does not hold read as zeros: the whole page past EOF, the tail of a
+// short last page. buf may be a recycled frame still holding another
+// page's bytes, so those zeros are written explicitly; a full read
+// clears nothing. Every read error but io.EOF is returned.
+func (c *Cache) readPage(buf []byte, off int64) error {
+	if off >= c.size.Load() {
+		clear(buf)
+		return nil
+	}
+	n, err := c.file.ReadAt(buf, off)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return err
+	}
+	clear(buf[n:])
+	return nil
+}
+
+// evictIfFullLocked evicts the least-recently-used unpinned page when
+// the stripe is at capacity and hands back its frame for the caller to
+// reuse; below capacity it returns nil. It fails if every resident page
+// is pinned.
+func (s *stripe) evictIfFullLocked(ins *Instruments) (*page, error) {
+	if len(s.pages) < s.capacity {
+		return nil, nil
+	}
+	victim := s.lruTail
+	for victim != nil && victim.pins > 0 {
+		victim = victim.prev
+	}
+	if victim == nil {
+		return nil, fmt.Errorf("pagecache: all %d pages pinned", len(s.pages))
+	}
+	if victim.dirty {
+		if err := s.writeBackLocked(victim, ins); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	s.unlink(victim)
+	delete(s.pages, victim.id)
+	s.stats.Evictions++
+	if ins.Evictions != nil {
+		ins.Evictions.Inc()
+	}
+	return victim, nil
 }
 
 func (s *stripe) writeBackLocked(p *page, ins *Instruments) error {

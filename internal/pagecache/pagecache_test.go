@@ -1,12 +1,16 @@
 package pagecache
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
+
+	"twigraph/internal/vfs"
 )
 
 func openTemp(t *testing.T, capacity int) *Cache {
@@ -247,26 +251,277 @@ func TestCloseIsIdempotentAndFlushes(t *testing.T) {
 	}
 }
 
+// TestRandomizedReadWrite checks the cache against a model of the file
+// under constant eviction, so almost every fault reuses another page's
+// frame, with FlushAll and Cool interleaved and one page at a time held
+// pinned across the churn. Each page is filled with one byte value; any
+// byte a recycled frame leaked from its previous page shows up as a
+// mismatch.
 func TestRandomizedReadWrite(t *testing.T) {
-	c := openTemp(t, 8)
-	rng := rand.New(rand.NewSource(3))
-	model := map[int64]byte{}
-	for i := 0; i < 2000; i++ {
-		id := int64(rng.Intn(64))
+	for _, tc := range []struct{ capacity, ids int }{{8, 64}, {stripedMinCapacity, 512}} {
+		t.Run(fmt.Sprintf("capacity=%d", tc.capacity), func(t *testing.T) {
+			c := openTemp(t, tc.capacity)
+			rng := rand.New(rand.NewSource(3))
+			model := map[int64]byte{}
+			check := func(pg Page, id int64) {
+				t.Helper()
+				want := model[id]
+				for i, b := range pg.Data() {
+					if b != want {
+						t.Fatalf("page %d byte %d = %#x, want %#x", id, i, b, want)
+					}
+				}
+			}
+			var held Page
+			heldID, heldFor := int64(-1), 0
+			for i := 0; i < 4000; i++ {
+				switch rng.Intn(100) {
+				case 0:
+					if err := c.FlushAll(); err != nil {
+						t.Fatal(err)
+					}
+				case 1:
+					if err := c.Cool(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				id := int64(rng.Intn(tc.ids))
+				pg, err := c.Get(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(pg, id)
+				if id != heldID && rng.Intn(2) == 0 {
+					v := byte(rng.Intn(255) + 1)
+					pg.Write(func(buf []byte) {
+						for j := range buf {
+							buf[j] = v
+						}
+					})
+					model[id] = v
+				}
+				if heldID < 0 && rng.Intn(20) == 0 {
+					held, heldID, heldFor = pg, id, 1+rng.Intn(200)
+					continue
+				}
+				pg.Unpin()
+				if heldID >= 0 {
+					if heldFor--; heldFor == 0 {
+						check(held, heldID)
+						held.Unpin()
+						heldID = -1
+					}
+				}
+			}
+			if heldID >= 0 {
+				check(held, heldID)
+				held.Unpin()
+			}
+			if st := c.Stats(); st.Evictions == 0 {
+				t.Fatalf("no evictions: %+v", st)
+			}
+		})
+	}
+}
+
+// TestFaultReusesEvictedFrame cycles through twice as many pages as a
+// full cache holds, so every Get evicts and faults: each fault must read
+// into an evicted frame and allocate nothing.
+func TestFaultReusesEvictedFrame(t *testing.T) {
+	const capacity, ids = 8, 16
+	c := openTemp(t, capacity)
+	for id := int64(0); id < ids; id++ {
 		pg, err := c.Get(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want, ok := model[id]; ok && pg.Data()[0] != want {
-			t.Fatalf("page %d byte0 = %d, want %d", id, pg.Data()[0], want)
-		}
-		if rng.Intn(2) == 0 {
-			v := byte(rng.Intn(256))
-			pg.Data()[0] = v
-			pg.MarkDirty()
-			model[id] = v
-		}
+		pg.Write(func(buf []byte) { buf[0] = byte(id) })
 		pg.Unpin()
+	}
+	if err := c.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	frames := map[*byte]bool{}
+	for _, p := range c.stripes[0].pages {
+		frames[&p.buf[0]] = true
+	}
+	faults := c.Stats().Faults
+	next, newFrame := int64(0), false
+	allocs := testing.AllocsPerRun(1000, func() {
+		pg, err := c.Get(next % ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pg.Data()[0]; got != byte(next%ids) {
+			t.Fatalf("page %d byte 0 = %d", next%ids, got)
+		}
+		newFrame = newFrame || !frames[&pg.Data()[0]]
+		pg.Unpin()
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("fault on a full cache: %v allocs/op, want 0", allocs)
+	}
+	if newFrame {
+		t.Error("a fault on a full cache read into a new frame")
+	}
+	if got := c.Stats().Faults - faults; got != uint64(next) {
+		t.Errorf("%d faults over %d Gets: the loop must miss every time", got, next)
+	}
+}
+
+// TestRecycledFrameZeroFill reuses one dirty frame for a page past EOF
+// and for a short last page: what the file does not hold must read as
+// zeros, not as the previous page's bytes.
+func TestRecycledFrameZeroFill(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.db")
+	const tail = 100
+	short := make([]byte, PageSize+tail)
+	for i := range short {
+		short[i] = 0x11
+	}
+	if err := os.WriteFile(path, short, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Open(path, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	dirty := func(id int64) *byte {
+		t.Helper()
+		pg, err := c.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pg.Unpin()
+		pg.Write(func(buf []byte) {
+			for i := range buf {
+				buf[i] = 0xFF
+			}
+		})
+		return &pg.Data()[0]
+	}
+	read := func(id int64, frame *byte) []byte {
+		t.Helper()
+		pg, err := c.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pg.Unpin()
+		if &pg.Data()[0] != frame {
+			t.Fatalf("page %d did not reuse the evicted frame", id)
+		}
+		return append([]byte(nil), pg.Data()...)
+	}
+
+	// Page 1 is the file's short last page: tail bytes, then zeros.
+	got := read(1, dirty(0))
+	for i, b := range got {
+		want := byte(0)
+		if i < tail {
+			want = 0x11
+		}
+		if b != want {
+			t.Fatalf("short last page byte %d = %#x, want %#x", i, b, want)
+		}
+	}
+	// Page 5 lies past EOF.
+	for i, b := range read(5, dirty(3)) {
+		if b != 0 {
+			t.Fatalf("page past EOF byte %d = %#x, want 0", i, b)
+		}
+	}
+}
+
+// TestPinnedPageSurvivesChurn pins one page and churns its stripe with
+// dirty faults: the pinned frame must never be chosen as a victim.
+func TestPinnedPageSurvivesChurn(t *testing.T) {
+	c := openTemp(t, stripedMinCapacity)
+	n := int64(len(c.stripes)) // ids that are multiples of n share stripe 0
+	pinned, err := c.Get(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned.Write(func(buf []byte) {
+		for i := range buf {
+			buf[i] = byte(i)
+		}
+	})
+	for i := int64(1); i < 2000; i++ {
+		pg, err := c.Get(n * (1 + i%50))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg.Write(func(buf []byte) {
+			for j := range buf {
+				buf[j] = 0xEE
+			}
+		})
+		pg.Unpin()
+	}
+	if c.Stats().Evictions == 0 {
+		t.Fatal("churn evicted nothing")
+	}
+	pinned.Read(func(buf []byte) {
+		for i, b := range buf {
+			if b != byte(i) {
+				t.Fatalf("pinned page byte %d = %#x, want %#x", i, b, byte(i))
+			}
+		}
+	})
+	pinned.Unpin()
+}
+
+func TestUnpinOfUnpinnedPagePanics(t *testing.T) {
+	c := openTemp(t, 4)
+	pg, err := c.Get(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg.Unpin()
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("second Unpin did not panic")
+		} else if msg := fmt.Sprint(r); !strings.Contains(msg, "not pinned") {
+			t.Fatalf("panic message %q", msg)
+		}
+	}()
+	pg.Unpin()
+}
+
+// TestFaultReadErrorOnShortLastPage injects a read error on the fault of
+// a file's partial last page: Get must fail rather than return a zero
+// page that a later write-back would store over the real bytes.
+func TestFaultReadErrorOnShortLastPage(t *testing.T) {
+	fsys := vfs.NewFaultFS()
+	if err := vfs.WriteFile(fsys, "s.db", []byte("twelve bytes"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenFS(fsys, "s.db", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fsys.AddFault(vfs.Fault{Op: vfs.OpRead, Nth: 1, Kind: vfs.KindErr})
+	if pg, err := c.Get(0); err == nil {
+		pg.Unpin()
+		t.Fatal("Get swallowed the injected read error")
+	} else if !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("Get error = %v, want the injected fault", err)
+	}
+	pg, err := c.Get(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pg.Unpin()
+	if got := string(pg.Data()[:12]); got != "twelve bytes" {
+		t.Fatalf("page 0 starts %q after the fault cleared", got)
+	}
+	for i, b := range pg.Data()[12:] {
+		if b != 0 {
+			t.Fatalf("byte %d past EOF = %#x", 12+i, b)
+		}
 	}
 }
 
@@ -281,6 +536,34 @@ func BenchmarkGetHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pg, _ := c.Get(0)
+		pg.Unpin()
+	}
+}
+
+// BenchmarkGetFault cycles through twice as many pages as the cache
+// holds, so every Get evicts a page and faults one in from the file.
+func BenchmarkGetFault(b *testing.B) {
+	const capacity, ids = 16, 32
+	c, err := Open(filepath.Join(b.TempDir(), "s.db"), capacity)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	for id := int64(0); id < ids; id++ {
+		pg, _ := c.Get(id)
+		pg.MarkDirty()
+		pg.Unpin()
+	}
+	if err := c.FlushAll(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pg, err := c.Get(int64(i % ids))
+		if err != nil {
+			b.Fatal(err)
+		}
 		pg.Unpin()
 	}
 }
