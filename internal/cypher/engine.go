@@ -192,8 +192,9 @@ func (e *Engine) prepare(query string) (*Prepared, bool, time.Duration, error) {
 
 func (e *Engine) execute(ctx context.Context, prep *Prepared, params map[string]graph.Value, cached bool, compileTime time.Duration) (*Result, error) {
 	ec := &execCtx{db: e.db, rd: e.db.Reader(), ctx: ctx, params: params, profileOps: prep.profiled,
-		method: e.ExecMethod(), spm: e.spm}
+		method: e.ExecMethod(), spm: e.spm, buf: batchPool.Get().(*batchBufs)}
 	defer ec.rd.Close()
+	defer ec.buf.release()
 	res := &Result{Columns: prep.columns}
 	var prof *ProfileInfo
 	if prep.profiled {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"twigraph/internal/bitmap"
@@ -33,6 +34,9 @@ type execCtx struct {
 	// Property-key ids resolved so far, by name: a WHERE over a scan
 	// would otherwise take the catalog lock once per candidate.
 	keys []propKeyID
+
+	// Scratch of the batched property reads, from batchPool.
+	buf *batchBufs
 
 	// Algebraic execution: the engine's method knob snapshot for this
 	// execution, plan-choice counters, and a dense-accumulator pool for
@@ -93,14 +97,67 @@ func (ec *execCtx) ctxErr() error {
 	return nil
 }
 
-// tick is ctxErr on a stride, cheap enough to call from per-record emit
-// callbacks inside scan and expand loops.
-func (ec *execCtx) tick() error {
-	ec.ticks++
-	if ec.ticks&1023 != 0 {
+// batchSize is how many candidates a scan collects before it evaluates
+// its batched conjuncts, and how many rows a projection reads a
+// property column for at once. It equals the context-poll stride, so a
+// batch polls the context once.
+const batchSize = 1024
+
+// tick is ctxErr on a stride of batchSize rows, cheap enough to call
+// from per-record emit callbacks inside scan and expand loops.
+func (ec *execCtx) tick() error { return ec.tickN(1) }
+
+// tickN is n ticks at once: it polls when the count crosses a multiple
+// of the stride.
+func (ec *execCtx) tickN(n int) error {
+	before := ec.ticks
+	ec.ticks += uint(n)
+	if before/batchSize == ec.ticks/batchSize {
 		return nil
 	}
 	return ec.ctxErr()
+}
+
+// batchBufs is the scratch of batched property reads: the node ids of
+// one batch, the values read for them, and the rows an aggregation
+// projects its grouping keys into. Each holds at most batchSize
+// entries. Executions share them through batchPool, so a short query
+// allocates none of it.
+type batchBufs struct {
+	ids  []graph.NodeID
+	vals []graph.Value
+	rows []projRow
+
+	nvals, nrows int // how many vals and rows an execution has used
+}
+
+var batchPool = sync.Pool{New: func() any {
+	return &batchBufs{
+		ids:  make([]graph.NodeID, 0, batchSize),
+		vals: make([]graph.Value, batchSize),
+		rows: make([]projRow, batchSize),
+	}
+}}
+
+// values returns the first n values of the scratch.
+func (b *batchBufs) values(n int) []graph.Value {
+	b.nvals = max(b.nvals, n)
+	return b.vals[:n]
+}
+
+// projRows returns the first n rows of the scratch.
+func (b *batchBufs) projRows(n int) []projRow {
+	b.nrows = max(b.nrows, n)
+	return b.rows[:n]
+}
+
+// release clears the values and rows the execution used, so the pool
+// keeps no strings or rows alive, and returns b to the pool.
+func (b *batchBufs) release() {
+	clear(b.vals[:b.nvals])
+	clear(b.rows[:b.nrows])
+	b.nvals, b.nrows = 0, 0
+	batchPool.Put(b)
 }
 
 // stage is one pipeline segment: it consumes materialised rows and
@@ -194,13 +251,18 @@ type bindingStep interface {
 type where struct {
 	preds []Expr
 	vars  *varMap
+	// cmps are the leading preds that compare a property of the node a
+	// scan binds with a literal or parameter; the scan evaluates them a
+	// batch of candidates at a time, and admit runs only the rest.
+	cmps []propCmp
 }
 
 func (w *where) placed() *where { return w }
 
-// admit reports whether every conjunct holds on r.
+// admit reports whether every conjunct after the batched ones holds on
+// r.
 func (w *where) admit(ec *execCtx, r row) (bool, error) {
-	for _, p := range w.preds {
+	for _, p := range w.preds[len(w.cmps):] {
 		v, err := evalExpr(ec, w.vars, p, r)
 		if err != nil || !cellTruth(v) {
 			return false, err
@@ -246,17 +308,131 @@ func (ec *execCtx) cellAt(r row, slot int) any {
 	return r[slot]
 }
 
-// scan emits one candidate per id of ids, bound at slot on top of r.
+// scan emits one candidate per id of ids, bound at slot on top of r. It
+// collects batchSize candidates at a time and emits the survivors of
+// the batched conjuncts.
 func (w *where) scan(ec *execCtx, r row, slot int, ids *bitmap.Bitmap, out []row) ([]row, error) {
 	var err error
+	batch := ec.buf.ids[:0]
 	ids.ForEach(func(id uint64) bool {
-		if err = ec.tick(); err != nil {
-			return false
+		if batch = append(batch, graph.NodeID(id)); len(batch) == batchSize {
+			out, err = w.scanBatch(ec, r, slot, batch, out)
+			batch = batch[:0]
 		}
-		out, err = w.emit(ec, r, slot, NodeRef(id), out)
 		return err == nil
 	})
+	if err == nil && len(batch) > 0 {
+		out, err = w.scanBatch(ec, r, slot, batch, out)
+	}
 	return out, err
+}
+
+// scanBatch narrows a batch of candidates by each batched conjunct in
+// turn, then emits the survivors through the remaining conjuncts. It
+// reuses batch's array.
+func (w *where) scanBatch(ec *execCtx, r row, slot int, batch []graph.NodeID, out []row) ([]row, error) {
+	if err := ec.tickN(len(batch)); err != nil {
+		return out, err
+	}
+	for i := range w.cmps {
+		var err error
+		if batch, err = w.cmps[i].filter(ec, batch); err != nil {
+			return out, err
+		}
+	}
+	for _, id := range batch {
+		var err error
+		if out, err = w.emit(ec, r, slot, NodeRef(id), out); err != nil {
+			return out, err
+		}
+	}
+	return out, nil
+}
+
+// propCmp is a conjunct `v.key op operand` (or `operand op v.key`) over
+// the node v a scan binds, with op one of = <> < <= > >= and operand a
+// literal or parameter.
+type propCmp struct {
+	key      string
+	op       string
+	operand  Expr
+	propLeft bool
+}
+
+// batchable returns the leading conjuncts of preds that are propCmps
+// over the node at slot. Only a prefix qualifies: every candidate still
+// evaluates exactly the conjuncts, in the order, that row-at-a-time
+// evaluation would.
+func batchable(preds []Expr, vars *varMap, slot int) []propCmp {
+	var cmps []propCmp
+	for _, p := range preds {
+		b, ok := p.(*BinOp)
+		if !ok {
+			return cmps
+		}
+		switch b.Op {
+		case "=", "<>", "<", "<=", ">", ">=":
+		default:
+			return cmps
+		}
+		c := propCmp{op: b.Op, operand: b.R, propLeft: true}
+		pa, ok := b.L.(*PropAccess)
+		if !ok {
+			pa, ok = b.R.(*PropAccess)
+			c.operand, c.propLeft = b.L, false
+		}
+		if !ok || !isConstant(c.operand) {
+			return cmps
+		}
+		if s, ok := vars.lookup(pa.Var); !ok || s != slot {
+			return cmps
+		}
+		c.key = pa.Key
+		cmps = append(cmps, c)
+	}
+	return cmps
+}
+
+func isConstant(e Expr) bool {
+	switch e.(type) {
+	case *Lit, *Param:
+		return true
+	}
+	return false
+}
+
+// filter keeps the candidates of ids for which the comparison holds, in
+// order, reading the property of all of them with one property run.
+// It compares with compareScalars, as the row-at-a-time path does.
+func (c *propCmp) filter(ec *execCtx, ids []graph.NodeID) ([]graph.NodeID, error) {
+	if len(ids) == 0 {
+		return ids, nil
+	}
+	operand, _, err := scalar(ec, nil, c.operand, nil)
+	if err != nil {
+		return nil, err
+	}
+	vals := ec.buf.values(len(ids))
+	if key := ec.propKey(c.key); key != graph.NilAttr {
+		if err := ec.rd.NodePropRun(ids, key, vals); err != nil {
+			return nil, err
+		}
+	} else {
+		for i := range vals {
+			vals[i] = graph.NilValue
+		}
+	}
+	kept := ids[:0]
+	for i, v := range vals {
+		a, b := v, operand
+		if !c.propLeft {
+			a, b = b, a
+		}
+		if ok, _ := compareScalars(c.op, a, b); ok {
+			kept = append(kept, ids[i])
+		}
+	}
+	return kept, nil
 }
 
 type stepIndexSeek struct {
@@ -695,20 +871,11 @@ func (st *projectStage) run(ec *execCtx, in []row) ([]row, error) {
 	if st.hasAgg {
 		rows, err = st.aggregate(ec, in)
 	} else {
-		rows = make([]projRow, 0, len(in))
-		for _, r := range in {
-			if err := ec.ctxErr(); err != nil {
-				return nil, err
-			}
-			nr := make(row, len(st.clause.Items))
-			for i, it := range st.clause.Items {
-				nr[i], err = evalExpr(ec, st.inVars, it.Expr, r)
-				if err != nil {
-					return nil, err
-				}
-			}
-			rows = append(rows, projRow{out: nr, in: r})
+		rows = make([]projRow, len(in))
+		for k, r := range in {
+			rows[k] = projRow{out: make(row, len(st.clause.Items)), in: r}
 		}
+		err = st.project(ec, rows, st.clause.Items)
 	}
 	if err != nil {
 		return nil, err
@@ -813,6 +980,66 @@ func rowKey(r row) string {
 	return k
 }
 
+// project evaluates items[j] over each row's input into its out[j], a
+// column of batchSize rows at a time, polling the context once per
+// batch: an item `v.key` over a bound variable with one property run,
+// any other item row by row.
+func (st *projectStage) project(ec *execCtx, rows []projRow, items []ReturnItem) error {
+	for lo := 0; lo < len(rows); lo += batchSize {
+		batch := rows[lo:min(lo+batchSize, len(rows))]
+		if err := ec.tickN(len(batch)); err != nil {
+			return err
+		}
+		for j, it := range items {
+			if pa, ok := it.Expr.(*PropAccess); ok {
+				if slot, ok := lookupVar(st.inVars, pa.Var); ok {
+					if err := ec.propColumn(batch, slot, pa.Key, j); err != nil {
+						return err
+					}
+					continue
+				}
+			}
+			for _, r := range batch {
+				v, err := evalExpr(ec, st.inVars, it.Expr, r.in)
+				if err != nil {
+					return err
+				}
+				r.out[j] = v
+			}
+		}
+	}
+	return nil
+}
+
+// propColumn stores property name of the node each row's input binds
+// at slot into column j of its output, reading all of them with one
+// property run. A row whose slot holds no node gets null, as scalar
+// gives it.
+func (ec *execCtx) propColumn(rows []projRow, slot int, name string, j int) error {
+	key := ec.propKey(name)
+	ids := ec.buf.ids[:0]
+	for _, r := range rows {
+		if ref, ok := r.in[slot].(NodeRef); ok && key != graph.NilAttr {
+			ids = append(ids, graph.NodeID(ref))
+		} else {
+			r.out[j] = graph.NilValue
+		}
+	}
+	if len(ids) == 0 {
+		return nil
+	}
+	vals := ec.buf.values(len(ids))
+	if err := ec.rd.NodePropRun(ids, key, vals); err != nil {
+		return err
+	}
+	for _, r := range rows {
+		if _, ok := r.in[slot].(NodeRef); ok {
+			r.out[j], vals = vals[0], vals[1:]
+		}
+	}
+	return nil
+}
+
 // evalPost evaluates a post-projection expression (WHERE-on-WITH or
 // ORDER BY). If the expression's text names a projected alias, the
 // projected cell is used; otherwise, for non-aggregating projections,
@@ -858,39 +1085,41 @@ func (st *projectStage) aggregate(ec *execCtx, in []row) ([]projRow, error) {
 	groups := map[string]*group{}
 	var order []string
 
-	var keyItems, aggItems []int
+	var keys []ReturnItem // the grouping items, in order
+	var aggItems []int
 	for i, it := range st.clause.Items {
 		if hasAggregate(it.Expr) {
 			aggItems = append(aggItems, i)
 		} else {
-			keyItems = append(keyItems, i)
+			keys = append(keys, it)
 		}
 	}
-	for _, r := range in {
-		if err := ec.ctxErr(); err != nil {
+	// The key cells of a chunk of rows are projected together.
+	for lo := 0; lo < len(in); lo += batchSize {
+		part := ec.buf.projRows(min(batchSize, len(in)-lo))
+		for k := range part {
+			part[k] = projRow{out: make(row, len(keys)), in: in[lo+k]}
+		}
+		if err := st.project(ec, part, keys); err != nil {
 			return nil, err
 		}
-		cells := make([]any, len(keyItems))
-		k := ""
-		for j, idx := range keyItems {
-			v, err := evalExpr(ec, st.inVars, st.clause.Items[idx].Expr, r)
-			if err != nil {
-				return nil, err
+		for _, p := range part {
+			key := ""
+			for _, v := range p.out {
+				key += cellKey(v) + "|"
 			}
-			cells[j] = v
-			k += cellKey(v) + "|"
+			g, ok := groups[key]
+			if !ok {
+				g = &group{keyCells: p.out}
+				groups[key] = g
+				order = append(order, key)
+			}
+			g.rows = append(g.rows, p.in)
 		}
-		g, ok := groups[k]
-		if !ok {
-			g = &group{keyCells: cells}
-			groups[k] = g
-			order = append(order, k)
-		}
-		g.rows = append(g.rows, r)
 	}
 	// Aggregation over zero rows with no grouping keys yields one row
 	// (count(*) = 0).
-	if len(in) == 0 && len(keyItems) == 0 {
+	if len(in) == 0 && len(keys) == 0 {
 		groups[""] = &group{}
 		order = append(order, "")
 	}
@@ -899,8 +1128,14 @@ func (st *projectStage) aggregate(ec *execCtx, in []row) ([]projRow, error) {
 	for _, k := range order {
 		g := groups[k]
 		nr := make(row, len(st.clause.Items))
-		for j, idx := range keyItems {
-			nr[idx] = g.keyCells[j]
+		// The key cells fill the items that are not aggregates, in order.
+		cells, aggs := g.keyCells, aggItems
+		for i := range nr {
+			if len(aggs) > 0 && aggs[0] == i {
+				aggs = aggs[1:]
+				continue
+			}
+			nr[i], cells = cells[0], cells[1:]
 		}
 		for _, idx := range aggItems {
 			v, err := evalAggregate(ec, st.inVars, st.clause.Items[idx].Expr, g.rows)

@@ -134,7 +134,9 @@ func compileMatch(db *neodb.DB, c *MatchClause, vm *varMap) (*matchStage, error)
 // over slots no step binds — those the input rows carry, or none at all
 // — run once per input row, before the first step (after any leading
 // filters). Only rows for which every conjunct is true survive, so the
-// split keeps WHERE's meaning.
+// split keeps WHERE's meaning. A scan step evaluates the leading
+// conjuncts that compare a property of its node with a literal or
+// parameter a batch of candidates at a time (batchable).
 func placeWhere(st *matchStage, cond Expr) {
 	boundAt := make([]int, st.width) // slot -> index of the step binding it
 	for i := range boundAt {
@@ -166,6 +168,16 @@ func placeWhere(st *matchStage, cond Expr) {
 		}
 		w.vars = st.vars
 		w.preds = append(w.preds, conj)
+	}
+	for _, s := range st.steps {
+		switch s := s.(type) {
+		case *stepLabelScan:
+			s.cmps = batchable(s.preds, st.vars, s.slot)
+		case *stepIndexSeek:
+			s.cmps = batchable(s.preds, st.vars, s.slot)
+		case *stepAllNodes:
+			s.cmps = batchable(s.preds, st.vars, s.slot)
+		}
 	}
 }
 

@@ -424,3 +424,201 @@ func TestConcurrentScansOnStripedCache(t *testing.T) {
 		}
 	}
 }
+
+// buildDiffStore writes the differential tests' store into dir: 2600
+// nodes of label u (2 with label v in between) whose properties mix
+// ints, floats, short and multi-block strings and missing keys, with
+// padding so property chains run across page boundaries; every 7th u
+// node is then deleted, leaving holes in the label bitmap.
+func buildDiffStore(t *testing.T, dir string) {
+	t.Helper()
+	db, err := neodb.Open(dir, neodb.Config{CachePages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, v := db.Label("u"), db.Label("v")
+	tx := db.Begin()
+	var dead []graph.NodeID
+	for i := 0; i < 2600; i++ {
+		props := graph.Properties{"id": graph.IntValue(int64(i))}
+		switch i % 5 {
+		case 0:
+			props["a"] = graph.FloatValue(float64(i%97) + 0.5)
+		case 1, 2:
+			props["a"] = graph.IntValue(int64(i % 97))
+		case 3: // no a
+		case 4:
+			props["a"] = graph.IntValue(20)
+		}
+		if i%3 != 0 {
+			props["b"] = graph.IntValue(int64(i % 61))
+		}
+		if i%4 != 0 {
+			props["s"] = graph.StringValue(strings.Repeat(string(rune('a'+i%26)), 1+i%120))
+		}
+		for k := 0; k < i%6; k++ {
+			props[fmt.Sprintf("pad%d", k)] = graph.IntValue(int64(k))
+		}
+		id := tx.CreateNode(u, props)
+		if i%7 == 3 {
+			dead = append(dead, id)
+		}
+		if i == 1000 || i == 2048 {
+			tx.CreateNode(v, graph.Properties{"id": graph.IntValue(-1)})
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tx = db.Begin()
+	for _, id := range dead {
+		tx.DeleteNode(id)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPlacedWhereMatchesPostProjection: a WHERE placed on the scan —
+// its leading property comparisons evaluated a batch of candidates at a
+// time — returns the rows, and reads the records, of the same WHERE
+// evaluated row by row after a projection, on a one-page cache and on
+// a striped 64-page one. PROFILE's db hits for the placed form equal
+// the registry's delta.
+func TestPlacedWhereMatchesPostProjection(t *testing.T) {
+	dir := t.TempDir()
+	buildDiffStore(t, dir)
+	params := map[string]graph.Value{"th": graph.IntValue(40), "f": graph.FloatValue(30.5), "str": graph.StringValue("m")}
+	preds := []string{
+		`x.a > 10`,
+		`x.a >= 10.5`,
+		`x.a = 20`,
+		`x.a <> 20`,
+		`x.a < $th`,
+		`$f < x.a`,
+		`x.a = 20.0`,
+		`x.s >= $str`,
+		`x.s = "ccc"`,
+		`x.s < "d"`,
+		`x.b = 7`,
+		`x.nope > 1`,
+		`x.a = NULL`,
+		`x.a > 5 AND x.b < 50`,
+		`x.a > 5 AND x.id % 3 = 0`,
+		`x.id % 3 = 0 AND x.a > 5`,
+		`x.a > 5 OR x.b < 3`,
+		`x.b > 1.5 AND x.s < "k" AND x.a <= 100`,
+		`$th > x.b AND x.a <> 20 AND x.s <> "zzz"`,
+	}
+	for _, pages := range []int{1, 64} {
+		e := newScanEngine(t, dir, 0, pages)
+		db := e.DB()
+		for _, p := range preds {
+			ret := ` RETURN x.id AS id, x.a AS a, x.s AS s, x.b AS b ORDER BY id`
+			placed := `MATCH (x:u) WHERE ` + p + ret
+			post := `MATCH (x:u) WITH x WHERE ` + p + ret
+			before := db.RecordFetches()
+			want := mustQuery(t, e, post, params)
+			postHits := db.RecordFetches() - before
+			before = db.RecordFetches()
+			got := mustQuery(t, e, "PROFILE "+placed, params)
+			placedHits := db.RecordFetches() - before
+			if rowsText(got) != rowsText(want) {
+				t.Errorf("%d pages, WHERE %s: %d rows placed, %d after projection", pages, p, len(got.Rows), len(want.Rows))
+			}
+			if got.Profile.TotalDBHits != placedHits {
+				t.Errorf("%d pages, WHERE %s: PROFILE db hits %d, registry delta %d", pages, p, got.Profile.TotalDBHits, placedHits)
+			}
+			if placedHits != postHits {
+				t.Errorf("%d pages, WHERE %s: %d records read placed, %d after projection", pages, p, placedHits, postHits)
+			}
+		}
+		if len(mustQuery(t, e, `MATCH (x:u) WHERE x.id >= 0 RETURN x.id`, nil).Rows) != 2600-2600/7 {
+			t.Errorf("%d pages: label scan does not skip the deleted nodes", pages)
+		}
+	}
+}
+
+// TestProjectedPropertiesMatchRowWise: RETURN items read a batch of
+// rows at a time return what NodeProp returns row by row — strings,
+// mixed numbers, missing and unknown keys — and read exactly the
+// records NodeProp reads, none for an unknown key.
+func TestProjectedPropertiesMatchRowWise(t *testing.T) {
+	dir := t.TempDir()
+	buildDiffStore(t, dir)
+	e := newScanEngine(t, dir, 0, 1)
+	db := e.DB()
+	keys := []string{"a", "s", "b", "pad4", "nope"}
+	before := db.RecordFetches()
+	res := mustQuery(t, e, `MATCH (x:u) RETURN id(x), x.a, x.s, x.b, x.pad4, x.nope`, nil)
+	hits := db.RecordFetches() - before
+	before = db.RecordFetches()
+	for _, r := range res.Rows {
+		id := graph.NodeID(intCell(t, r[0]))
+		for j, k := range keys {
+			want := graph.NilValue
+			if key := db.PropKeyID(k); key != graph.NilAttr {
+				v, err := db.NodeProp(id, key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = v
+			}
+			if got := r[j+1].(graph.Value); !got.Equal(want) || got.Kind() != want.Kind() {
+				t.Fatalf("node %d, %s: %v, NodeProp says %v", id, k, got, want)
+			}
+		}
+	}
+	if rowWise := db.RecordFetches() - before; hits != rowWise {
+		t.Errorf("projection read %d records, row by row %d", hits, rowWise)
+	}
+}
+
+// countingCtx counts Err polls and reports a deadline from poll failAt
+// on (never when failAt is 0).
+type countingCtx struct {
+	context.Context
+	polls, failAt int
+}
+
+func (c *countingCtx) Err() error {
+	if c.polls++; c.failAt > 0 && c.polls >= c.failAt {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestProjectionPollsOnStride: projections poll the context once per
+// 1024 rows, not once per row, and a deadline that expires while a
+// projection of 12 000 rows runs — the last poll of the query — still
+// aborts it, counted exactly once.
+func TestProjectionPollsOnStride(t *testing.T) {
+	const n = 12000
+	e := newScanEngine(t, t.TempDir(), n, 64)
+	for _, q := range []string{
+		`MATCH (x:u) RETURN x.v + 1 AS w`,
+		`MATCH (x:u) RETURN x.v % 7 AS k, count(*) AS c`,
+	} {
+		free := &countingCtx{Context: context.Background()}
+		if _, err := e.QueryCtx(free, q, nil); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		// One poll per input row of the match stage, then one per 1024
+		// rows over the scan's and the projection's n rows each.
+		if lo, hi := 2*n/1024-1, 2*n/1024+2; free.polls < lo || free.polls > hi {
+			t.Errorf("%s: %d context polls, want %d to %d", q, free.polls, lo, hi)
+		}
+		timedOut := e.DB().Obs().Counter(neodb.CQueriesTimedOut)
+		before := timedOut.Load()
+		late := &countingCtx{Context: context.Background(), failAt: free.polls}
+		if _, err := e.QueryCtx(late, q, nil); !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s: deadline in the projection: err %v", q, err)
+		}
+		if got := timedOut.Load() - before; got != 1 {
+			t.Errorf("%s: queries_timed_out went up by %d, want 1", q, got)
+		}
+	}
+}

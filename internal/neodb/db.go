@@ -604,9 +604,10 @@ func (db *DB) Health() error {
 }
 
 // ResetCounters zeroes every observability counter: the shared
-// registry, each store's db-hit counter and its page-cache stats. Call
-// it between experiment phases so cold-vs-warm comparisons are not
-// contaminated by import-time activity (mirrors pagecache.ResetStats).
+// registry (the db-hit counter among them) and each store's page-cache
+// stats. Call it between experiment phases so cold-vs-warm comparisons
+// are not contaminated by import-time activity (mirrors
+// pagecache.ResetStats).
 func (db *DB) ResetCounters() {
 	db.reg.Reset()
 	db.stats.Reset()

@@ -509,3 +509,83 @@ func TestCommitAfterCloseFails(t *testing.T) {
 		t.Errorf("Commit after Close = %v", err)
 	}
 }
+
+// TestNodePropRunMatchesNodeProp: a batched fetch returns what NodeProp
+// returns for each node — ints, floats, short and multi-block strings,
+// missing keys, chains of different lengths — over unsorted and
+// repeated ids whose records span pages, and reads exactly as many
+// records. A node not in use fails with ErrNotFound.
+func TestNodePropRunMatchesNodeProp(t *testing.T) {
+	db := openTemp(t)
+	u := db.Label("u")
+	tx := db.Begin()
+	var ids []graph.NodeID
+	for i := 0; i < 600; i++ { // node records span 3 pages, props more
+		props := graph.Properties{"a": graph.IntValue(int64(i))}
+		if i%3 == 0 {
+			props["b"] = graph.FloatValue(float64(i) / 2)
+		}
+		if i%4 == 0 {
+			props["s"] = graph.StringValue(fmt.Sprintf("%0*d", 1+i%150, i))
+		}
+		for k := 0; k < i%7; k++ {
+			props[fmt.Sprintf("pad%d", k)] = graph.IntValue(int64(k))
+		}
+		ids = append(ids, tx.CreateNode(u, props))
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	batch := append([]graph.NodeID{ids[599], ids[3], ids[3]}, ids...)
+	batch = append(batch, ids[0], ids[300])
+	for _, key := range []string{"a", "b", "s", "pad5", "nope"} {
+		k := db.PropKey(key)
+		want := make([]graph.Value, len(batch))
+		before := db.RecordFetches()
+		for i, id := range batch {
+			v, err := db.NodeProp(id, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = v
+		}
+		single := db.RecordFetches() - before
+		got := make([]graph.Value, len(batch))
+		r := db.Reader()
+		before = db.RecordFetches()
+		err := r.NodePropRun(batch, k, got)
+		run := db.RecordFetches() - before
+		r.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range batch {
+			if !got[i].Equal(want[i]) || got[i].Kind() != want[i].Kind() {
+				t.Fatalf("key %s, entry %d: %v, NodeProp says %v", key, i, got[i], want[i])
+			}
+			// NodeProps walks the whole chain on its own code path.
+			all, err := db.NodeProps(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v, ok := all[key]; ok != !got[i].IsNil() || ok && !v.Equal(got[i]) {
+				t.Fatalf("key %s, node %d: %v, NodeProps says %v", key, id, got[i], all)
+			}
+		}
+		if run != single {
+			t.Errorf("key %s: %d records read, NodeProp reads %d", key, run, single)
+		}
+	}
+
+	tx = db.Begin()
+	tx.DeleteNode(ids[10])
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	r := db.Reader()
+	defer r.Close()
+	err := r.NodePropRun(ids[5:15], db.PropKey("a"), make([]graph.Value, 10))
+	if !errors.Is(err, graph.ErrNotFound) {
+		t.Errorf("run over a deleted node: err %v, want ErrNotFound", err)
+	}
+}

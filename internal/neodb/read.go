@@ -96,24 +96,108 @@ func (r *Reader) RelByID(id graph.EdgeID) (Rel, error) {
 
 // NodeProp returns the value of one property on a node (NilValue when
 // unset). Cost: one node record plus one property record per chain
-// entry scanned.
+// entry scanned. It is NodePropRun of one node.
 func (r *Reader) NodeProp(id graph.NodeID, key graph.AttrID) (graph.Value, error) {
-	rec, err := r.liveNode(id)
+	var (
+		ids  = [1]graph.NodeID{id}
+		out  [1]graph.Value
+		pids [1]uint64
+		at   [1]int32
+	)
+	err := r.propRun(ids[:], key, out[:], pids[:], at[:])
+	return out[0], err
+}
+
+// propChunk is how many nodes NodePropRun walks together. Its scratch
+// is on the stack, so the walk allocates nothing.
+const propChunk = 128
+
+// NodePropRun sets out[i] to the value of property key on node ids[i]
+// (NilValue when unset); out must be at least len(ids) long. It reads
+// exactly the records len(ids) NodeProp calls read, propChunk nodes at
+// a time: their node records as one storage run, then their property
+// chains level by level — one run over the next property record of
+// every chain still looking for key — with the string values a level
+// matched read from the dynamic store after that level's run. A node
+// not in use fails with ErrNotFound, as NodeProp does.
+func (r *Reader) NodePropRun(ids []graph.NodeID, key graph.AttrID, out []graph.Value) error {
+	var (
+		pids [propChunk]uint64
+		at   [propChunk]int32
+	)
+	for lo := 0; lo < len(ids); lo += propChunk {
+		hi := min(lo+propChunk, len(ids))
+		if err := r.propRun(ids[lo:hi], key, out[lo:hi], pids[:hi-lo], at[:hi-lo]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// propRun is the one property-chain walk. pids and at are scratch of
+// len(ids): pids holds the record each pending chain reads next, at the
+// out index it resolves (complemented while it waits for a string).
+func (r *Reader) propRun(ids []graph.NodeID, key graph.AttrID, out []graph.Value, pids []uint64, at []int32) error {
+	for i, id := range ids {
+		pids[i], at[i] = uint64(id), int32(i)
+	}
+	dead := -1
+	err := r.nodes.GetRun(pids, func(k int, rec storage.NodeRecord) {
+		pids[k] = rec.FirstProp
+		if !rec.InUse && dead < 0 {
+			dead = k
+		}
+	})
 	if err != nil {
-		return graph.NilValue, err
+		return err
 	}
-	pid := rec.FirstProp
-	for pid != 0 {
-		prec, err := r.props.Get(pid)
+	if dead >= 0 {
+		return fmt.Errorf("%w: node %d", graph.ErrNotFound, ids[dead])
+	}
+	for i := range ids {
+		out[i] = graph.NilValue
+	}
+	var decodeErr error
+	for n := len(pids); ; {
+		// Keep the chains that go on, in order, and read the strings
+		// the last run matched.
+		w := 0
+		for k := 0; k < n; k++ {
+			if at[k] < 0 {
+				s, err := r.strs.GetString(pids[k])
+				if err != nil {
+					return err
+				}
+				out[^at[k]] = graph.StringValue(s)
+			} else if pids[k] != 0 {
+				pids[w], at[w] = pids[k], at[k]
+				w++
+			}
+		}
+		if n = w; n == 0 {
+			return nil
+		}
+		err := r.props.GetRun(pids[:n], func(k int, rec storage.PropRecord) {
+			switch {
+			case rec.Key != key:
+				pids[k] = rec.Next
+			case rec.Kind == graph.KindString:
+				pids[k], at[k] = rec.Payload, ^at[k]
+			default:
+				v, err := r.propValue(rec)
+				if err != nil && decodeErr == nil {
+					decodeErr = err
+				}
+				out[at[k]], pids[k] = v, 0
+			}
+		})
+		if err == nil {
+			err = decodeErr
+		}
 		if err != nil {
-			return graph.NilValue, err
+			return err
 		}
-		if prec.Key == key {
-			return r.propValue(prec)
-		}
-		pid = prec.Next
 	}
-	return graph.NilValue, nil
 }
 
 // NodeProps returns all properties of a node.

@@ -14,7 +14,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"twigraph/internal/obs"
 	"twigraph/internal/pagecache"
@@ -34,8 +33,8 @@ const maxPersistedFree = (pagecache.PageSize - 32) / 8
 // id, with id 0 reserved as nil. Page 0 of the backing file holds the
 // header; records start on page 1.
 //
-// Every record access increments the db-hit counter, which the query
-// profiler reads.
+// Every record access increments the db-hit counter bound by
+// Instrument, which the query profiler reads.
 type RecordFile struct {
 	cache   *pagecache.Cache
 	recSize int
@@ -47,7 +46,6 @@ type RecordFile struct {
 	free      []uint64
 	inUse     uint64 // highWater minus freed records
 
-	hits    atomic.Uint64
 	fetches *obs.Counter // shared registry counter, nil until Instrument
 }
 
@@ -236,12 +234,12 @@ func (f *RecordFile) Read(id uint64, fn func(rec []byte)) error {
 
 // Cursor is a read position over one record file that keeps the last
 // page it read pinned, so consecutive reads from the same page skip the
-// page cache's lookup, LRU touch and unpin. Every read still counts one
-// db hit and still runs under the page's read latch, so it sees
-// concurrent writes. Each read served by the pinned page counts as a
-// page cache hit, as the lookup it replaces would have; the cursor
-// reports them when it unpins. A Cursor belongs to one goroutine; Close
-// releases its pin and leaves it reusable.
+// page cache's lookup, LRU touch and unpin. Every record read still
+// counts one db hit and still runs under the page's read latch, so it
+// sees concurrent writes whole. Each read served by the pinned page
+// counts as a page cache hit, as the lookup it replaces would have; the
+// cursor reports them when it unpins. A Cursor belongs to one
+// goroutine; Close releases its pin and leaves it reusable.
 type Cursor struct {
 	f      *RecordFile
 	pg     pagecache.Page
@@ -255,31 +253,83 @@ func (f *RecordFile) Cursor() Cursor { return Cursor{f: f} }
 
 // Read invokes fn with the bytes of record id, re-pinning only when the
 // record lives on a different page from the previous read. The slice is
-// only valid inside fn. Counts one db hit.
+// only valid inside fn. Counts one db hit. It is ReadRun of one id,
+// without the run bookkeeping.
 func (c *Cursor) Read(id uint64, fn func(rec []byte)) error {
+	if err := c.seek(id); err != nil {
+		return err
+	}
+	f := c.f
+	if f.fetches != nil {
+		f.fetches.Inc()
+	}
+	off := int(id-c.first) * f.recSize
+	c.pg.Read(func(buf []byte) { fn(buf[off : off+f.recSize]) })
+	return nil
+}
+
+// ReadRun invokes fn(i, rec) with the bytes of record ids[i], for each
+// i in order. Each maximal run of consecutive entries whose records
+// share a page is read under one acquisition of the page's read latch,
+// re-pinning only when a run starts on a different page from the
+// pinned one, so at most one page stays pinned. The db-hit counter goes
+// up once per run, by the run's length, and every record after a run's
+// first counts as a page cache hit: the counters move exactly as they
+// would for len(ids) Reads. ids may be unsorted and may repeat; id 0
+// is an error, returned after the records before it were read.
+//
+// fn runs under the page latch: it must only decode, and must not read
+// or write any record, through this cursor or another. The slice is
+// only valid inside fn. ReadRun reads ids[i] before it calls fn(i, ...)
+// and never again, so fn may overwrite ids[i].
+func (c *Cursor) ReadRun(ids []uint64, fn func(i int, rec []byte)) error {
+	f := c.f
+	per := uint64(f.perPage)
+	for i := 0; i < len(ids); {
+		if err := c.seek(ids[i]); err != nil {
+			return err
+		}
+		end := i + 1
+		for end < len(ids) && ids[end] >= c.first && ids[end]-c.first < per {
+			end++
+		}
+		c.rehits += uint64(end - i - 1)
+		if f.fetches != nil {
+			f.fetches.Add(uint64(end - i))
+		}
+		first, size := c.first, f.recSize
+		c.pg.Read(func(buf []byte) {
+			for k := i; k < end; k++ {
+				off := int(ids[k]-first) * size
+				fn(k, buf[off:off+size])
+			}
+		})
+		i = end
+	}
+	return nil
+}
+
+// seek makes the page holding record id the pinned one and counts the
+// page cache access for reading id: a Get when the page changes, else a
+// hit reported on unpin.
+func (c *Cursor) seek(id uint64) error {
 	if id == 0 {
 		return fmt.Errorf("storage: read of nil record")
 	}
 	f := c.f
-	f.hits.Add(1)
-	if f.fetches != nil {
-		f.fetches.Inc()
-	}
-	if !c.pinned || id < c.first || id-c.first >= uint64(f.perPage) {
-		// Unpin first: on a cache with one free frame the next page
-		// needs the frame this cursor holds.
-		c.Close()
-		pageID, _ := f.pageFor(id)
-		pg, err := f.cache.Get(pageID)
-		if err != nil {
-			return err
-		}
-		c.pg, c.first, c.pinned = pg, uint64(pageID-1)*uint64(f.perPage)+1, true
-	} else {
+	if c.pinned && id >= c.first && id-c.first < uint64(f.perPage) {
 		c.rehits++
+		return nil
 	}
-	off := int(id-c.first) * f.recSize
-	c.pg.Read(func(buf []byte) { fn(buf[off : off+f.recSize]) })
+	// Unpin first: on a cache with one free frame the next page needs
+	// the frame this cursor holds.
+	c.Close()
+	pageID, _ := f.pageFor(id)
+	pg, err := f.cache.Get(pageID)
+	if err != nil {
+		return err
+	}
+	c.pg, c.first, c.pinned = pg, uint64(pageID-1)*uint64(f.perPage)+1, true
 	return nil
 }
 
@@ -305,7 +355,6 @@ func (f *RecordFile) Update(id uint64, fn func(rec []byte)) error {
 	if id == 0 {
 		return fmt.Errorf("storage: update of nil record")
 	}
-	f.hits.Add(1)
 	if f.fetches != nil {
 		f.fetches.Inc()
 	}
@@ -333,13 +382,9 @@ func (f *RecordFile) Count() uint64 {
 	return f.inUse
 }
 
-// Hits returns the cumulative db-hit count for this store.
-func (f *RecordFile) Hits() uint64 { return f.hits.Load() }
-
-// ResetCounters zeroes the db-hit counter and the page-cache stats
-// (between experiment phases).
+// ResetCounters zeroes the page-cache stats (between experiment
+// phases). The db-hit counter belongs to the registry Instrument bound.
 func (f *RecordFile) ResetCounters() {
-	f.hits.Store(0)
 	f.cache.ResetStats()
 }
 

@@ -1,12 +1,17 @@
 package storage
 
 import (
+	"errors"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"twigraph/internal/graph"
+	"twigraph/internal/obs"
+	"twigraph/internal/pagecache"
+	"twigraph/internal/vfs"
 )
 
 func TestRecordFileAllocateReleaseReuse(t *testing.T) {
@@ -103,12 +108,14 @@ func TestRecordFileHitsCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	var fetches obs.Counter
+	f.Instrument(&fetches, pagecache.Instruments{})
 	id := f.Allocate()
 	f.Update(id, func([]byte) {})
 	f.Read(id, func([]byte) {})
 	f.Read(id, func([]byte) {})
-	if f.Hits() != 3 {
-		t.Errorf("Hits = %d, want 3", f.Hits())
+	if got := fetches.Load(); got != 3 {
+		t.Errorf("db hits = %d, want 3", got)
 	}
 }
 
@@ -377,7 +384,9 @@ func TestCursorAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hits0, cs0 := f.Hits(), f.CacheStats()
+	var fetches obs.Counter
+	f.Instrument(&fetches, pagecache.Instruments{})
+	cs0 := f.CacheStats()
 	c := f.Cursor()
 	for id := uint64(1); id <= n; id++ {
 		var got byte
@@ -390,7 +399,7 @@ func TestCursorAccounting(t *testing.T) {
 	}
 	c.Close()
 	cs := f.CacheStats()
-	if got := f.Hits() - hits0; got != n {
+	if got := fetches.Load(); got != n {
 		t.Errorf("db hits %d, want %d", got, n)
 	}
 	if got := cs.Hits + cs.Faults - cs0.Hits - cs0.Faults; got != n {
@@ -431,4 +440,215 @@ func TestGroupStore(t *testing.T) {
 	if err != nil || got != want {
 		t.Errorf("group = %+v, want %+v (%v)", got, want, err)
 	}
+}
+
+// newRunFile opens a record file of 1024-byte records, 8 per page, on a
+// one-page cache (a second concurrent pin fails), holding n records
+// whose first byte is their id.
+func newRunFile(t *testing.T, fsys vfs.FS, n int) (*RecordFile, *obs.Counter) {
+	t.Helper()
+	f, err := OpenRecordFileFS(fsys, filepath.Join(t.TempDir(), "r.store"), 1024, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	fetches := new(obs.Counter)
+	f.Instrument(fetches, pagecache.Instruments{})
+	for i := 0; i < n; i++ {
+		id := f.Allocate()
+		if err := f.Update(id, func(rec []byte) { rec[0] = byte(id) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return f, fetches
+}
+
+// TestReadRunAccounting: a run read over unsorted, repeated ids that
+// cross pages hands each record to fn in order and moves the db-hit
+// and page cache access counters exactly as len(ids) single reads do.
+func TestReadRunAccounting(t *testing.T) {
+	f, fetches := newRunFile(t, vfs.OS, 30) // four pages
+	ids := []uint64{1, 2, 3, 9, 10, 8, 8, 25, 3, 17, 17, 18, 30, 30, 7}
+	accesses := func() uint64 { cs := f.CacheStats(); return cs.Hits + cs.Faults }
+
+	hits0, acc0 := fetches.Load(), accesses()
+	c := f.Cursor()
+	var got []uint64
+	err := c.ReadRun(ids, func(i int, rec []byte) {
+		if i != len(got) {
+			t.Fatalf("fn(%d) after %d calls", i, len(got))
+		}
+		got = append(got, uint64(rec[0]))
+	})
+	c.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		if got[i] != id {
+			t.Fatalf("entry %d: record %d reads %d", i, id, got[i])
+		}
+	}
+	runHits, runAcc := fetches.Load()-hits0, accesses()-acc0
+
+	hits0, acc0 = fetches.Load(), accesses()
+	c = f.Cursor()
+	for _, id := range ids {
+		if err := c.Read(id, func([]byte) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Close()
+	oneHits, oneAcc := fetches.Load()-hits0, accesses()-acc0
+
+	n := uint64(len(ids))
+	if runHits != n || oneHits != n {
+		t.Errorf("db hits: run %d, single reads %d, want %d", runHits, oneHits, n)
+	}
+	if runAcc != n || oneAcc != n {
+		t.Errorf("page cache accesses: run %d, single reads %d, want %d", runAcc, oneAcc, n)
+	}
+}
+
+// TestReadRunNilID: id 0 fails the run after the records before it,
+// and the cursor stays usable.
+func TestReadRunNilID(t *testing.T) {
+	f, _ := newRunFile(t, vfs.OS, 20)
+	c := f.Cursor()
+	defer c.Close()
+	var read []int
+	err := c.ReadRun([]uint64{1, 12, 0, 3}, func(i int, _ []byte) { read = append(read, i) })
+	if err == nil {
+		t.Fatal("ReadRun with id 0 accepted")
+	}
+	if len(read) != 2 {
+		t.Errorf("%d records read before id 0, want 2", len(read))
+	}
+	if err := c.ReadRun([]uint64{20, 19}, func(int, []byte) {}); err != nil {
+		t.Errorf("read after the error: %v", err)
+	}
+}
+
+// TestReadRunFaultReleasesPin: a read error in the middle of a run is
+// returned and leaves no page pinned, so the one-page cache still
+// serves a read of any other page.
+func TestReadRunFaultReleasesPin(t *testing.T) {
+	fsys := vfs.NewFaultFS()
+	f, _ := newRunFile(t, fsys, 24) // three pages
+	if err := f.Cool(); err != nil {
+		t.Fatal(err)
+	}
+	// The run faults pages 1, 2 and 3 in; the second fault fails.
+	fsys.AddFault(vfs.Fault{Op: vfs.OpRead, PathSubstr: "r.store", Nth: 2, Kind: vfs.KindErr})
+	c := f.Cursor()
+	var read int
+	err := c.ReadRun([]uint64{1, 2, 9, 10, 17}, func(int, []byte) { read++ })
+	if !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("err = %v, want the injected read error", err)
+	}
+	if read != 2 {
+		t.Errorf("%d records read before the fault, want 2", read)
+	}
+	if err := f.Read(20, func([]byte) {}); err != nil {
+		t.Errorf("read of another page after the fault: %v", err)
+	}
+	if err := c.ReadRun([]uint64{9, 10}, func(int, []byte) {}); err != nil {
+		t.Errorf("cursor after the fault: %v", err)
+	}
+	c.Close()
+}
+
+// TestReadRunSeesWholeRecords runs run reads concurrently with Updates
+// of the same page: every record a run hands out is whole, never half
+// of one write and half of another. Meaningful under -race too.
+func TestReadRunSeesWholeRecords(t *testing.T) {
+	f, err := OpenRecordFile(filepath.Join(t.TempDir(), "r.store"), 64, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	const n = 16 // one page
+	ids := make([]uint64, n)
+	for i := range ids {
+		ids[i] = f.Allocate()
+	}
+	const rounds = 500
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for v := 1; v <= rounds; v++ {
+			for _, id := range ids {
+				f.Update(id, func(rec []byte) {
+					for i := range rec {
+						rec[i] = byte(v)
+					}
+				})
+			}
+		}
+	}()
+	errs := make(chan error, 4)
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := f.Cursor()
+			defer c.Close()
+			for k := 0; k < rounds; k++ {
+				var torn error
+				err := c.ReadRun(ids, func(i int, rec []byte) {
+					for _, b := range rec {
+						if b != rec[0] && torn == nil {
+							torn = errors.New("torn record")
+						}
+					}
+				})
+				if err == nil {
+					err = torn
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// BenchmarkReadRun reads 2 048 consecutive 32-byte records, 256 to a
+// page, one Read at a time and as one ReadRun.
+func BenchmarkReadRun(b *testing.B) {
+	f, err := OpenRecordFile(filepath.Join(b.TempDir(), "r.store"), 32, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	f.Instrument(new(obs.Counter), pagecache.Instruments{})
+	ids := make([]uint64, 2048)
+	for i := range ids {
+		ids[i] = f.Allocate()
+		f.Update(ids[i], func(rec []byte) { rec[0] = byte(i) })
+	}
+	var sum int
+	b.Run("read", func(b *testing.B) {
+		c := f.Cursor()
+		defer c.Close()
+		for i := 0; i < b.N; i++ {
+			for _, id := range ids {
+				c.Read(id, func(rec []byte) { sum += int(rec[0]) })
+			}
+		}
+	})
+	b.Run("run", func(b *testing.B) {
+		c := f.Cursor()
+		defer c.Close()
+		for i := 0; i < b.N; i++ {
+			c.ReadRun(ids, func(_ int, rec []byte) { sum += int(rec[0]) })
+		}
+	})
 }

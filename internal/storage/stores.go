@@ -167,6 +167,12 @@ func (c *NodeCursor) Get(id graph.NodeID) (NodeRecord, error) {
 	return r, err
 }
 
+// GetRun reads the node records ids as one ReadRun and hands fn each
+// decoded record; fn runs under the page latch and must not read.
+func (c *NodeCursor) GetRun(ids []uint64, fn func(i int, r NodeRecord)) error {
+	return c.ReadRun(ids, func(i int, rec []byte) { fn(i, decodeNode(rec)) })
+}
+
 // Get reads the node record with the given id.
 func (s NodeStore) Get(id graph.NodeID) (NodeRecord, error) {
 	var r NodeRecord
@@ -269,6 +275,12 @@ func (c *PropCursor) Get(id uint64) (PropRecord, error) {
 	var r PropRecord
 	err := c.Read(id, func(rec []byte) { r = decodeProp(rec) })
 	return r, err
+}
+
+// GetRun reads the property records ids as one ReadRun and hands fn
+// each decoded record; fn runs under the page latch and must not read.
+func (c *PropCursor) GetRun(ids []uint64, fn func(i int, r PropRecord)) error {
+	return c.ReadRun(ids, func(i int, rec []byte) { fn(i, decodeProp(rec)) })
 }
 
 // Get reads the property record with the given id.
