@@ -1,6 +1,9 @@
 // Command twibench regenerates the paper's tables and figures: it
 // builds the dataset and both engines, then runs the selected
-// experiment (or all of them) and prints paper-style reports.
+// experiment (or all of them) and prints paper-style reports. The
+// stores it builds run the Faithful profile (one query at a time,
+// Cypher on neodb, navigation on sparkdb), the configuration the paper
+// measured.
 //
 // Usage:
 //
@@ -10,7 +13,6 @@
 //	twibench -exp table2 -listen :9090         # live /metrics while running
 //	twibench -exp fig4a -trace trace.json      # Perfetto timeline export
 //	twibench -exp all -json new.json -compare old.json -regress 25 -floor 2ms
-//	twibench -exp matrix -method auto          # algebraic execution backend
 package main
 
 import (
@@ -23,7 +25,6 @@ import (
 	"twigraph/internal/bench"
 	"twigraph/internal/qstats"
 	"twigraph/internal/shutdown"
-	"twigraph/internal/spmat"
 )
 
 func main() {
@@ -31,8 +32,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	work := flag.String("work", "", "working directory (default: a temp dir)")
 	jsonPath := flag.String("json", "", "write a machine-readable snapshot (latency histograms + engine counters) to this path")
-	workers := flag.Int("workers", 0, "multi-hop query workers per store (0 = GOMAXPROCS, 1 = sequential)")
-	method := flag.String("method", "nav", "multi-hop execution backend: nav, matrix, or auto (density-gated)")
 	timeout := flag.Duration("timeout", 0, "per-query deadline; timed-out queries abort and count into queries_timed_out (0 = unbounded)")
 	listen := flag.String("listen", "", "serve live telemetry (/metrics, /healthz, /slow, pprof) on this address while the bench runs")
 	trace := flag.String("trace", "", "capture span timelines and write a Chrome trace-event file (Perfetto-loadable) to this path")
@@ -63,13 +62,7 @@ func main() {
 		defer os.RemoveAll(dir)
 	}
 	env := bench.NewEnv(cfg, dir)
-	env.Workers = *workers
 	env.QueryTimeout = *timeout
-	m, err := spmat.ParseMethod(*method)
-	if err != nil {
-		fatal(err)
-	}
-	env.Method = m
 	env.QueryStats = *qstatsTop
 	env.SFMax = *sfmax
 	defer env.Close()

@@ -14,9 +14,11 @@
 // telemetry HTTP server (/metrics, /healthz, /slow, /querystats,
 // pprof), :slow shows the slow-query log, :reset zeroes the counters,
 // :timeout <dur>|off bounds each query by a deadline (timed-out
-// queries abort gracefully and count into queries_timed_out), and
-// :method nav|matrix|auto switches the var-length expansion backend
-// between the DFS enumeration and the algebraic row-gather kernels.
+// queries abort gracefully and count into queries_timed_out).
+//
+// The engine runs the Tuned profile: a var-length expansion over a
+// dense frontier runs as the algebraic row-gather, a sparse one as the
+// DFS enumeration.
 //
 // Usage:
 //
@@ -41,7 +43,6 @@ import (
 	"twigraph/internal/neodb"
 	"twigraph/internal/obs"
 	"twigraph/internal/qstats"
-	"twigraph/internal/spmat"
 	"twigraph/internal/telemetry"
 )
 
@@ -147,7 +148,6 @@ func (sh *shell) runMeta(w io.Writer, line string) {
 		fmt.Fprintln(w, "  :slow            show the slow-query log (most recent last)")
 		fmt.Fprintln(w, "  :reset           zero all counters and histograms")
 		fmt.Fprintln(w, "  :timeout d|off   bound each query by a deadline (e.g. :timeout 500ms)")
-		fmt.Fprintln(w, "  :method m        set the var-length execution backend (nav|matrix|auto)")
 		fmt.Fprintln(w, `  \q               quit`)
 	case ":stats":
 		fmt.Fprint(w, db.Obs().Snapshot().Format())
@@ -271,18 +271,6 @@ func (sh *shell) runMeta(w io.Writer, line string) {
 		}
 		sh.timeout = d
 		fmt.Fprintf(w, "query timeout %v\n", d)
-	case ":method":
-		if len(fields) != 2 {
-			fmt.Fprintf(w, "execution method is %s (usage: :method nav|matrix|auto)\n", sh.engine.ExecMethod())
-			return
-		}
-		m, err := spmat.ParseMethod(fields[1])
-		if err != nil {
-			fmt.Fprintln(w, "error:", err)
-			return
-		}
-		sh.engine.SetExecMethod(m)
-		fmt.Fprintf(w, "execution method %s\n", m)
 	default:
 		fmt.Fprintf(w, "unknown command %s (try :help)\n", fields[0])
 	}

@@ -30,27 +30,17 @@ import (
 // Env holds the shared state of an experiment session: the generated
 // dataset and lazily built engine instances. Building each engine once
 // and reusing it across experiments mirrors the paper's setup (one
-// import, many query runs).
+// import, many query runs). The stores it builds run the Faithful
+// profile: one query at a time, Cypher on neodb and navigation on
+// sparkdb, as the paper measured them.
 type Env struct {
 	Cfg     gen.Config
 	WorkDir string
-
-	// Workers sets both the import pipeline's parse/resolve worker count
-	// at build time and each store's query worker count after build:
-	// 0 leaves the defaults (GOMAXPROCS), 1 forces the sequential paths,
-	// N>1 pins the parallel paths to N workers/shards.
-	Workers int
 
 	// QueryTimeout bounds every store query by a deadline. Queries that
 	// run past it abort with a context error and count into the engine's
 	// queries_timed_out counter; 0 leaves queries unbounded.
 	QueryTimeout time.Duration
-
-	// Method selects each store's multi-hop execution backend after
-	// build: MethodNav (the default) keeps the navigational/declarative
-	// paths, MethodMatrix forces the spmat kernels, MethodAuto lets the
-	// density gate decide per hop.
-	Method spmat.Method
 
 	// Reg collects the harness's own measurements: one latency histogram
 	// per experiment/engine series ("fig4a/neo", "coldcache/cold", ...).
@@ -174,17 +164,12 @@ func (e *Env) Neo() (*load.NeoResult, error) {
 	}
 	e.neoOnce.Do(func() {
 		e.neoRes, e.neoErr = load.BuildNeo(e.csvDir, filepath.Join(e.WorkDir, "neo"),
-			neodb.Config{CachePages: 8192, ImportWorkers: e.Workers}, e.Cfg.Users/4+1)
-		if e.neoErr == nil && e.Workers > 0 {
-			e.neoRes.Store.SetWorkers(e.Workers)
-		}
-		if e.neoErr == nil && e.QueryTimeout > 0 {
-			e.neoRes.Store.SetQueryTimeout(e.QueryTimeout)
-		}
-		if e.neoErr == nil && e.Method != spmat.MethodNav {
-			e.neoRes.Store.SetExecMethod(e.Method)
-		}
+			neodb.Config{CachePages: 8192}, e.Cfg.Users/4+1)
 		if e.neoErr == nil {
+			e.neoRes.Store.SetProfile(spmat.Faithful)
+			if e.QueryTimeout > 0 {
+				e.neoRes.Store.SetQueryTimeout(e.QueryTimeout)
+			}
 			if e.Trace {
 				e.neoRes.Store.DB().Tracer().SetEnabled(true)
 				e.neoRes.Store.DB().Trace().SetEnabled(true)
@@ -204,18 +189,12 @@ func (e *Env) Spark() (*load.SparkResult, error) {
 	e.sparkOnce.Do(func() {
 		e.sparkRes, e.sparkErr = load.BuildSpark(e.csvDir, sparkdb.ScriptOptions{
 			BatchRows: e.Cfg.Users/4 + 1,
-			Workers:   e.Workers,
 		})
-		if e.sparkErr == nil && e.Workers > 0 {
-			e.sparkRes.Store.SetWorkers(e.Workers)
-		}
-		if e.sparkErr == nil && e.QueryTimeout > 0 {
-			e.sparkRes.Store.SetQueryTimeout(e.QueryTimeout)
-		}
-		if e.sparkErr == nil && e.Method != spmat.MethodNav {
-			e.sparkRes.Store.SetExecMethod(e.Method)
-		}
 		if e.sparkErr == nil {
+			e.sparkRes.Store.SetProfile(spmat.Faithful)
+			if e.QueryTimeout > 0 {
+				e.sparkRes.Store.SetQueryTimeout(e.QueryTimeout)
+			}
 			if e.Trace {
 				e.sparkRes.Store.DB().Tracer().SetEnabled(true)
 				e.sparkRes.Store.DB().Trace().SetEnabled(true)

@@ -34,8 +34,6 @@ func All() []Experiment {
 		{"densenodes", "§3.2.1: relationship groups — the payoff of the dense-node import step", runDenseNodes},
 		{"derived", "§3.3: derived topic-experts query on both engines", runDerived},
 		{"updates", "§5 future work: incremental update workload on both engines", runUpdates},
-		{"parallel", "Parallel multi-hop execution: Workers=1 vs Workers=N speedup", runParallel},
-		{"matrix", "Algebraic execution: navigational vs masked SpMV/SpGEMM kernels vs auto gate", runMatrix},
 		{"ingest", "Pipelined bulk ingestion: serial vs N-worker import, WAL group commit", runIngest},
 		{"serve", "Network serving layer: wire-protocol latency, fault-injected retries, overload shedding", runServeExp},
 		{"scale", "Scale-factor sweep: streaming gen, ingest throughput, store bytes, container mix, query latency vs SF", runScale},

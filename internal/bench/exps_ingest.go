@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"twigraph/internal/load"
@@ -13,26 +12,28 @@ import (
 	"twigraph/internal/sparkdb"
 )
 
+// ingestWorkers is the parse/resolve worker count of the parallel
+// ingest arm. It is a constant so the series names (ingest/neo-w8,
+// ingest/sparksee-w8) match the checked-in baseline on any machine.
+const ingestWorkers = 8
+
 // runIngest measures the staged bulk-ingestion pipeline on both engines:
 // each imports the generated dataset from scratch with a serial pipeline
-// and with N parse/resolve workers, plus a WAL group-commit run for the
-// Neo4j-analog. Because batches are applied in file order regardless of
+// and with ingestWorkers parse/resolve workers, plus a WAL group-commit
+// run for the Neo4j-analog. Because batches are applied in file order regardless of
 // the worker count, every variant produces byte-identical stores — the
 // speedup is pure pipeline overlap of CSV decoding and id resolution
 // with record application.
 //
-// On a single-core runner GOMAXPROCS is 1, the parallel variant
-// degenerates to the serial path and the speedup column reads ~1.00x;
-// the figures are only meaningful on multi-core hardware.
+// On a single-core runner the parallel variant's workers share one CPU
+// and the speedup column reads ~1.00x; the figures are only meaningful
+// on multi-core hardware.
 func runIngest(e *Env, w io.Writer) error {
 	csvDir, sum, err := e.Dataset()
 	if err != nil {
 		return err
 	}
-	par := e.Workers
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
+	par := ingestWorkers
 	totalRows := sum.TotalNodes() + sum.TotalEdges()
 
 	neoRun := func(tag string, cfg neodb.Config) (*load.NeoResult, time.Duration, error) {

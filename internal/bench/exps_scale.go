@@ -64,14 +64,14 @@ func runScale(e *Env, w io.Writer) error {
 		maxSF = 0.3
 	}
 	type sfRow struct {
-		sf               float64
-		users            int
-		rows             int
-		genD             time.Duration
-		neoD, sparkD     time.Duration
-		storeB, imageB   int64
-		stats            sparkdb.BitmapStats
-		q                map[string]map[string]time.Duration // engine -> query -> median-ish sample
+		sf             float64
+		users          int
+		rows           int
+		genD           time.Duration
+		neoD, sparkD   time.Duration
+		storeB, imageB int64
+		stats          sparkdb.BitmapStats
+		q              map[string]map[string]time.Duration // engine -> query -> median-ish sample
 	}
 	var rows []sfRow
 	queryIDs := []string{}
@@ -106,7 +106,7 @@ func runScale(e *Env, w io.Writer) error {
 		neoD, err := timeInto(e.Hist("scale/"+tag+"/neo/ingest"), func() error {
 			var err error
 			neoRes, err = load.BuildNeo(csvDir, neoDir,
-				neodb.Config{CachePages: 8192, ImportWorkers: e.Workers, ImportSpillDir: neoDir}, cfg.Users/4+1)
+				neodb.Config{CachePages: 8192, ImportSpillDir: neoDir}, cfg.Users/4+1)
 			return err
 		})
 		if err != nil {
@@ -119,7 +119,6 @@ func runScale(e *Env, w io.Writer) error {
 			var err error
 			sparkRes, err = load.BuildSpark(csvDir, sparkdb.ScriptOptions{
 				BatchRows: cfg.Users/4 + 1,
-				Workers:   e.Workers,
 				ImagePath: imagePath,
 			})
 			return err

@@ -7,6 +7,7 @@ import (
 	"twigraph/internal/load"
 	"twigraph/internal/obs"
 	"twigraph/internal/qstats"
+	"twigraph/internal/spmat"
 	"twigraph/internal/telemetry"
 )
 
@@ -92,7 +93,7 @@ func (e *Env) Telemetry() *telemetry.Server {
 	})
 	srv.SetBuildInfo(map[string]string{
 		"engine":  "neo,sparksee",
-		"workers": strconv.Itoa(e.Workers),
+		"profile": spmat.Faithful.String(),
 		"users":   strconv.Itoa(e.Cfg.Users),
 	})
 	return srv

@@ -24,33 +24,41 @@ type Engine struct {
 	cacheOn     bool
 	cacheHits   uint64
 	cacheMisses uint64
-	method      spmat.Method
+	matrix      matrixMode
 
 	spm *spmat.Metrics
 }
 
-// NewEngine creates an engine with the plan cache enabled.
+// NewEngine creates an engine with the plan cache enabled, running the
+// Tuned profile.
 func NewEngine(db *neodb.DB) *Engine {
 	return &Engine{db: db, cache: make(map[string]*Prepared), cacheOn: true,
-		spm: spmat.MetricsFrom(db.Obs())}
+		matrix: matrixGated, spm: spmat.MetricsFrom(db.Obs())}
 }
 
-// SetExecMethod selects how eligible var-length expansions execute:
-// nav (the default DFS enumeration), matrix (the algebraic row-gather
-// of internal/spmat), or auto (per-expansion density gate). Plans are
-// unaffected — the choice is per-execution state, so cached plans
-// honour the current setting.
-func (e *Engine) SetExecMethod(m spmat.Method) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.method = m
+// SetProfile selects how eligible var-length expansions execute:
+// Tuned gates each input row on its frontier density and runs dense
+// ones as the algebraic row-gather of internal/spmat; Faithful always
+// runs the DFS enumeration. Plans are unaffected — the choice is
+// per-execution state, so cached plans honour the current setting.
+func (e *Engine) SetProfile(p spmat.Profile) {
+	m := matrixGated
+	if p == spmat.Faithful {
+		m = matrixOff
+	}
+	e.setMatrixMode(m)
 }
 
-// ExecMethod returns the configured execution method.
-func (e *Engine) ExecMethod() spmat.Method {
+func (e *Engine) setMatrixMode(m matrixMode) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.method
+	e.matrix = m
+}
+
+func (e *Engine) mode() matrixMode {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.matrix
 }
 
 // DB returns the underlying database.
@@ -192,7 +200,7 @@ func (e *Engine) prepare(query string) (*Prepared, bool, time.Duration, error) {
 
 func (e *Engine) execute(ctx context.Context, prep *Prepared, params map[string]graph.Value, cached bool, compileTime time.Duration) (*Result, error) {
 	ec := &execCtx{db: e.db, rd: e.db.Reader(), ctx: ctx, params: params, profileOps: prep.profiled,
-		method: e.ExecMethod(), spm: e.spm, buf: batchPool.Get().(*batchBufs)}
+		matrix: e.mode(), spm: e.spm, buf: batchPool.Get().(*batchBufs)}
 	defer ec.rd.Close()
 	defer ec.buf.release()
 	res := &Result{Columns: prep.columns}

@@ -38,11 +38,11 @@ type execCtx struct {
 	// Scratch of the batched property reads, from batchPool.
 	buf *batchBufs
 
-	// Algebraic execution: the engine's method knob snapshot for this
+	// Algebraic execution: the engine's matrix mode snapshot for this
 	// execution, plan-choice counters, and a dense-accumulator pool for
 	// eligible var-length expansions. Per-execution state, never on the
 	// (cached, shared) plan steps.
-	method  spmat.Method
+	matrix  matrixMode
 	spm     *spmat.Metrics
 	accPool spmat.AccumPool
 

@@ -9,7 +9,8 @@ import (
 
 // TestVarLengthMatrixMatchesDFS pins the algebraic var-length
 // expansion against the DFS enumeration: identical rows for the
-// depth-2 and depth-1..2 phrasings under every method knob.
+// depth-2 and depth-1..2 phrasings under Faithful, Tuned and the
+// forced gather.
 func TestVarLengthMatrixMatchesDFS(t *testing.T) {
 	e, _ := newTestEngine(t)
 	queries := []string{
@@ -19,22 +20,25 @@ func TestVarLengthMatrixMatchesDFS(t *testing.T) {
 		 RETURN f.uid AS id, count(*) AS c ORDER BY c DESC, id`,
 	}
 	for _, q := range queries {
-		e.SetExecMethod(spmat.MethodNav)
+		e.SetProfile(spmat.Faithful)
 		nav := mustQuery(t, e, q, nil)
-		for _, m := range []spmat.Method{spmat.MethodMatrix, spmat.MethodAuto} {
-			e.SetExecMethod(m)
+		for _, mode := range []string{"tuned", "forced"} {
+			if mode == "tuned" {
+				e.SetProfile(spmat.Tuned)
+			} else {
+				e.forceMatrix()
+			}
 			got := mustQuery(t, e, q, nil)
 			if !reflect.DeepEqual(got.Rows, nav.Rows) {
-				t.Errorf("method %v diverges from nav on %q:\n nav: %v\n got: %v", m, q, nav.Rows, got.Rows)
+				t.Errorf("%s diverges from faithful on %q:\n faithful: %v\n got: %v", mode, q, nav.Rows, got.Rows)
 			}
 		}
-		e.SetExecMethod(spmat.MethodNav)
 	}
 }
 
 // TestVarLengthMatrixProfileName checks that PROFILE reports the
 // run-time plan choice: the operator renames itself when the gather
-// executes, and stays "VarLengthExpand" under the default method.
+// executes, and stays "VarLengthExpand" under Faithful.
 func TestVarLengthMatrixProfileName(t *testing.T) {
 	e, _ := newTestEngine(t)
 	const q = `PROFILE MATCH (a:user {uid: 1})-[:follows*2..2]->(f:user) RETURN count(*)`
@@ -55,12 +59,12 @@ func TestVarLengthMatrixProfileName(t *testing.T) {
 		}
 		return false
 	}
+	e.SetProfile(spmat.Faithful)
 	nav := mustQuery(t, e, q, nil)
 	if names := opNames(nav); !has(names, "VarLengthExpand") || has(names, "VarLengthExpand(matrix)") {
-		t.Errorf("nav profile ops = %v", names)
+		t.Errorf("faithful profile ops = %v", names)
 	}
-	e.SetExecMethod(spmat.MethodMatrix)
-	defer e.SetExecMethod(spmat.MethodNav)
+	e.forceMatrix()
 	mat := mustQuery(t, e, q, nil)
 	if names := opNames(mat); !has(names, "VarLengthExpand(matrix)") {
 		t.Errorf("matrix profile ops = %v", names)
@@ -72,8 +76,7 @@ func TestVarLengthMatrixProfileName(t *testing.T) {
 
 // TestVarLengthMatrixIneligible checks the gate bails to the DFS on
 // shapes the gather cannot model: bound relationship variables and
-// depth-3 expansions keep their DFS semantics under a forced matrix
-// method.
+// depth-3 expansions keep their DFS semantics under the forced gather.
 func TestVarLengthMatrixIneligible(t *testing.T) {
 	e, _ := newTestEngine(t)
 	queries := []string{
@@ -81,11 +84,10 @@ func TestVarLengthMatrixIneligible(t *testing.T) {
 		`MATCH (a:user {uid: 1})-[:follows*1..3]->(f:user) RETURN f.uid AS id, count(*) AS c ORDER BY c DESC, id`,
 	}
 	for _, q := range queries {
-		e.SetExecMethod(spmat.MethodNav)
+		e.SetProfile(spmat.Faithful)
 		nav := mustQuery(t, e, q, nil)
-		e.SetExecMethod(spmat.MethodMatrix)
+		e.forceMatrix()
 		got := mustQuery(t, e, q, nil)
-		e.SetExecMethod(spmat.MethodNav)
 		if !reflect.DeepEqual(got.Rows, nav.Rows) {
 			t.Errorf("ineligible shape diverges on %q:\n nav: %v\n got: %v", q, nav.Rows, got.Rows)
 		}

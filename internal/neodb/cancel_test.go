@@ -53,20 +53,22 @@ func TestShortestPathHonorsDeadline(t *testing.T) {
 	if _, _, err := db.ShortestPathCtx(ctx, ids[1], ids[4], ex, 5); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired ShortestPathCtx error = %v", err)
 	}
-	if _, _, err := db.ShortestPathLengthCtx(ctx, ids[1], ids[4], ex, 5, 2); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("expired ShortestPathLengthCtx error = %v", err)
+	if got := db.Obs().Counter(CQueriesTimedOut).Load(); got != 1 {
+		t.Errorf("queries_timed_out = %d, want 1", got)
 	}
-	if got := db.Obs().Counter(CQueriesTimedOut).Load(); got != 2 {
-		t.Errorf("queries_timed_out = %d, want 2", got)
+	cctx, ccancel := context.WithCancel(context.Background())
+	ccancel()
+	if _, _, err := db.ShortestPathCtx(cctx, ids[1], ids[4], ex, 5); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled ShortestPathCtx error = %v", err)
+	}
+	if got := db.Obs().Counter(CQueriesCancelled).Load(); got != 1 {
+		t.Errorf("queries_cancelled = %d, want 1", got)
 	}
 
-	// A nil context and the unbounded wrappers still work.
-	if _, ok, err := db.ShortestPath(ids[1], ids[4], ex, 5); err != nil || !ok {
-		t.Fatalf("unbounded ShortestPath = (%v, %v)", ok, err)
-	}
-	n, ok, err := db.ShortestPathLength(ids[1], ids[4], ex, 5, 1)
-	if err != nil || !ok || n != 2 {
-		t.Fatalf("unbounded ShortestPathLength = (%d, %v, %v)", n, ok, err)
+	// A nil context and the unbounded wrapper still work.
+	p, ok, err := db.ShortestPath(ids[1], ids[4], ex, 5)
+	if err != nil || !ok || p.Length() != 2 {
+		t.Fatalf("unbounded ShortestPath = (%v, %v, %v)", p, ok, err)
 	}
 }
 

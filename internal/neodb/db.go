@@ -35,7 +35,6 @@ import (
 	"twigraph/internal/olog"
 	"twigraph/internal/pagecache"
 	"twigraph/internal/qstats"
-	"twigraph/internal/par"
 	"twigraph/internal/storage"
 	"twigraph/internal/vfs"
 	"twigraph/internal/wal"
@@ -136,8 +135,6 @@ type DB struct {
 	cQCancelled *obs.Counter
 	cQTimedOut  *obs.Counter
 
-	parMetrics par.Metrics // par_shards / par_merge_nanos for parallel traversals
-
 	writeMu    sync.Mutex // single writer
 	closed     bool
 	recovering bool // WAL replay in progress (set only inside Open)
@@ -223,8 +220,6 @@ func Open(dir string, cfg Config) (*DB, error) {
 	db.cTxAbort = db.reg.Counter(CTxAbort)
 	db.cQCancelled = db.reg.Counter(CQueriesCancelled)
 	db.cQTimedOut = db.reg.Counter(CQueriesTimedOut)
-	db.parMetrics = par.MetricsFrom(db.reg)
-	db.parMetrics.Trace = db.traceBuf
 	db.tracer.Watch(obs.CRecordFetches, db.cFetches)
 	db.tracer.Watch(obs.CPageFaults, db.cFaults)
 	db.tracer.SetSink(db.traceBuf)

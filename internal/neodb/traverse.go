@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"twigraph/internal/graph"
-	"twigraph/internal/par"
 )
 
 // This file implements the imperative traversal framework — the "core
@@ -237,130 +236,6 @@ func (db *DB) ShortestPathCtx(ctx context.Context, from, to graph.NodeID, expand
 		return Path{}, false, nil
 	}
 	return stitch(fwd.parents, bwd.parents, from, to, bestMeet), true, nil
-}
-
-// ShortestPathLength is the length-only variant of ShortestPath. It
-// runs the same bidirectional search (expand the cheaper frontier, stop
-// once the explored depths cover the best candidate) but skips path
-// materialisation and expands each level's frontier across up to
-// workers goroutines. Worker shards only *read* the frozen BFS state —
-// discovered candidates are handed back per shard and folded in shard
-// order on the caller's goroutine, so distance assignment and meet
-// detection never race. The (length, found) result is identical to
-// ShortestPath's for every worker count.
-func (db *DB) ShortestPathLength(from, to graph.NodeID, expanders []Expander, maxHops, workers int) (int, bool, error) {
-	return db.ShortestPathLengthCtx(nil, from, to, expanders, maxHops, workers)
-}
-
-// ShortestPathLengthCtx is ShortestPathLength bounded by ctx, polled
-// once per BFS level like ShortestPathCtx.
-func (db *DB) ShortestPathLengthCtx(ctx context.Context, from, to graph.NodeID, expanders []Expander, maxHops, workers int) (int, bool, error) {
-	if from == to {
-		return 0, true, nil
-	}
-	fwd := newBFSSide(from)
-	bwd := newBFSSide(to)
-	best := maxHops + 1
-	for fwd.depth+bwd.depth < best && fwd.depth+bwd.depth < maxHops {
-		if err := db.checkCtx(ctx); err != nil {
-			return 0, false, err
-		}
-		side, other, reversed := fwd, bwd, false
-		if len(fwd.frontier) == 0 || (len(bwd.frontier) > 0 && len(bwd.frontier) < len(fwd.frontier)) {
-			side, other, reversed = bwd, fwd, true
-		}
-		if len(side.frontier) == 0 {
-			break // both exhausted
-		}
-		meets, err := db.expandSideParallel(side, other, expanders, reversed, workers)
-		if err != nil {
-			return 0, false, err
-		}
-		for _, m := range meets {
-			if c := fwd.dist[m] + bwd.dist[m]; c < best {
-				best = c
-			}
-		}
-	}
-	if best > maxHops {
-		return 0, false, nil
-	}
-	return best, true, nil
-}
-
-// shardExpand is one worker's slice of a BFS level: candidate
-// discoveries in visit order (nodes may repeat across shards; the merge
-// dedupes) and the first error hit.
-type shardExpand struct {
-	found []graph.NodeID
-	err   error
-}
-
-// expandSideParallel advances one side of the bidirectional search by a
-// full level, sharding the frontier across workers. The scatter phase
-// reads side.parents (frozen for the whole level) and walks chains
-// through one Reader per shard; the gather phase mutates the BFS state
-// sequentially in shard order.
-func (db *DB) expandSideParallel(side, other *bfsSide, expanders []Expander, reversed bool, workers int) ([]graph.NodeID, error) {
-	// Narrow levels expand inline; walking a few relationship chains is
-	// cheaper than forking goroutines for them.
-	const minPerShard = 32
-	frontier := side.frontier
-	w := par.WorkersForSize(workers, len(frontier), minPerShard)
-	shards := par.RunRanges(w, len(frontier), db.parMetrics, func(lo, hi int) shardExpand {
-		var sh shardExpand
-		rd := db.Reader()
-		defer rd.Close()
-		for _, n := range frontier[lo:hi] {
-			for _, ex := range expanders {
-				dir := ex.Dir
-				if reversed {
-					dir = dir.Reverse()
-				}
-				err := rd.Relationships(n, ex.Type, dir, func(r Rel) bool {
-					m := r.Dst
-					if m == n && r.Src != r.Dst {
-						m = r.Src
-					}
-					if _, seen := side.parents[m]; !seen {
-						sh.found = append(sh.found, m)
-					}
-					return true
-				})
-				if err != nil {
-					sh.err = err
-					return sh
-				}
-			}
-		}
-		return sh
-	})
-	var next, meets []graph.NodeID
-	var firstErr error
-	db.parMetrics.TimeMerge(func() {
-		for _, sh := range shards {
-			if sh.err != nil && firstErr == nil {
-				firstErr = sh.err
-			}
-			for _, m := range sh.found {
-				if _, seen := side.parents[m]; seen {
-					continue // discovered by an earlier shard this level
-				}
-				side.parents[m] = bfsLink{} // length-only: marks visited
-				side.dist[m] = side.depth + 1
-				if _, hit := other.parents[m]; hit {
-					meets = append(meets, m)
-				}
-				next = append(next, m)
-			}
-		}
-	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	side.frontier = next
-	side.depth++
-	return meets, nil
 }
 
 // bfsSide is one direction of the bidirectional search.

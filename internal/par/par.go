@@ -140,8 +140,8 @@ func Ranges(n, shards int) []Range {
 // RunRanges shards [0, n) across up to workers goroutines, invokes fn
 // once per shard, and returns the shard results in shard order. With
 // workers <= 1 (or a single shard) fn runs inline on the caller's
-// goroutine — exactly the sequential behaviour a Workers=1 knob
-// promises.
+// goroutine — exactly the sequential behaviour a one-worker caller
+// expects.
 func RunRanges[R any](workers, n int, m Metrics, fn func(lo, hi int) R) []R {
 	ranges := Ranges(n, Workers(workers))
 	if len(ranges) == 0 {

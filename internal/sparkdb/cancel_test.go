@@ -18,21 +18,22 @@ func TestShortestPathBFSHonorsContext(t *testing.T) {
 	if _, _, err := db.SinglePairShortestPathBFSCtx(ctx, oids[0], oids[2], ets, graph.Outgoing, 4); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired BFS error = %v", err)
 	}
-	if _, _, err := db.SinglePairShortestPathLengthCtx(ctx, oids[0], oids[2], ets, graph.Outgoing, 4, 2); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("expired length BFS error = %v", err)
+	if got := db.Obs().Counter(CQueriesTimedOut).Load(); got != 1 {
+		t.Errorf("queries_timed_out = %d, want 1", got)
 	}
-	if got := db.Obs().Counter(CQueriesTimedOut).Load(); got != 2 {
-		t.Errorf("queries_timed_out = %d, want 2", got)
+	cctx, ccancel := context.WithCancel(context.Background())
+	ccancel()
+	if _, _, err := db.SinglePairShortestPathBFSCtx(cctx, oids[0], oids[2], ets, graph.Outgoing, 4); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled BFS error = %v", err)
+	}
+	if got := db.Obs().Counter(CQueriesCancelled).Load(); got != 1 {
+		t.Errorf("queries_cancelled = %d, want 1", got)
 	}
 
-	// The unbounded wrappers still answer correctly afterwards.
+	// The unbounded wrapper still answers correctly afterwards.
 	path, ok := db.SinglePairShortestPathBFS(oids[0], oids[2], ets, graph.Outgoing, 4)
 	if !ok || len(path) != 3 {
 		t.Fatalf("unbounded BFS = (%v, %v)", path, ok)
-	}
-	n, ok := db.SinglePairShortestPathLength(oids[0], oids[2], ets, graph.Outgoing, 4, 1)
-	if !ok || n != 2 {
-		t.Fatalf("unbounded length = (%d, %v)", n, ok)
 	}
 }
 

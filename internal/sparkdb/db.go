@@ -31,7 +31,6 @@ import (
 	"twigraph/internal/graph"
 	"twigraph/internal/obs"
 	"twigraph/internal/olog"
-	"twigraph/internal/par"
 	"twigraph/internal/qstats"
 )
 
@@ -116,8 +115,6 @@ type DB struct {
 	cNavFinds     *obs.Counter
 	cQCancelled   *obs.Counter
 	cQTimedOut    *obs.Counter
-
-	parMetrics par.Metrics // par_shards / par_merge_nanos for parallel queries
 }
 
 type typeInfo struct {
@@ -163,11 +160,11 @@ func New(cfg Config) *DB {
 		maxObjects:    max,
 		noCompression: cfg.NoCompression,
 		typesByName:   make(map[string]graph.TypeID),
-		reg:         reg,
-		tracer:      obs.NewTracer(),
-		traceBuf:    obs.NewTraceBuffer(obs.DefaultTraceEvents),
-		stats:       qstats.NewStats(0),
-		logger:      olog.New("sparksee"),
+		reg:           reg,
+		tracer:        obs.NewTracer(),
+		traceBuf:      obs.NewTraceBuffer(obs.DefaultTraceEvents),
+		stats:         qstats.NewStats(0),
+		logger:        olog.New("sparksee"),
 		hooks: &setHooks{
 			and:  reg.Counter(CBitmapAndOps),
 			or:   reg.Counter(CBitmapOrOps),
@@ -182,7 +179,6 @@ func New(cfg Config) *DB {
 		cNavFinds:     reg.Counter(CNavFinds),
 		cQCancelled:   reg.Counter(CQueriesCancelled),
 		cQTimedOut:    reg.Counter(CQueriesTimedOut),
-		parMetrics:    par.MetricsFrom(reg),
 	}
 	db.tracer.Watch(obs.CRecordFetches, db.cFetches)
 	db.tracer.SetSink(db.traceBuf)
@@ -193,7 +189,6 @@ func New(cfg Config) *DB {
 	db.stats.Watch(CBitmapScanOps, db.cBitmapScan)
 	db.stats.Watch(CIndexProbes, db.cIndexProbes)
 	db.tracer.SetOnSlow(db.logger.SlowQuery)
-	db.parMetrics.Trace = db.traceBuf
 	return db
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"twigraph/internal/bitmap"
 	"twigraph/internal/graph"
-	"twigraph/internal/par"
 )
 
 // Neighbors returns the set of nodes adjacent to oid through edges of
@@ -239,62 +238,6 @@ func (db *DB) SinglePairShortestPathBFSCtx(ctx context.Context, src, dst uint64,
 		frontier = next
 	}
 	return nil, false, nil
-}
-
-// SinglePairShortestPathLength is the length-only variant of
-// SinglePairShortestPathBFS with level-synchronous frontier
-// parallelism: each BFS level is sharded across workers goroutines
-// (every shard unions its nodes' neighbor bitmaps into a shard-local
-// set), the shard frontiers are merged in shard order with a k-way
-// OrMany, and the visited set is subtracted in place. The returned
-// (length, found) pair is identical for every worker count — a node's
-// BFS level does not depend on the order frontiers are expanded in.
-func (db *DB) SinglePairShortestPathLength(src, dst uint64, edgeTypes []graph.TypeID, dir graph.Direction, maxHops, workers int) (int, bool) {
-	n, ok, _ := db.SinglePairShortestPathLengthCtx(nil, src, dst, edgeTypes, dir, maxHops, workers)
-	return n, ok
-}
-
-// SinglePairShortestPathLengthCtx is SinglePairShortestPathLength
-// bounded by ctx, polled once per BFS level like
-// SinglePairShortestPathBFSCtx.
-func (db *DB) SinglePairShortestPathLengthCtx(ctx context.Context, src, dst uint64, edgeTypes []graph.TypeID, dir graph.Direction, maxHops, workers int) (int, bool, error) {
-	if src == dst {
-		return 0, true, nil
-	}
-	// Below this frontier width a level expands inline: unioning a few
-	// link bitmaps is cheaper than forking goroutines for them.
-	const minPerShard = 128
-	visited := bitmap.Of(src)
-	frontier := []uint64{src}
-	for hop := 1; hop <= maxHops && len(frontier) > 0; hop++ {
-		if err := db.checkCtx(ctx); err != nil {
-			return 0, false, err
-		}
-		w := par.WorkersForSize(workers, len(frontier), minPerShard)
-		shards := par.RunRanges(w, len(frontier), db.parMetrics, func(lo, hi int) *bitmap.Bitmap {
-			local := bitmap.New()
-			for _, n := range frontier[lo:hi] {
-				for _, et := range edgeTypes {
-					local.Union(db.Neighbors(n, et, dir).bits)
-				}
-			}
-			return local
-		})
-		var next *bitmap.Bitmap
-		db.parMetrics.TimeMerge(func() {
-			next = bitmap.OrMany(shards...)
-			next.Difference(visited)
-		})
-		if next.Contains(dst) {
-			return hop, true, nil
-		}
-		if next.IsEmpty() {
-			return 0, false, nil
-		}
-		visited.Union(next)
-		frontier = next.Slice()
-	}
-	return 0, false, nil
 }
 
 func rebuildPath(parent map[uint64]uint64, src, dst uint64) []uint64 {

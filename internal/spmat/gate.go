@@ -103,16 +103,3 @@ func (g Gate) UseMatrix(frontierCard int) bool {
 func (g Gate) UsePull(frontierCard, unvisited int) bool {
 	return frontierCard*PullFraction >= unvisited
 }
-
-// Pick resolves a hop's execution for a method knob: forced modes win,
-// auto consults the gate.
-func (g Gate) Pick(m Method, frontierCard int) bool {
-	switch m {
-	case MethodMatrix:
-		return true
-	case MethodNav:
-		return false
-	default:
-		return g.UseMatrix(frontierCard)
-	}
-}

@@ -19,7 +19,6 @@
 package spmat
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -28,43 +27,28 @@ import (
 	"twigraph/internal/par"
 )
 
-// Method selects how a store executes the multi-hop workload.
-type Method uint8
+// Profile names one execution configuration of the multi-hop workload
+// queries (Q3.1–Q6.1). Both engines and the Cypher engine default to
+// Tuned; the paper-reproduction harness sets Faithful.
+type Profile uint8
 
 const (
-	// MethodNav forces the engine's navigational (or declarative)
-	// execution paths — the behaviour before the algebraic backend.
-	MethodNav Method = iota
-	// MethodMatrix forces the algebraic kernels.
-	MethodMatrix
-	// MethodAuto lets the cost gate pick navigational or algebraic per
-	// hop from the frontier's estimated density.
-	MethodAuto
+	// Tuned lets the density gate pick navigational or algebraic
+	// execution per hop and shards each query across GOMAXPROCS
+	// workers.
+	Tuned Profile = iota
+	// Faithful runs what the paper measured, one worker per query:
+	// Cypher on neodb (var-length expansions by DFS) and
+	// Sparksee-style navigation on sparkdb.
+	Faithful
 )
 
-// ParseMethod parses a -method / :method knob value.
-func ParseMethod(s string) (Method, error) {
-	switch s {
-	case "nav":
-		return MethodNav, nil
-	case "matrix":
-		return MethodMatrix, nil
-	case "auto":
-		return MethodAuto, nil
+// String renders the profile name.
+func (p Profile) String() string {
+	if p == Faithful {
+		return "faithful"
 	}
-	return MethodNav, fmt.Errorf("spmat: unknown method %q (want auto, nav or matrix)", s)
-}
-
-// String renders the knob value.
-func (m Method) String() string {
-	switch m {
-	case MethodMatrix:
-		return "matrix"
-	case MethodAuto:
-		return "auto"
-	default:
-		return "nav"
-	}
+	return "tuned"
 }
 
 // Row is one adjacency-matrix row. Cols is the distinct-neighbor set,
@@ -373,32 +357,33 @@ func GatherCounts(src Source, frontier []WeightedID, acc *Accum) error {
 // MinRowsPerShard is the sharding cutoff for kernel fan-out: a
 // frontier smaller than workers*MinRowsPerShard uses fewer shards
 // (down to inline execution), matching the stores' navigational
-// sharding cutoff.
+// sharding cutoff. The BFS kernels apply it per level; Gather's
+// callers apply it when they size the fan-out.
 const MinRowsPerShard = 32
 
 // Gather runs GatherCounts over the frontier sharded across up to
-// workers goroutines and merges the shard accumulators in shard order.
-// The merge is a commutative per-column sum, so the result is
-// identical at every worker count. The returned accumulator comes
-// from pool; the caller returns it with pool.Put when done.
-func Gather(src Source, frontier []WeightedID, base uint64, workers int, pm par.Metrics, pool *AccumPool) (*Accum, error) {
+// shards goroutines and merges the shard accumulators in shard order.
+// Callers size shards, usually with par.WorkersForSize and
+// MinRowsPerShard. The merge is a commutative per-column sum, so the
+// result is identical at every shard count. The returned accumulator
+// comes from pool; the caller returns it with pool.Put when done.
+func Gather(src Source, frontier []WeightedID, base uint64, shards int, pm par.Metrics, pool *AccumPool) (*Accum, error) {
 	if len(frontier) == 0 {
 		return pool.Get(base), nil
 	}
-	w := par.WorkersForSize(workers, len(frontier), MinRowsPerShard)
 	type shard struct {
 		acc *Accum
 		err error
 	}
-	shards := par.RunRanges(w, len(frontier), pm, func(lo, hi int) shard {
+	parts := par.RunRanges(shards, len(frontier), pm, func(lo, hi int) shard {
 		acc := pool.Get(base)
 		err := GatherCounts(src, frontier[lo:hi], acc)
 		return shard{acc, err}
 	})
-	out := shards[0].acc
-	err := shards[0].err
+	out := parts[0].acc
+	err := parts[0].err
 	pm.TimeMerge(func() {
-		for _, s := range shards[1:] {
+		for _, s := range parts[1:] {
 			if s.err != nil && err == nil {
 				err = s.err
 			}

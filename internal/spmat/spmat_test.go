@@ -55,24 +55,6 @@ func (s *memSource) ForEachEdge(id uint64, fn func(col uint64) bool) error {
 	return nil
 }
 
-func TestParseMethod(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Method
-	}{{"nav", MethodNav}, {"matrix", MethodMatrix}, {"auto", MethodAuto}} {
-		got, err := ParseMethod(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseMethod(%q) = %v, %v", tc.in, got, err)
-		}
-		if got.String() != tc.in {
-			t.Fatalf("String() = %q, want %q", got.String(), tc.in)
-		}
-	}
-	if _, err := ParseMethod("speedy"); err == nil {
-		t.Fatal("ParseMethod accepted an unknown method")
-	}
-}
-
 func TestAccumBaseAndReuse(t *testing.T) {
 	var pool AccumPool
 	a := pool.Get(1 << 40) // a typed-OID-style base far from zero
@@ -169,9 +151,6 @@ func TestGateThresholds(t *testing.T) {
 	}
 	if g.UseMatrix(0) || NewGate(0, 0, 0).UseMatrix(100) {
 		t.Fatal("degenerate inputs must stay navigational")
-	}
-	if !g.Pick(MethodMatrix, 0) || g.Pick(MethodNav, 1<<30) {
-		t.Fatal("forced methods must override the gate")
 	}
 	if !g.UsePull(10, 140) || g.UsePull(9, 140) {
 		t.Fatal("UsePull threshold broken")

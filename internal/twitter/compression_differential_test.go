@@ -11,7 +11,6 @@ import (
 	"twigraph/internal/neodb"
 	"twigraph/internal/obs"
 	"twigraph/internal/sparkdb"
-	"twigraph/internal/spmat"
 	"twigraph/internal/twitter"
 )
 
@@ -19,9 +18,9 @@ import (
 // differential: both engines, with the sparkdb engine loaded twice —
 // compressed (run containers, v2 image) and uncompressed (legacy
 // representations, v1 image) — must return byte-identical results for
-// every workload query under nav/matrix/auto at Workers=1 and
-// Workers=8. Compression only changes how sets are stored, never what
-// they contain.
+// every workload query under Faithful, Tuned and the seam's 8-shard
+// matrix and navigational paths. Compression only changes how sets are
+// stored, never what they contain.
 func TestCompressionDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential test builds three databases")
@@ -76,13 +75,7 @@ func TestCompressionDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	probes := []int64{1, 2, 3, 5, 17, 42, 100, 250, 299}
-	tags := []string{"topic1", "topic2", "topic3", "topic10", "missing"}
-
-	queries := []struct {
-		name string
-		run  func(s twitter.Store) (any, error)
-	}{
+	queries := append([]probeQuery{
 		{"Q1.1-select", func(s twitter.Store) (any, error) {
 			var out [][]int64
 			for _, th := range []int64{0, 1, 5, 20} {
@@ -96,7 +89,7 @@ func TestCompressionDifferential(t *testing.T) {
 		}},
 		{"Q2.1-followees", func(s twitter.Store) (any, error) {
 			var out [][]int64
-			for _, uid := range probes {
+			for _, uid := range probeUIDs {
 				r, err := s.Followees(uid)
 				if err != nil {
 					return nil, err
@@ -105,120 +98,47 @@ func TestCompressionDifferential(t *testing.T) {
 			}
 			return out, nil
 		}},
-		{"Q3.1-co-mentioned", func(s twitter.Store) (any, error) {
-			var out [][]twitter.Counted
-			for _, uid := range probes {
-				r, err := s.CoMentionedUsers(uid, 10)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, r)
-			}
-			return out, nil
-		}},
-		{"Q3.2-co-occurring-hashtags", func(s twitter.Store) (any, error) {
-			var out [][]twitter.CountedTag
-			for _, tag := range tags {
-				r, err := s.CoOccurringHashtags(tag, 10)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, r)
-			}
-			return out, nil
-		}},
-		{"Q4.1-recommend-followees", func(s twitter.Store) (any, error) {
-			var out [][]twitter.Counted
-			for _, uid := range probes {
-				r, err := s.RecommendFollowees(uid, 10)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, r)
-			}
-			return out, nil
-		}},
-		{"Q5.1-current-influence", func(s twitter.Store) (any, error) {
-			var out [][]twitter.Counted
-			for _, uid := range probes {
-				r, err := s.CurrentInfluence(uid, 10)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, r)
-			}
-			return out, nil
-		}},
-		{"Q6.1-shortest-path", func(s twitter.Store) (any, error) {
-			type res struct {
-				Len   int
-				Found bool
-			}
-			var out []res
-			for _, p := range [][2]int64{{1, 2}, {1, 50}, {5, 250}, {17, 42}, {3, 3}} {
-				l, ok, err := s.ShortestPathLength(p[0], p[1], 3)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, res{l, ok})
-			}
-			return out, nil
-		}},
-	}
+	}, multiHopQueries...)
 
 	stores := []struct {
 		name string
-		s    methodStore
+		s    profileStore
 	}{
 		{"neo", neoRes.Store},
-		{"spark-compressed", comp.Store},
 		{"spark-plain", plain.Store},
+		{"spark-compressed", comp.Store},
 		{"spark-legacy-image", legacyStore},
 	}
-	methods := []spmat.Method{spmat.MethodNav, spmat.MethodMatrix, spmat.MethodAuto}
-
-	for _, q := range queries {
+	stats := map[string]sweepStats{}
+	for _, st := range stores {
+		stats[st.name] = sweepStats{}
+	}
+	for qi, q := range queries {
 		t.Run(q.name, func(t *testing.T) {
-			// Baseline: the uncompressed sparkdb build, navigational,
-			// sequential. Every compressed variant and every method and
-			// worker-count combination must match it exactly; the neo
-			// engine sweeps against its own nav/w1 baseline (cross-engine
-			// row equality is TestDifferentialWorkload's job).
-			plain.Store.SetExecMethod(spmat.MethodNav)
-			plain.Store.SetWorkers(1)
-			sparkBase, err := q.run(plain.Store)
-			if err != nil {
-				t.Fatalf("spark-plain nav/w1: %v", err)
-			}
-			neoRes.Store.SetExecMethod(spmat.MethodNav)
-			neoRes.Store.SetWorkers(1)
-			neoBase, err := q.run(neoRes.Store)
-			if err != nil {
-				t.Fatalf("neo nav/w1: %v", err)
-			}
+			// Every store must agree with itself across the columns; every
+			// sparkdb variant must then match the uncompressed build (the
+			// neo engine is checked against sparkdb by
+			// TestDifferentialWorkload).
+			var sparkBase any
 			for _, st := range stores {
-				base := sparkBase
-				if st.name == "neo" {
-					base = neoBase
+				var acc sweepStats
+				if qi >= len(queries)-len(multiHopQueries) {
+					acc = stats[st.name]
 				}
-				for _, m := range methods {
-					for _, w := range []int{1, 8} {
-						st.s.SetExecMethod(m)
-						st.s.SetWorkers(w)
-						got, err := q.run(st.s)
-						if err != nil {
-							t.Fatalf("%s %v/w%d: %v", st.name, m, w, err)
-						}
-						if !reflect.DeepEqual(got, base) {
-							t.Fatalf("%s %v/w%d diverges from nav/w1 baseline:\n base: %#v\n  got: %#v",
-								st.name, m, w, base, got)
-						}
-					}
+				got := sweep(t, st.s, q, acc)
+				switch {
+				case st.name == "spark-plain":
+					sparkBase = got
+				case st.name != "neo" && !reflect.DeepEqual(got, sparkBase):
+					t.Fatalf("%s diverges from spark-plain:\n base: %#v\n  got: %#v", st.name, sparkBase, got)
 				}
-				st.s.SetExecMethod(spmat.MethodNav)
-				st.s.SetWorkers(0)
 			}
 		})
+	}
+	if !t.Failed() {
+		for _, st := range stores {
+			stats[st.name].check(t, st.name)
+		}
 	}
 
 	// The compression gauges must be visible through the generic gauge

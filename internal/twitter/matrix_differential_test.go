@@ -1,161 +1,28 @@
 package twitter_test
 
 import (
-	"fmt"
-	"reflect"
 	"testing"
-
-	"twigraph/internal/obs"
-	"twigraph/internal/spmat"
-	"twigraph/internal/twitter"
 )
 
-// methodStore is a store whose execution backend and worker count can
-// both be toggled.
-type methodStore interface {
-	workerStore
-	SetExecMethod(spmat.Method)
-	ExecMethod() spmat.Method
-	Obs() *obs.Registry
-}
-
-// TestExecMethodDifferential is the three-way execution differential:
-// every gated workload query must return byte-identical results under
-// the navigational, algebraic, and auto-gated backends, at Workers=1
-// and Workers=8, on both engines. On the Neo4j-analog this covers all
-// three execution styles at once — nav/w1 is the Cypher plan, nav/w8
-// the sharded imperative restatement, and matrix the spmat kernels —
-// extending the worker-count determinism contract to the method knob.
+// TestExecMethodDifferential runs the profile sweep on a denser graph
+// than the other sweeps, where Tuned's own density gate — without the
+// test seam — sends some hops to the spmat kernels and others to the
+// navigational paths. Every column must still return Faithful's
+// results byte for byte on both engines.
 func TestExecMethodDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential test builds two databases")
 	}
-	neo, spark, _ := buildBoth(t, smallCfg())
-
-	probes := []int64{1, 2, 3, 5, 17, 42, 100, 250, 299}
-	tags := []string{"topic1", "topic2", "topic3", "topic10", "missing"}
-	pairs := [][2]int64{{1, 2}, {1, 50}, {5, 250}, {17, 42}, {100, 299}, {3, 3}}
-
-	queries := []struct {
-		name string
-		run  func(s twitter.Store) (any, error)
-	}{
-		{"Q3.1-co-mentioned", func(s twitter.Store) (any, error) {
-			var out [][]twitter.Counted
-			for _, uid := range probes {
-				r, err := s.CoMentionedUsers(uid, 10)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, r)
-			}
-			return out, nil
-		}},
-		{"Q3.2-co-occurring-hashtags", func(s twitter.Store) (any, error) {
-			var out [][]twitter.CountedTag
-			for _, tag := range tags {
-				r, err := s.CoOccurringHashtags(tag, 10)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, r)
-			}
-			return out, nil
-		}},
-		{"Q4.1-recommend-followees", func(s twitter.Store) (any, error) {
-			var out [][]twitter.Counted
-			for _, uid := range probes {
-				r, err := s.RecommendFollowees(uid, 10)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, r)
-			}
-			return out, nil
-		}},
-		{"Q4.2-recommend-followers", func(s twitter.Store) (any, error) {
-			var out [][]twitter.Counted
-			for _, uid := range probes {
-				r, err := s.RecommendFollowersOfFollowees(uid, 10)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, r)
-			}
-			return out, nil
-		}},
-		{"Q5.1-current-influence", func(s twitter.Store) (any, error) {
-			var out [][]twitter.Counted
-			for _, uid := range probes {
-				r, err := s.CurrentInfluence(uid, 10)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, r)
-			}
-			return out, nil
-		}},
-		{"Q5.2-potential-influence", func(s twitter.Store) (any, error) {
-			var out [][]twitter.Counted
-			for _, uid := range probes {
-				r, err := s.PotentialInfluence(uid, 10)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, r)
-			}
-			return out, nil
-		}},
-		{"Q6.1-shortest-path", func(s twitter.Store) (any, error) {
-			type res struct {
-				Len   int
-				Found bool
-			}
-			var out []res
-			for _, p := range pairs {
-				l, ok, err := s.ShortestPathLength(p[0], p[1], 3)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, res{l, ok})
-			}
-			return out, nil
-		}},
-	}
-
-	methods := []spmat.Method{spmat.MethodNav, spmat.MethodMatrix, spmat.MethodAuto}
-	for _, s := range []methodStore{neo, spark} {
-		for _, q := range queries {
-			t.Run(fmt.Sprintf("%s/%s", s.Name(), q.name), func(t *testing.T) {
-				defer func() {
-					s.SetExecMethod(spmat.MethodNav)
-					s.SetWorkers(0)
-				}()
-				s.SetExecMethod(spmat.MethodNav)
-				s.SetWorkers(1)
-				base, err := q.run(s)
-				if err != nil {
-					t.Fatalf("nav/w1: %v", err)
-				}
-				for _, m := range methods {
-					for _, w := range []int{1, 8} {
-						s.SetExecMethod(m)
-						s.SetWorkers(w)
-						got, err := q.run(s)
-						if err != nil {
-							t.Fatalf("%v/w%d: %v", m, w, err)
-						}
-						if !reflect.DeepEqual(got, base) {
-							t.Fatalf("%v/w%d diverges from nav/w1:\n base: %v\n  got: %v", m, w, base, got)
-						}
-					}
-				}
-			})
-		}
-		// The sweeps above forced MethodMatrix on dense and sparse
-		// anchors alike — the algebraic path must actually have run.
-		if s.Obs().Counter(spmat.CMatrixHops).Load() == 0 {
-			t.Errorf("%s: forced matrix sweep never incremented %s", s.Name(), spmat.CMatrixHops)
+	cfg := smallCfg()
+	cfg.Users = 600
+	cfg.AvgFollowees = 10
+	cfg.Hashtags = 40
+	cfg.MentionsPer = 1.0
+	neo, spark, _ := buildBoth(t, cfg)
+	for _, s := range []profileStore{neo, spark} {
+		stats := checkProfiles(t, s)
+		if st := stats["tuned"]; st != nil && (st.matrix == 0 || st.nav == 0) {
+			t.Errorf("%s: tuned ran %d matrix and %d nav hops, want both > 0", s.Name(), st.matrix, st.nav)
 		}
 	}
 }

@@ -26,12 +26,11 @@ type NeoStore struct {
 	db     *neodb.DB
 	engine *cypher.Engine
 
-	workers  int             // per-query parallelism (1 = declarative/Cypher path)
+	mode     execMode        // what the profile resolves to (Tuned by default)
 	timeout  time.Duration   // per-query deadline; 0 = unbounded
 	baseCtx  context.Context // parent of every query ctx; nil = Background
 	parm     par.Metrics     // shard/merge counters on the engine registry
 	qLatency *obs.Histogram  // per-query wall time, all workload methods
-	method   spmat.Method    // nav (default), matrix, or auto
 	spm      *spmat.Metrics  // plan-choice and kernel-round counters
 	accPool  spmat.AccumPool
 }
@@ -42,12 +41,13 @@ type NeoStore struct {
 // twigraph_<engine>_query_latency_seconds.
 const QueryLatencyHist = "query_latency"
 
-// NewNeoStore wraps an opened neodb database.
+// NewNeoStore wraps an opened neodb database, running the Tuned
+// profile.
 func NewNeoStore(db *neodb.DB) *NeoStore {
 	s := &NeoStore{
 		db:       db,
 		engine:   cypher.NewEngine(db),
-		workers:  par.Workers(0),
+		mode:     profileMode(spmat.Tuned),
 		parm:     par.MetricsFrom(db.Obs()),
 		qLatency: db.Obs().Histogram(QueryLatencyHist),
 	}
@@ -83,15 +83,17 @@ func (s *NeoStore) SetBaseContext(ctx context.Context) { s.baseCtx = ctx }
 // Name implements Store.
 func (s *NeoStore) Name() string { return "neo" }
 
-// SetWorkers sets the per-query parallelism. With n = 1 every query
-// runs through the declarative engine exactly as before; with n > 1 the
-// multi-hop queries switch to frontier-sharded imperative equivalents
-// (neostore_parallel.go) that return byte-identical results. n <= 0
-// resets to the default (GOMAXPROCS).
-func (s *NeoStore) SetWorkers(n int) { s.workers = par.Workers(n) }
-
-// Workers returns the current per-query parallelism.
-func (s *NeoStore) Workers() int { return s.workers }
+// SetProfile selects how the multi-hop queries (Q3.1–Q6.1) execute.
+// Faithful runs their Cypher text, one query at a time, as the paper
+// did. Tuned sends dense hops to the spmat kernels
+// (neostore_matrix.go) and sparse ones to frontier-sharded imperative
+// restatements (neostore_parallel.go), or to Cypher on one CPU. Every
+// profile returns byte-identical results. Not synchronised, like
+// SetQueryTimeout.
+func (s *NeoStore) SetProfile(p spmat.Profile) {
+	s.mode = profileMode(p)
+	s.engine.SetProfile(p)
+}
 
 // SetQueryTimeout bounds every subsequent query by d. Queries that run
 // past the deadline abort with a context error and count into the
@@ -236,13 +238,13 @@ func (s *NeoStore) HashtagsOfFollowees(uid int64) (out []string, err error) {
 func (s *NeoStore) CoMentionedUsers(uid int64, n int) (out []Counted, err error) {
 	q := s.beginQuery("CoMentionedUsers")
 	defer func() { q.finish(err, len(out)) }()
-	if s.method != spmat.MethodNav {
+	if s.mode.gate {
 		if res, used, merr := s.coMentionedMatrix(q, uid, n); used {
 			return res, merr
 		}
 	}
-	if s.workers > 1 {
-		return s.coMentionedParallel(uid, n)
+	if s.mode.workers > 1 {
+		return s.coMentionedParallel(q, uid, n)
 	}
 	return s.queryCounted(q.ctx,
 		`MATCH (a:user {uid: $uid})<-[:mentions]-(t:tweet)-[:mentions]->(o:user)
@@ -255,13 +257,13 @@ func (s *NeoStore) CoMentionedUsers(uid int64, n int) (out []Counted, err error)
 func (s *NeoStore) CoOccurringHashtags(tag string, n int) (out []CountedTag, err error) {
 	q := s.beginQuery("CoOccurringHashtags")
 	defer func() { q.finish(err, len(out)) }()
-	if s.method != spmat.MethodNav {
+	if s.mode.gate {
 		if res, used, merr := s.coOccurringTagsMatrix(q, tag, n); used {
 			return res, merr
 		}
 	}
-	if s.workers > 1 {
-		return s.coOccurringTagsParallel(tag, n)
+	if s.mode.workers > 1 {
+		return s.coOccurringTagsParallel(q, tag, n)
 	}
 	res, err := s.query(q.ctx,
 		`MATCH (h:hashtag {tag: $tag})<-[:tags]-(t:tweet)-[:tags]->(o:hashtag)
@@ -284,13 +286,13 @@ func (s *NeoStore) CoOccurringHashtags(tag string, n int) (out []CountedTag, err
 func (s *NeoStore) RecommendFollowees(uid int64, n int) (out []Counted, err error) {
 	q := s.beginQuery("RecommendFollowees")
 	defer func() { q.finish(err, len(out)) }()
-	if s.method != spmat.MethodNav {
+	if s.mode.gate {
 		if res, used, merr := s.recommendMatrix(q, uid, n, graph.Outgoing); used {
 			return res, merr
 		}
 	}
-	if s.workers > 1 {
-		return s.recommendFolloweesParallel(uid, n)
+	if s.mode.workers > 1 {
+		return s.recommendParallel(q, uid, n, graph.Outgoing)
 	}
 	return s.queryCounted(q.ctx, QueryRecommendMethodB, params("uid", uid, "n", n))
 }
@@ -402,13 +404,13 @@ func (s *NeoStore) topNByNode(counts map[graph.NodeID]int64, uidKey graph.AttrID
 func (s *NeoStore) RecommendFollowersOfFollowees(uid int64, n int) (out []Counted, err error) {
 	q := s.beginQuery("RecommendFollowersOfFollowees")
 	defer func() { q.finish(err, len(out)) }()
-	if s.method != spmat.MethodNav {
+	if s.mode.gate {
 		if res, used, merr := s.recommendMatrix(q, uid, n, graph.Incoming); used {
 			return res, merr
 		}
 	}
-	if s.workers > 1 {
-		return s.recommendFollowersParallel(uid, n)
+	if s.mode.workers > 1 {
+		return s.recommendParallel(q, uid, n, graph.Incoming)
 	}
 	return s.queryCounted(q.ctx,
 		`MATCH (a:user {uid: $uid})-[:follows]->(f:user)<-[:follows]-(x:user)
@@ -421,13 +423,13 @@ func (s *NeoStore) RecommendFollowersOfFollowees(uid int64, n int) (out []Counte
 func (s *NeoStore) CurrentInfluence(uid int64, n int) (out []Counted, err error) {
 	q := s.beginQuery("CurrentInfluence")
 	defer func() { q.finish(err, len(out)) }()
-	if s.method != spmat.MethodNav {
+	if s.mode.gate {
 		if res, used, merr := s.influenceMatrix(q, uid, n, true); used {
 			return res, merr
 		}
 	}
-	if s.workers > 1 {
-		return s.influenceParallel(uid, n, true)
+	if s.mode.workers > 1 {
+		return s.influenceParallel(q, uid, n, true)
 	}
 	return s.queryCounted(q.ctx,
 		`MATCH (a:user {uid: $uid})<-[:mentions]-(t:tweet)<-[:posts]-(m:user)
@@ -440,13 +442,13 @@ func (s *NeoStore) CurrentInfluence(uid int64, n int) (out []Counted, err error)
 func (s *NeoStore) PotentialInfluence(uid int64, n int) (out []Counted, err error) {
 	q := s.beginQuery("PotentialInfluence")
 	defer func() { q.finish(err, len(out)) }()
-	if s.method != spmat.MethodNav {
+	if s.mode.gate {
 		if res, used, merr := s.influenceMatrix(q, uid, n, false); used {
 			return res, merr
 		}
 	}
-	if s.workers > 1 {
-		return s.influenceParallel(uid, n, false)
+	if s.mode.workers > 1 {
+		return s.influenceParallel(q, uid, n, false)
 	}
 	return s.queryCounted(q.ctx,
 		`MATCH (a:user {uid: $uid})<-[:mentions]-(t:tweet)<-[:posts]-(m:user)
@@ -456,18 +458,14 @@ func (s *NeoStore) PotentialInfluence(uid int64, n int) (out []Counted, err erro
 }
 
 // ShortestPathLength implements Q6.1 via the Cypher shortestPath
-// function with the paper's hop bound. With Workers > 1 it runs the
-// same bidirectional search imperatively with frontier-parallel levels
-// (ShortestPathLength on the engine), returning the identical
+// function with the paper's hop bound. Tuned runs it as the spmat
+// direction-optimizing BFS instead, returning the identical
 // (length, found) pair.
 func (s *NeoStore) ShortestPathLength(fromUID, toUID int64, maxHops int) (length int, found bool, err error) {
 	q := s.beginQuery("ShortestPathLength")
 	defer func() { q.finish(err, boolRows(found)) }()
-	if s.method != spmat.MethodNav {
+	if s.mode.gate {
 		return s.shortestPathMatrix(q, fromUID, toUID, maxHops)
-	}
-	if s.workers > 1 {
-		return s.shortestPathParallel(q.ctx, fromUID, toUID, maxHops)
 	}
 	res, err := s.query(q.ctx, fmt.Sprintf(
 		`MATCH (a:user {uid: $a}), (b:user {uid: $b}),

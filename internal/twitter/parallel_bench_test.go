@@ -2,15 +2,15 @@ package twitter_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"twigraph/internal/gen"
+	"twigraph/internal/spmat"
 	"twigraph/internal/twitter"
 )
 
 // benchCfg is larger than the differential config so the frontiers are
-// wide enough for sharding to matter.
+// wide enough for sharding and the density gate to matter.
 func benchCfg() gen.Config {
 	cfg := gen.Default()
 	cfg.Users = 1500
@@ -23,21 +23,15 @@ func benchCfg() gen.Config {
 
 var benchProbes = []int64{1, 2, 3, 5, 17, 42, 100, 700, 1499}
 
-// benchWorkloads compares each multi-hop query at Workers=1 against
-// Workers=GOMAXPROCS on both engines; one op sweeps all probes.
+// benchWorkloads compares each multi-hop query under Faithful and
+// Tuned on both engines; one op sweeps all probes.
 func benchWorkloads(b *testing.B, sweep func(s twitter.Store) error) {
 	neo, spark, _ := buildBoth(b, benchCfg())
-	// At least 2 workers for the parallel arm, so the sharded paths run
-	// even on single-core machines.
-	wN := runtime.GOMAXPROCS(0)
-	if wN < 2 {
-		wN = 2
-	}
-	for _, s := range []workerStore{neo, spark} {
-		for _, wk := range []int{1, wN} {
-			b.Run(fmt.Sprintf("%s/w%d", s.Name(), wk), func(b *testing.B) {
-				s.SetWorkers(wk)
-				defer s.SetWorkers(0)
+	for _, s := range []profileStore{neo, spark} {
+		for _, p := range []spmat.Profile{spmat.Faithful, spmat.Tuned} {
+			b.Run(fmt.Sprintf("%s/%v", s.Name(), p), func(b *testing.B) {
+				s.SetProfile(p)
+				defer s.SetProfile(spmat.Tuned)
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if err := sweep(s); err != nil {

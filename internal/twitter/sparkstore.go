@@ -22,12 +22,11 @@ import (
 type SparkStore struct {
 	db *sparkdb.DB
 
-	workers  int             // per-query parallelism (1 = sequential)
+	mode     execMode        // what the profile resolves to (Tuned by default)
 	timeout  time.Duration   // per-query deadline; 0 = unbounded
 	baseCtx  context.Context // parent of every query ctx; nil = Background
 	parm     par.Metrics     // shard/merge counters on the engine registry
 	qLatency *obs.Histogram  // per-query wall time (query_latency)
-	method   spmat.Method    // nav (default), matrix, or auto
 	spm      *spmat.Metrics  // plan-choice and kernel-round counters
 	accPool  spmat.AccumPool
 
@@ -40,9 +39,9 @@ type SparkStore struct {
 }
 
 // NewSparkStore wraps an opened sparkdb database whose schema matches
-// the generator layout.
+// the generator layout, running the Tuned profile.
 func NewSparkStore(db *sparkdb.DB) (*SparkStore, error) {
-	s := &SparkStore{db: db, workers: par.Workers(0), parm: par.MetricsFrom(db.Obs()),
+	s := &SparkStore{db: db, mode: profileMode(spmat.Tuned), parm: par.MetricsFrom(db.Obs()),
 		qLatency: db.Obs().Histogram(QueryLatencyHist)}
 	// Shard executions of the parallel workload paths land on the
 	// engine's timeline next to its spans.
@@ -74,13 +73,13 @@ func NewSparkStore(db *sparkdb.DB) (*SparkStore, error) {
 // Name implements Store.
 func (s *SparkStore) Name() string { return "sparksee" }
 
-// SetWorkers sets the per-query parallelism. n = 1 forces sequential
-// execution; n <= 0 resets to the default (GOMAXPROCS). Results are
-// identical for every setting — only latency changes.
-func (s *SparkStore) SetWorkers(n int) { s.workers = par.Workers(n) }
-
-// Workers returns the current per-query parallelism.
-func (s *SparkStore) Workers() int { return s.workers }
+// SetProfile selects how the multi-hop queries (Q3.1–Q6.1) execute.
+// Faithful runs the navigation operations one query at a time, as the
+// paper did. Tuned sends dense hops to the spmat kernels
+// (sparkstore_matrix.go) and shards the navigation of sparse ones
+// across GOMAXPROCS workers. Every profile returns byte-identical
+// results. Not synchronised, like SetQueryTimeout.
+func (s *SparkStore) SetProfile(p spmat.Profile) { s.mode = profileMode(p) }
 
 // SetQueryTimeout bounds every subsequent navigation query by d.
 // Queries that run past the deadline abort with a context error and
@@ -234,7 +233,7 @@ func (s *SparkStore) CoMentionedUsers(uid int64, n int) (out []Counted, err erro
 	if !ok {
 		return nil, nil
 	}
-	if s.method != spmat.MethodNav {
+	if s.mode.gate {
 		if res, used, merr := s.coMentionedMatrix(q, a, n); used {
 			return res, merr
 		}
@@ -244,7 +243,7 @@ func (s *SparkStore) CoMentionedUsers(uid int64, n int) (out []Counted, err erro
 	// engine's path counting does. The first-hop edge list is the
 	// sharding frontier; each worker counts into a private map.
 	mentionsIn := s.db.Explode(a, s.mentions, graph.Incoming).Slice()
-	counts := par.CountSharded(par.WorkersForSize(s.workers, len(mentionsIn), minItemsPerShard), s.parm, mentionsIn, func(e1 uint64, acc map[uint64]int64) {
+	counts, err := s.countSharded(q, mentionsIn, func(e1 uint64, acc map[uint64]int64) {
 		t, _, err := s.db.EdgeEndpoints(e1)
 		if err != nil {
 			return
@@ -258,6 +257,9 @@ func (s *SparkStore) CoMentionedUsers(uid int64, n int) (out []Counted, err erro
 			return true
 		})
 	})
+	if err != nil {
+		return nil, err
+	}
 	return s.topN(counts, n), nil
 }
 
@@ -269,13 +271,13 @@ func (s *SparkStore) CoOccurringHashtags(tag string, n int) (out []CountedTag, e
 	if !ok {
 		return nil, nil
 	}
-	if s.method != spmat.MethodNav {
+	if s.mode.gate {
 		if res, used, merr := s.coOccurringTagsMatrix(q, h, n); used {
 			return res, merr
 		}
 	}
 	tagsIn := s.db.Explode(h, s.tags, graph.Incoming).Slice()
-	counts := par.CountSharded(par.WorkersForSize(s.workers, len(tagsIn), minItemsPerShard), s.parm, tagsIn, func(e1 uint64, acc map[uint64]int64) {
+	counts, err := s.countSharded(q, tagsIn, func(e1 uint64, acc map[uint64]int64) {
 		t, _, err := s.db.EdgeEndpoints(e1)
 		if err != nil {
 			return
@@ -288,6 +290,9 @@ func (s *SparkStore) CoOccurringHashtags(tag string, n int) (out []CountedTag, e
 			return true
 		})
 	})
+	if err != nil {
+		return nil, err
+	}
 	out = make([]CountedTag, 0, len(counts))
 	for oid, c := range counts {
 		out = append(out, CountedTag{Tag: s.db.GetAttribute(oid, s.tagAttr).Str(), Count: c})
@@ -309,7 +314,7 @@ func (s *SparkStore) RecommendFollowees(uid int64, n int) (out []Counted, err er
 	if !ok {
 		return nil, nil
 	}
-	if s.method != spmat.MethodNav {
+	if s.mode.gate {
 		if res, used, merr := s.recommendMatrix(q, a, n, graph.Outgoing); used {
 			return res, merr
 		}
@@ -320,7 +325,7 @@ func (s *SparkStore) RecommendFollowees(uid int64, n int) (out []Counted, err er
 	// Workers share the read-only direct set and count into private
 	// maps, merged in shard order.
 	followEdges := s.db.Explode(a, s.follows, graph.Outgoing).Slice()
-	counts := par.CountSharded(par.WorkersForSize(s.workers, len(followEdges), minItemsPerShard), s.parm, followEdges, func(e1 uint64, acc map[uint64]int64) {
+	counts, err := s.countSharded(q, followEdges, func(e1 uint64, acc map[uint64]int64) {
 		_, f, err := s.db.EdgeEndpoints(e1)
 		if err != nil {
 			return
@@ -333,6 +338,9 @@ func (s *SparkStore) RecommendFollowees(uid int64, n int) (out []Counted, err er
 			return true
 		})
 	})
+	if err != nil {
+		return nil, err
+	}
 	return s.topN(counts, n), nil
 }
 
@@ -385,14 +393,14 @@ func (s *SparkStore) RecommendFollowersOfFollowees(uid int64, n int) (out []Coun
 	if !ok {
 		return nil, nil
 	}
-	if s.method != spmat.MethodNav {
+	if s.mode.gate {
 		if res, used, merr := s.recommendMatrix(q, a, n, graph.Incoming); used {
 			return res, merr
 		}
 	}
 	direct := s.db.Neighbors(a, s.follows, graph.Outgoing)
 	followEdges := s.db.Explode(a, s.follows, graph.Outgoing).Slice()
-	counts := par.CountSharded(par.WorkersForSize(s.workers, len(followEdges), minItemsPerShard), s.parm, followEdges, func(e1 uint64, acc map[uint64]int64) {
+	counts, err := s.countSharded(q, followEdges, func(e1 uint64, acc map[uint64]int64) {
 		_, f, err := s.db.EdgeEndpoints(e1)
 		if err != nil {
 			return
@@ -405,6 +413,9 @@ func (s *SparkStore) RecommendFollowersOfFollowees(uid int64, n int) (out []Coun
 			return true
 		})
 	})
+	if err != nil {
+		return nil, err
+	}
 	return s.topN(counts, n), nil
 }
 
@@ -429,13 +440,13 @@ func (s *SparkStore) influence(q *runningQuery, uid int64, n int, keepFollowers 
 	if !ok {
 		return nil, nil
 	}
-	if s.method != spmat.MethodNav {
+	if s.mode.gate {
 		if res, used, merr := s.influenceMatrix(q, a, n, keepFollowers); used {
 			return res, merr
 		}
 	}
 	mentionsIn := s.db.Explode(a, s.mentions, graph.Incoming).Slice()
-	counts := par.CountSharded(par.WorkersForSize(s.workers, len(mentionsIn), minItemsPerShard), s.parm, mentionsIn, func(e1 uint64, acc map[uint64]int64) {
+	counts, err := s.countSharded(q, mentionsIn, func(e1 uint64, acc map[uint64]int64) {
 		t, _, err := s.db.EdgeEndpoints(e1)
 		if err != nil {
 			return
@@ -448,6 +459,9 @@ func (s *SparkStore) influence(q *runningQuery, uid int64, n int, keepFollowers 
 			return true
 		})
 	})
+	if err != nil {
+		return nil, err
+	}
 	followers := s.db.Neighbors(a, s.follows, graph.Incoming)
 	for m := range counts {
 		if followers.Contains(m) != keepFollowers {
@@ -458,11 +472,11 @@ func (s *SparkStore) influence(q *runningQuery, uid int64, n int, keepFollowers 
 }
 
 // ShortestPathLength implements Q6.1 via the native shortest-path
-// machinery with the paper's 3-hop bound. With Workers > 1 the BFS
-// expands each level's frontier across worker shards
-// (SinglePairShortestPathLength); with Workers = 1 it runs the classic
-// path-materialising BFS. Both return the same (length, found) pair —
-// a node's BFS level does not depend on expansion order.
+// machinery with the paper's 3-hop bound: the classic
+// path-materialising BFS. Tuned runs it as the spmat
+// direction-optimizing BFS instead; both return the same
+// (length, found) pair — a node's BFS level does not depend on
+// expansion order.
 func (s *SparkStore) ShortestPathLength(fromUID, toUID int64, maxHops int) (length int, found bool, err error) {
 	q := s.beginQuery("ShortestPathLength")
 	defer func() { q.finish(err, boolRows(found)) }()
@@ -474,17 +488,20 @@ func (s *SparkStore) ShortestPathLength(fromUID, toUID int64, maxHops int) (leng
 	if !ok {
 		return 0, false, nil
 	}
-	if s.method != spmat.MethodNav {
+	if s.mode.gate {
 		return s.shortestPathMatrix(q, a, b, maxHops)
-	}
-	if s.workers > 1 {
-		return s.db.SinglePairShortestPathLengthCtx(q.ctx, a, b, []graph.TypeID{s.follows}, graph.Outgoing, maxHops, s.workers)
 	}
 	path, found, err := s.db.SinglePairShortestPathBFSCtx(q.ctx, a, b, []graph.TypeID{s.follows}, graph.Outgoing, maxHops)
 	if err != nil || !found {
 		return 0, false, err
 	}
 	return len(path) - 1, true, nil
+}
+
+// countSharded fans items out across the store's workers, bounded by
+// the query context (see the generic countSharded).
+func (s *SparkStore) countSharded(q *runningQuery, items []uint64, visit func(item uint64, acc map[uint64]int64)) (map[uint64]int64, error) {
+	return countSharded(q, s.db.CheckCtx, s.mode, s.parm, items, visit)
 }
 
 // topN materialises the counting map, sorts it, and trims to n — the
