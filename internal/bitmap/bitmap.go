@@ -153,42 +153,81 @@ func (b *Bitmap) Max() (uint64, bool) {
 
 // ForEach calls fn for every value in ascending order until fn returns
 // false.
-func (b *Bitmap) ForEach(fn func(uint64) bool) {
-	for _, c := range b.containers {
-		base := c.key << containerBits
-		if c.array != nil {
-			for _, low := range c.array {
-				if !fn(base | uint64(low)) {
-					return
-				}
-			}
-			continue
+func (b *Bitmap) ForEach(fn func(uint64) bool) { b.ForEachFrom(0, fn) }
+
+// ForEachFrom calls fn for every value from the rank-th smallest on
+// (rank 0 is the minimum), in ascending order, until fn returns false.
+// It skips whole containers by their cardinality and, inside the first
+// one it visits, whole runs or bitset words, so parallel readers can
+// each walk their own rank range without materialising the set.
+func (b *Bitmap) ForEachFrom(rank int, fn func(uint64) bool) {
+	i := 0
+	for ; i < len(b.containers); i++ {
+		n := b.containers[i].cardinality()
+		if rank < n {
+			break
 		}
-		if c.runs != nil {
-			for _, r := range c.runs {
-				v := r.start
-				for {
-					if !fn(base | uint64(v)) {
-						return
-					}
-					if v == r.last() {
-						break
-					}
-					v++
-				}
-			}
-			continue
+		rank -= n
+	}
+	for _, c := range b.containers[i:] {
+		if !c.forEachFrom(rank, fn) {
+			return
 		}
-		for w, word := range c.set {
-			for word != 0 {
-				t := bits.TrailingZeros64(word)
-				if !fn(base | uint64(w*64+t)) {
-					return
-				}
-				word &^= 1 << t
+		rank = 0
+	}
+}
+
+// forEachFrom calls fn for the container's values from the skip-th on,
+// in ascending order, and reports false once fn has.
+func (c *container) forEachFrom(skip int, fn func(uint64) bool) bool {
+	base := c.key << containerBits
+	if c.array != nil {
+		for _, low := range c.array[skip:] {
+			if !fn(base | uint64(low)) {
+				return false
 			}
+		}
+		return true
+	}
+	if c.runs != nil {
+		for _, r := range c.runs {
+			if n := int(r.length) + 1; skip >= n {
+				skip -= n
+				continue
+			}
+			v := r.start + uint16(skip)
+			skip = 0
+			for {
+				if !fn(base | uint64(v)) {
+					return false
+				}
+				if v == r.last() {
+					break
+				}
+				v++
+			}
+		}
+		return true
+	}
+	for w, word := range c.set {
+		if skip > 0 {
+			if n := bits.OnesCount64(word); skip >= n {
+				skip -= n
+				continue
+			}
+			for ; skip > 0; skip-- {
+				word &= word - 1 // drop the lowest set bit
+			}
+		}
+		for word != 0 {
+			t := bits.TrailingZeros64(word)
+			if !fn(base | uint64(w*64+t)) {
+				return false
+			}
+			word &^= 1 << t
 		}
 	}
+	return true
 }
 
 // Slice returns all values in ascending order.

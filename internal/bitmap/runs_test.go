@@ -448,3 +448,41 @@ func BenchmarkAndCardinalityRunRun(b *testing.B) {
 		}
 	}
 }
+
+// TestForEachFromMatchesSlice: a walk from any rank visits exactly the
+// values of Slice from that index on, over arrays, runs and bitsets,
+// plain and optimized, and stops when fn does.
+func TestForEachFromMatchesSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for iter := 0; iter < 40; iter++ {
+		b := fromValues(shapeValues(rng))
+		if iter%2 == 1 {
+			b.Optimize()
+		}
+		all := b.Slice()
+		ranks := []int{0, len(all) / 2, len(all) - 1, len(all), len(all) + 5}
+		for k := 0; k < 8; k++ {
+			ranks = append(ranks, rng.Intn(len(all)+1))
+		}
+		for _, rank := range ranks {
+			limit := 1 + rng.Intn(3000)
+			var got []uint64
+			b.ForEachFrom(rank, func(v uint64) bool {
+				got = append(got, v)
+				return len(got) < limit
+			})
+			var want []uint64
+			if rank < len(all) {
+				want = all[rank:min(len(all), rank+limit)]
+			}
+			if len(got) != len(want) {
+				t.Fatalf("iter %d rank %d limit %d: %d values, want %d", iter, rank, limit, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("iter %d rank %d: value %d is %d, want %d", iter, rank, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

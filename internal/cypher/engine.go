@@ -8,6 +8,7 @@ import (
 	"twigraph/internal/graph"
 	"twigraph/internal/neodb"
 	"twigraph/internal/obs"
+	"twigraph/internal/par"
 	"twigraph/internal/qstats"
 	"twigraph/internal/spmat"
 )
@@ -25,28 +26,36 @@ type Engine struct {
 	cacheHits   uint64
 	cacheMisses uint64
 	matrix      matrixMode
+	workers     int // goroutines a label scan or projection may fork
 
-	spm *spmat.Metrics
+	spm  *spmat.Metrics
+	parm par.Metrics
 }
 
 // NewEngine creates an engine with the plan cache enabled, running the
 // Tuned profile.
 func NewEngine(db *neodb.DB) *Engine {
-	return &Engine{db: db, cache: make(map[string]*Prepared), cacheOn: true,
-		matrix: matrixGated, spm: spmat.MetricsFrom(db.Obs())}
+	e := &Engine{db: db, cache: make(map[string]*Prepared), cacheOn: true,
+		spm: spmat.MetricsFrom(db.Obs()), parm: par.MetricsFrom(db.Obs())}
+	e.parm.Trace = db.Trace()
+	e.SetProfile(spmat.Tuned)
+	return e
 }
 
-// SetProfile selects how eligible var-length expansions execute:
-// Tuned gates each input row on its frontier density and runs dense
-// ones as the algebraic row-gather of internal/spmat; Faithful always
-// runs the DFS enumeration. Plans are unaffected — the choice is
-// per-execution state, so cached plans honour the current setting.
+// SetProfile selects how a plan executes. Tuned gates each eligible
+// var-length expansion on its frontier density, running dense ones as
+// the algebraic row-gather of internal/spmat, and splits large label
+// scans and projections into morsels run on GOMAXPROCS workers.
+// Faithful always runs the DFS enumeration, on one goroutine. Plans
+// are unaffected — the choice is per-execution state, so cached plans
+// honour the current setting.
 func (e *Engine) SetProfile(p spmat.Profile) {
-	m := matrixGated
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.matrix, e.workers = matrixGated, par.Workers(0)
 	if p == spmat.Faithful {
-		m = matrixOff
+		e.matrix, e.workers = matrixOff, 1
 	}
-	e.setMatrixMode(m)
 }
 
 func (e *Engine) setMatrixMode(m matrixMode) {
@@ -55,10 +64,10 @@ func (e *Engine) setMatrixMode(m matrixMode) {
 	e.matrix = m
 }
 
-func (e *Engine) mode() matrixMode {
+func (e *Engine) mode() (matrixMode, int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.matrix
+	return e.matrix, e.workers
 }
 
 // DB returns the underlying database.
@@ -200,7 +209,10 @@ func (e *Engine) prepare(query string) (*Prepared, bool, time.Duration, error) {
 
 func (e *Engine) execute(ctx context.Context, prep *Prepared, params map[string]graph.Value, cached bool, compileTime time.Duration) (*Result, error) {
 	ec := &execCtx{db: e.db, rd: e.db.Reader(), ctx: ctx, params: params, profileOps: prep.profiled,
-		matrix: e.mode(), spm: e.spm, buf: batchPool.Get().(*batchBufs)}
+		spm: e.spm, parm: e.parm, buf: batchPool.Get().(*batchBufs)}
+	ec.matrix, ec.workers = e.mode()
+	e.db.HoldReader()
+	defer e.db.ReleaseReader()
 	defer ec.rd.Close()
 	defer ec.buf.release()
 	res := &Result{Columns: prep.columns}
@@ -290,8 +302,11 @@ func (e *Engine) execute(ctx context.Context, prep *Prepared, params map[string]
 			prof.Stages = append(prof.Stages, sp)
 		}
 	}
-	for _, r := range rows {
-		res.Rows = append(res.Rows, []any(r))
+	if len(rows) > 0 {
+		res.Rows = make([][]any, len(rows))
+		for i, r := range rows {
+			res.Rows[i] = r
+		}
 	}
 	if root != nil {
 		root.SetRows(len(res.Rows))

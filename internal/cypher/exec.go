@@ -3,13 +3,14 @@ package cypher
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
 	"twigraph/internal/bitmap"
 	"twigraph/internal/graph"
 	"twigraph/internal/neodb"
+	"twigraph/internal/par"
 	"twigraph/internal/spmat"
 )
 
@@ -45,6 +46,14 @@ type execCtx struct {
 	matrix  matrixMode
 	spm     *spmat.Metrics
 	accPool spmat.AccumPool
+
+	// Morsel-parallel execution: how many goroutines a label scan or a
+	// projection may fork (1 under Faithful), the engine's shard and
+	// merge counters, and whether this is a forked worker's context,
+	// whose detected aborts the forking execution counts.
+	workers int
+	parm    par.Metrics
+	worker  bool
 
 	// PROFILE per-operator accounting: when profileOps is set, a match
 	// stage fills ops with one accumulator per step, summed across every
@@ -91,7 +100,9 @@ func (ec *execCtx) ctxErr() error {
 		return nil
 	}
 	if err := ec.ctx.Err(); err != nil {
-		ec.db.CountQueryAbort(err)
+		if !ec.worker {
+			ec.db.CountQueryAbort(err)
+		}
 		return fmt.Errorf("cypher: query aborted: %w", err)
 	}
 	return nil
@@ -276,17 +287,24 @@ func (w *where) admit(ec *execCtx, r row) (bool, error) {
 // is only read, so steps pass their input row or one scratch row per
 // input row; only admitted candidates are copied and boxed.
 func (w *where) emit(ec *execCtx, cand row, slot int, id NodeRef, out []row) ([]row, error) {
-	if len(w.preds) > 0 {
-		ec.candOn, ec.candSlot, ec.cand = true, slot, id
-		ok, err := w.admit(ec, cand)
-		ec.candOn = false
-		if err != nil || !ok {
-			return out, err
-		}
+	if ok, err := w.admits(ec, cand, slot, id); err != nil || !ok {
+		return out, err
 	}
 	nr := cloneRow(cand)
 	nr[slot] = id
 	return append(out, nr), nil
+}
+
+// admits reports whether the conjuncts after the batched ones hold on
+// the candidate "cand with node id bound at slot".
+func (w *where) admits(ec *execCtx, cand row, slot int, id NodeRef) (bool, error) {
+	if len(w.preds) == len(w.cmps) {
+		return true, nil
+	}
+	ec.candOn, ec.candSlot, ec.cand = true, slot, id
+	ok, err := w.admit(ec, cand)
+	ec.candOn = false
+	return ok, err
 }
 
 // nodeAt returns the node bound at slot of r, seeing the candidate
@@ -312,6 +330,11 @@ func (ec *execCtx) cellAt(r row, slot int) any {
 // collects batchSize candidates at a time and emits the survivors of
 // the batched conjuncts.
 func (w *where) scan(ec *execCtx, r row, slot int, ids *bitmap.Bitmap, out []row) ([]row, error) {
+	if ec.workers > 1 {
+		if out, forked, err := w.scanMorsels(ec, r, slot, ids, out); forked {
+			return out, err
+		}
+	}
 	var err error
 	batch := ec.buf.ids[:0]
 	ids.ForEach(func(id uint64) bool {
@@ -328,8 +351,9 @@ func (w *where) scan(ec *execCtx, r row, slot int, ids *bitmap.Bitmap, out []row
 }
 
 // scanBatch narrows a batch of candidates by each batched conjunct in
-// turn, then emits the survivors through the remaining conjuncts. It
-// reuses batch's array.
+// turn, then emits the survivors through the remaining conjuncts, as
+// emit does, but into rows cut from one backing array. It reuses
+// batch's array.
 func (w *where) scanBatch(ec *execCtx, r row, slot int, batch []graph.NodeID, out []row) ([]row, error) {
 	if err := ec.tickN(len(batch)); err != nil {
 		return out, err
@@ -340,11 +364,22 @@ func (w *where) scanBatch(ec *execCtx, r row, slot int, batch []graph.NodeID, ou
 			return out, err
 		}
 	}
+	if len(batch) == 0 {
+		return out, nil
+	}
+	width := len(r)
+	cells := make([]any, len(batch)*width)
 	for _, id := range batch {
-		var err error
-		if out, err = w.emit(ec, r, slot, NodeRef(id), out); err != nil {
+		if ok, err := w.admits(ec, r, slot, NodeRef(id)); err != nil {
 			return out, err
+		} else if !ok {
+			continue
 		}
+		nr := row(cells[:width:width])
+		cells = cells[width:]
+		copy(nr, r)
+		nr[slot] = NodeRef(id)
+		out = append(out, nr)
 	}
 	return out, nil
 }
@@ -871,9 +906,12 @@ func (st *projectStage) run(ec *execCtx, in []row) ([]row, error) {
 	if st.hasAgg {
 		rows, err = st.aggregate(ec, in)
 	} else {
+		// One backing array holds every output row.
+		width := len(st.clause.Items)
+		cells := make([]any, len(in)*width)
 		rows = make([]projRow, len(in))
 		for k, r := range in {
-			rows[k] = projRow{out: make(row, len(st.clause.Items)), in: r}
+			rows[k] = projRow{out: cells[k*width : (k+1)*width : (k+1)*width], in: r}
 		}
 		err = st.project(ec, rows, st.clause.Items)
 	}
@@ -907,46 +945,47 @@ func (st *projectStage) run(ec *execCtx, in []row) ([]row, error) {
 		}
 		rows = filtered
 	}
+	out := make([]row, len(rows))
 	// ORDER BY: expressions may reference projected aliases or (for
 	// non-aggregating projections) original variables.
 	if len(st.clause.OrderBy) > 0 {
-		keys := make([][]any, len(rows))
+		// Row i's sort keys are keys[i*nk : (i+1)*nk].
+		nk := len(st.clause.OrderBy)
+		keys := make([]any, len(rows)*nk)
 		for i, r := range rows {
-			ks := make([]any, len(st.clause.OrderBy))
 			for j, si := range st.clause.OrderBy {
 				v, err := st.evalPost(ec, si.Expr, r)
 				if err != nil {
 					return nil, err
 				}
-				ks[j] = v
+				keys[i*nk+j] = v
 			}
-			keys[i] = ks
 		}
 		idxs := make([]int, len(rows))
 		for i := range idxs {
 			idxs[i] = i
 		}
-		sort.SliceStable(idxs, func(a, b int) bool {
+		// Ties keep input order: the index breaks them, so the unstable
+		// sort gives the stable order.
+		slices.SortFunc(idxs, func(a, b int) int {
+			ka, kb := keys[a*nk:], keys[b*nk:]
 			for j, si := range st.clause.OrderBy {
-				c := cellCompare(keys[idxs[a]][j], keys[idxs[b]][j])
-				if c != 0 {
+				if c := cellCompare(ka[j], kb[j]); c != 0 {
 					if si.Desc {
-						return c > 0
+						return -c
 					}
-					return c < 0
+					return c
 				}
 			}
-			return false
+			return a - b
 		})
-		sorted := make([]projRow, len(rows))
 		for i, ix := range idxs {
-			sorted[i] = rows[ix]
+			out[i] = rows[ix].out
 		}
-		rows = sorted
-	}
-	out := make([]row, len(rows))
-	for i, r := range rows {
-		out[i] = r.out
+	} else {
+		for i, r := range rows {
+			out[i] = r.out
+		}
 	}
 	// SKIP / LIMIT.
 	if st.clause.Skip != nil {
@@ -983,29 +1022,44 @@ func rowKey(r row) string {
 // project evaluates items[j] over each row's input into its out[j], a
 // column of batchSize rows at a time, polling the context once per
 // batch: an item `v.key` over a bound variable with one property run,
-// any other item row by row.
+// any other item row by row. Under Tuned, enough rows run as morsels
+// on forked workers, each writing only its own rows.
 func (st *projectStage) project(ec *execCtx, rows []projRow, items []ReturnItem) error {
-	for lo := 0; lo < len(rows); lo += batchSize {
-		batch := rows[lo:min(lo+batchSize, len(rows))]
-		if err := ec.tickN(len(batch)); err != nil {
+	if ec.morselWorkers(len(rows)) > 1 {
+		if forked, err := ec.forkMorsels(len(rows), func(wc *execCtx, _, m int) error {
+			return st.projectBatch(wc, rows[m*batchSize:min((m+1)*batchSize, len(rows))], items)
+		}); forked {
 			return err
 		}
-		for j, it := range items {
-			if pa, ok := it.Expr.(*PropAccess); ok {
-				if slot, ok := lookupVar(st.inVars, pa.Var); ok {
-					if err := ec.propColumn(batch, slot, pa.Key, j); err != nil {
-						return err
-					}
-					continue
-				}
-			}
-			for _, r := range batch {
-				v, err := evalExpr(ec, st.inVars, it.Expr, r.in)
-				if err != nil {
+	}
+	for lo := 0; lo < len(rows); lo += batchSize {
+		if err := st.projectBatch(ec, rows[lo:min(lo+batchSize, len(rows))], items); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// projectBatch is project over one batch of at most batchSize rows.
+func (st *projectStage) projectBatch(ec *execCtx, batch []projRow, items []ReturnItem) error {
+	if err := ec.tickN(len(batch)); err != nil {
+		return err
+	}
+	for j, it := range items {
+		if pa, ok := it.Expr.(*PropAccess); ok {
+			if slot, ok := lookupVar(st.inVars, pa.Var); ok {
+				if err := ec.propColumn(batch, slot, pa.Key, j); err != nil {
 					return err
 				}
-				r.out[j] = v
+				continue
 			}
+		}
+		for _, r := range batch {
+			v, err := evalExpr(ec, st.inVars, it.Expr, r.in)
+			if err != nil {
+				return err
+			}
+			r.out[j] = v
 		}
 	}
 	return nil

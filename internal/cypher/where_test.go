@@ -4,11 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"twigraph/internal/graph"
 	"twigraph/internal/neodb"
+	"twigraph/internal/par"
+	"twigraph/internal/spmat"
 )
 
 // newWhereEngine builds a small graph for the WHERE-placement tests:
@@ -266,10 +271,14 @@ func newScanEngine(t *testing.T, dir string, n, cachePages int) *Engine {
 // TestScanRejectsWithoutAllocating pins the scan path's allocation
 // profile: a label scan whose WHERE rejects every node allocates the
 // same fixed amount whatever the label's size — no per-candidate row,
-// boxed binding or boxed comparison result.
+// boxed binding or boxed comparison result. Under Tuned the labels are
+// large enough to split into morsels, which add a fixed number of
+// allocations per scan (workers, their contexts, the morsel table) but
+// none per morsel or candidate either.
 func TestScanRejectsWithoutAllocating(t *testing.T) {
-	allocs := func(n int) float64 {
+	allocs := func(p spmat.Profile, n int) float64 {
 		e := newScanEngine(t, t.TempDir(), n, 64)
+		e.SetProfile(p)
 		q := `MATCH (x:u) WHERE x.v > $th RETURN x.v`
 		params := map[string]graph.Value{"th": graph.IntValue(int64(n))}
 		if res := mustQuery(t, e, q, params); len(res.Rows) != 0 {
@@ -281,11 +290,17 @@ func TestScanRejectsWithoutAllocating(t *testing.T) {
 			}
 		})
 	}
-	// A per-candidate allocation would add about 2900 here; the slack
-	// only absorbs background allocations the process-wide count sees.
-	small, large := allocs(100), allocs(3000)
-	if large > small+10 {
-		t.Errorf("allocations per query: %v for 100 nodes, %v for 3000", small, large)
+	// A per-candidate allocation would add about 2900 (Faithful) or
+	// 45000 (Tuned) here; the slack only absorbs background allocations
+	// the process-wide count sees.
+	for _, c := range []struct {
+		p            spmat.Profile
+		small, large int
+	}{{spmat.Faithful, 100, 3000}, {spmat.Tuned, 5000, 50000}} {
+		small, large := allocs(c.p, c.small), allocs(c.p, c.large)
+		if large > small+10 {
+			t.Errorf("%s: allocations per query: %v for %d nodes, %v for %d", c.p, small, c.small, large, c.large)
+		}
 	}
 }
 
@@ -395,7 +410,8 @@ func TestReaderPinsReleased(t *testing.T) {
 // stores larger than the cache. A page can only be evicted from its own
 // stripe, and each executing query keeps at most one page of each store
 // file pinned, so up to 8 concurrent queries can never find a stripe
-// fully pinned.
+// fully pinned. Under Tuned a scan forks workers, with a Reader each,
+// only while the database's open Readers fit in a stripe.
 func TestConcurrentScansOnStripedCache(t *testing.T) {
 	const n = 20000 // node records span 79 pages, property records 59
 	e := newScanEngine(t, t.TempDir(), n, 64)
@@ -425,12 +441,58 @@ func TestConcurrentScansOnStripedCache(t *testing.T) {
 	}
 }
 
-// buildDiffStore writes the differential tests' store into dir: 2600
+// TestConcurrentForksShareReaders runs Tuned scans from two engines at
+// once over one database on a 2-page cache. Serially, two queries fit:
+// each pins at most one page per file. One engine scans back to back,
+// so it mostly finds a frame to spare and forks a second worker; the
+// other starts a scan every so often, while the first one's workers
+// hold both frames. Borrowed Readers must make way, so no scan finds a
+// cache fully pinned.
+func TestConcurrentForksShareReaders(t *testing.T) {
+	const n = 5000
+	a := newScanEngine(t, t.TempDir(), n, 2)
+	b := NewEngine(a.DB())
+	scan := func(e *Engine, th int64) error {
+		res, err := e.Query(`MATCH (x:u) WHERE x.v > $th RETURN x.v`,
+			map[string]graph.Value{"th": graph.IntValue(th)})
+		if err == nil && int64(len(res.Rows)) != n-th {
+			err = fmt.Errorf("th %d: %d rows, want %d", th, len(res.Rows), n-th)
+		}
+		return err
+	}
+	done := make(chan error)
+	go func() {
+		for i := 0; i < 200; i++ {
+			if err := scan(a, int64(i)); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Error(err)
+			}
+			return
+		case <-time.After(100 * time.Microsecond):
+			if err := scan(b, n/2); err != nil {
+				t.Error(err)
+				<-done
+				return
+			}
+		}
+	}
+}
+
+// buildDiffStore writes the differential tests' store into dir: n
 // nodes of label u (2 with label v in between) whose properties mix
 // ints, floats, short and multi-block strings and missing keys, with
 // padding so property chains run across page boundaries; every 7th u
 // node is then deleted, leaving holes in the label bitmap.
-func buildDiffStore(t *testing.T, dir string) {
+func buildDiffStore(t *testing.T, dir string, n int) {
 	t.Helper()
 	db, err := neodb.Open(dir, neodb.Config{CachePages: 64})
 	if err != nil {
@@ -439,7 +501,7 @@ func buildDiffStore(t *testing.T, dir string) {
 	u, v := db.Label("u"), db.Label("v")
 	tx := db.Begin()
 	var dead []graph.NodeID
-	for i := 0; i < 2600; i++ {
+	for i := 0; i < n; i++ {
 		props := graph.Properties{"id": graph.IntValue(int64(i))}
 		switch i % 5 {
 		case 0:
@@ -490,9 +552,43 @@ func buildDiffStore(t *testing.T, dir string) {
 // the registry's delta.
 func TestPlacedWhereMatchesPostProjection(t *testing.T) {
 	dir := t.TempDir()
-	buildDiffStore(t, dir)
-	params := map[string]graph.Value{"th": graph.IntValue(40), "f": graph.FloatValue(30.5), "str": graph.StringValue("m")}
-	preds := []string{
+	buildDiffStore(t, dir, 2600)
+	for _, pages := range []int{1, 64} {
+		e := newScanEngine(t, dir, 0, pages)
+		db := e.DB()
+		for _, p := range diffPreds {
+			ret := ` RETURN x.id AS id, x.a AS a, x.s AS s, x.b AS b ORDER BY id`
+			placed := `MATCH (x:u) WHERE ` + p + ret
+			post := `MATCH (x:u) WITH x WHERE ` + p + ret
+			before := db.RecordFetches()
+			want := mustQuery(t, e, post, diffParams)
+			postHits := db.RecordFetches() - before
+			before = db.RecordFetches()
+			got := mustQuery(t, e, "PROFILE "+placed, diffParams)
+			placedHits := db.RecordFetches() - before
+			if rowsText(got) != rowsText(want) {
+				t.Errorf("%d pages, WHERE %s: %d rows placed, %d after projection", pages, p, len(got.Rows), len(want.Rows))
+			}
+			if got.Profile.TotalDBHits != placedHits {
+				t.Errorf("%d pages, WHERE %s: PROFILE db hits %d, registry delta %d", pages, p, got.Profile.TotalDBHits, placedHits)
+			}
+			if placedHits != postHits {
+				t.Errorf("%d pages, WHERE %s: %d records read placed, %d after projection", pages, p, placedHits, postHits)
+			}
+		}
+		if len(mustQuery(t, e, `MATCH (x:u) WHERE x.id >= 0 RETURN x.id`, nil).Rows) != 2600-2600/7 {
+			t.Errorf("%d pages: label scan does not skip the deleted nodes", pages)
+		}
+	}
+}
+
+// diffParams and diffPreds are the differential tests' WHERE shapes
+// over buildDiffStore's nodes: comparisons of every operator and
+// operand order over ints, floats, strings, missing and unknown keys,
+// and conjunctions whose batched prefix is empty, partial or whole.
+var (
+	diffParams = map[string]graph.Value{"th": graph.IntValue(40), "f": graph.FloatValue(30.5), "str": graph.StringValue("m")}
+	diffPreds  = []string{
 		`x.a > 10`,
 		`x.a >= 10.5`,
 		`x.a = 20`,
@@ -513,31 +609,52 @@ func TestPlacedWhereMatchesPostProjection(t *testing.T) {
 		`x.b > 1.5 AND x.s < "k" AND x.a <= 100`,
 		`$th > x.b AND x.a <> 20 AND x.s <> "zzz"`,
 	}
-	for _, pages := range []int{1, 64} {
+)
+
+// TestScanProfilesAgree: on a label of five batches, Tuned runs the
+// scan and the projection as morsels on forked workers, and returns
+// the rows of Faithful's serial loop in the same order — there is no
+// ORDER BY — reading the same records, with PROFILE's db hits equal to
+// the registry's delta. On a 64-page cache, on a 2-page one, whose two
+// frames per file admit exactly two Readers, and on a 1-page one, where
+// Tuned has no frame for a second Reader and stays serial.
+func TestScanProfilesAgree(t *testing.T) {
+	dir := t.TempDir()
+	const n = 5000 // 4286 live u nodes
+	buildDiffStore(t, dir, n)
+	for _, pages := range []int{64, 2, 1} {
 		e := newScanEngine(t, dir, 0, pages)
 		db := e.DB()
-		for _, p := range preds {
-			ret := ` RETURN x.id AS id, x.a AS a, x.s AS s, x.b AS b ORDER BY id`
-			placed := `MATCH (x:u) WHERE ` + p + ret
-			post := `MATCH (x:u) WITH x WHERE ` + p + ret
-			before := db.RecordFetches()
-			want := mustQuery(t, e, post, params)
-			postHits := db.RecordFetches() - before
-			before = db.RecordFetches()
-			got := mustQuery(t, e, "PROFILE "+placed, params)
-			placedHits := db.RecordFetches() - before
-			if rowsText(got) != rowsText(want) {
-				t.Errorf("%d pages, WHERE %s: %d rows placed, %d after projection", pages, p, len(got.Rows), len(want.Rows))
+		shards := db.Obs().Counter(par.CShards)
+		fork := pages > 1 && runtime.GOMAXPROCS(0) > 1
+		for _, p := range diffPreds {
+			q := `PROFILE MATCH (x:u) WHERE ` + p + ` RETURN x.id AS id, x.a AS a, x.s AS s, x.b AS b`
+			var rows [2]string
+			var hits [2]uint64
+			for i, prof := range []spmat.Profile{spmat.Faithful, spmat.Tuned} {
+				e.SetProfile(prof)
+				before, forks := db.RecordFetches(), shards.Load()
+				res := mustQuery(t, e, q, diffParams)
+				rows[i], hits[i] = rowsText(res), db.RecordFetches()-before
+				if res.Profile.TotalDBHits != hits[i] {
+					t.Errorf("%d pages, %s, WHERE %s: PROFILE db hits %d, registry delta %d", pages, prof, p, res.Profile.TotalDBHits, hits[i])
+				}
+				if forked := shards.Load() > forks; forked != (prof == spmat.Tuned && fork) {
+					t.Errorf("%d pages, %s, WHERE %s: forked workers %v", pages, prof, p, forked)
+				}
 			}
-			if got.Profile.TotalDBHits != placedHits {
-				t.Errorf("%d pages, WHERE %s: PROFILE db hits %d, registry delta %d", pages, p, got.Profile.TotalDBHits, placedHits)
+			if rows[0] != rows[1] {
+				t.Errorf("%d pages, WHERE %s: tuned rows differ from faithful ones", pages, p)
 			}
-			if placedHits != postHits {
-				t.Errorf("%d pages, WHERE %s: %d records read placed, %d after projection", pages, p, placedHits, postHits)
+			if hits[0] != hits[1] {
+				t.Errorf("%d pages, WHERE %s: %d records read faithful, %d tuned", pages, p, hits[0], hits[1])
 			}
 		}
-		if len(mustQuery(t, e, `MATCH (x:u) WHERE x.id >= 0 RETURN x.id`, nil).Rows) != 2600-2600/7 {
-			t.Errorf("%d pages: label scan does not skip the deleted nodes", pages)
+		if got := len(mustQuery(t, e, `MATCH (x:u) RETURN x.id`, nil).Rows); got != n-n/7 {
+			t.Errorf("%d pages: %d rows, want %d", pages, got, n-n/7)
+		}
+		if pinned := db.PinnedPages(); pinned != 0 {
+			t.Errorf("%d pages: %d pages still pinned", pages, pinned)
 		}
 	}
 }
@@ -548,7 +665,7 @@ func TestPlacedWhereMatchesPostProjection(t *testing.T) {
 // records NodeProp reads, none for an unknown key.
 func TestProjectedPropertiesMatchRowWise(t *testing.T) {
 	dir := t.TempDir()
-	buildDiffStore(t, dir)
+	buildDiffStore(t, dir, 2600)
 	e := newScanEngine(t, dir, 0, 1)
 	db := e.DB()
 	keys := []string{"a", "s", "b", "pad4", "nope"}
@@ -578,14 +695,15 @@ func TestProjectedPropertiesMatchRowWise(t *testing.T) {
 }
 
 // countingCtx counts Err polls and reports a deadline from poll failAt
-// on (never when failAt is 0).
+// on (never when failAt is 0). Morsel workers poll it concurrently.
 type countingCtx struct {
 	context.Context
-	polls, failAt int
+	polls  atomic.Int64
+	failAt int64
 }
 
 func (c *countingCtx) Err() error {
-	if c.polls++; c.failAt > 0 && c.polls >= c.failAt {
+	if n := c.polls.Add(1); c.failAt > 0 && n >= c.failAt {
 		return context.DeadlineExceeded
 	}
 	return nil
@@ -594,31 +712,48 @@ func (c *countingCtx) Err() error {
 // TestProjectionPollsOnStride: projections poll the context once per
 // 1024 rows, not once per row, and a deadline that expires while a
 // projection of 12 000 rows runs — the last poll of the query — still
-// aborts it, counted exactly once.
+// aborts it, counted exactly once. Under Tuned the scan and the
+// projection run as 12 morsels on forked workers, which poll at the
+// same rows, and so as often, as the serial loop does.
 func TestProjectionPollsOnStride(t *testing.T) {
 	const n = 12000
 	e := newScanEngine(t, t.TempDir(), n, 64)
-	for _, q := range []string{
-		`MATCH (x:u) RETURN x.v + 1 AS w`,
-		`MATCH (x:u) RETURN x.v % 7 AS k, count(*) AS c`,
-	} {
-		free := &countingCtx{Context: context.Background()}
-		if _, err := e.QueryCtx(free, q, nil); err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		// One poll per input row of the match stage, then one per 1024
-		// rows over the scan's and the projection's n rows each.
-		if lo, hi := 2*n/1024-1, 2*n/1024+2; free.polls < lo || free.polls > hi {
-			t.Errorf("%s: %d context polls, want %d to %d", q, free.polls, lo, hi)
-		}
-		timedOut := e.DB().Obs().Counter(neodb.CQueriesTimedOut)
-		before := timedOut.Load()
-		late := &countingCtx{Context: context.Background(), failAt: free.polls}
-		if _, err := e.QueryCtx(late, q, nil); !errors.Is(err, context.DeadlineExceeded) {
-			t.Errorf("%s: deadline in the projection: err %v", q, err)
-		}
-		if got := timedOut.Load() - before; got != 1 {
-			t.Errorf("%s: queries_timed_out went up by %d, want 1", q, got)
+	shards := e.DB().Obs().Counter(par.CShards)
+	serial := map[string]int64{}
+	for _, p := range []spmat.Profile{spmat.Faithful, spmat.Tuned} {
+		e.SetProfile(p)
+		for _, q := range []string{
+			`MATCH (x:u) RETURN x.v + 1 AS w`,
+			`MATCH (x:u) RETURN x.v % 7 AS k, count(*) AS c`,
+		} {
+			free := &countingCtx{Context: context.Background()}
+			forks := shards.Load()
+			if _, err := e.QueryCtx(free, q, nil); err != nil {
+				t.Fatalf("%s %s: %v", p, q, err)
+			}
+			if forked := shards.Load() > forks; forked != (p == spmat.Tuned && runtime.GOMAXPROCS(0) > 1) {
+				t.Errorf("%s %s: forked workers %v", p, q, forked)
+			}
+			// One poll per input row of the match stage, then one per 1024
+			// rows over the scan's and the projection's n rows each.
+			polls := free.polls.Load()
+			if lo, hi := int64(2*n/1024-1), int64(2*n/1024+2); polls < lo || polls > hi {
+				t.Errorf("%s %s: %d context polls, want %d to %d", p, q, polls, lo, hi)
+			}
+			if p == spmat.Faithful {
+				serial[q] = polls
+			} else if polls != serial[q] {
+				t.Errorf("%s %s: %d context polls, %d serially", p, q, polls, serial[q])
+			}
+			timedOut := e.DB().Obs().Counter(neodb.CQueriesTimedOut)
+			before := timedOut.Load()
+			late := &countingCtx{Context: context.Background(), failAt: polls}
+			if _, err := e.QueryCtx(late, q, nil); !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("%s %s: deadline in the projection: err %v", p, q, err)
+			}
+			if got := timedOut.Load() - before; got != 1 {
+				t.Errorf("%s %s: queries_timed_out went up by %d, want 1", p, q, got)
+			}
 		}
 	}
 }

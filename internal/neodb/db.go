@@ -28,6 +28,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"twigraph/internal/graph"
 	"twigraph/internal/idx"
@@ -104,6 +105,8 @@ type DB struct {
 	strs   storage.DynStore
 	groups storage.GroupStore
 	log    *wal.Log
+
+	readers atomic.Int64 // see readers.go
 
 	catalogMu sync.RWMutex
 	labels    *nameTable
@@ -612,6 +615,19 @@ func (db *DB) ResetCounters() {
 	} {
 		f.ResetCounters()
 	}
+}
+
+// PinnedPages returns how many cached pages of the store files are
+// held pinned: zero whenever no read is running.
+func (db *DB) PinnedPages() int {
+	n := 0
+	for _, f := range []*storage.RecordFile{
+		db.nodes.RecordFile, db.rels.RecordFile, db.props.RecordFile,
+		db.strs.RecordFile, db.groups.RecordFile,
+	} {
+		n += f.Pinned()
+	}
+	return n
 }
 
 // CoolCaches evicts every page cache (cold-cache experiments).

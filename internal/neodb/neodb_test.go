@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"twigraph/internal/graph"
 )
@@ -493,6 +494,75 @@ func TestCoolCaches(t *testing.T) {
 	// Everything still readable (faulted back in).
 	if _, err := db.NodeByID(ids[1]); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBorrowedReaders: borrowed Readers and the Readers executions
+// hold stay within a cache stripe's frames; an execution that starts
+// while borrowed Readers crowd the frames waits until one is returned;
+// and a Reader that keeps a page pinned shows in PinnedPages until it
+// closes.
+func TestBorrowedReaders(t *testing.T) {
+	for _, c := range []struct{ pages, limit int }{{1, 1}, {2, 2}, {63, 63}, {64, 8}, {4096, 512}} {
+		db, err := Open(t.TempDir(), Config{CachePages: c.pages})
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.HoldReader()
+		if got := db.BorrowReaders(1000); got != c.limit-1 {
+			t.Errorf("%d pages, one Reader held: %d borrowed, want %d", c.pages, got, c.limit-1)
+		}
+		if db.ReadersCrowded() {
+			t.Errorf("%d pages: crowded before another execution started", c.pages)
+		}
+		for i := 0; i < c.limit-1; i++ {
+			db.ReturnReader()
+		}
+		db.ReleaseReader()
+		db.Close()
+	}
+
+	db, err := Open(t.TempDir(), Config{CachePages: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.HoldReader()
+	if got := db.BorrowReaders(3); got != 1 {
+		t.Fatalf("borrowed %d of a 2-page cache's Readers beside one held, want 1", got)
+	}
+	started := make(chan struct{})
+	go func() {
+		db.HoldReader()
+		close(started)
+	}()
+	for !db.ReadersCrowded() {
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-started:
+		t.Fatal("an execution started while a borrowed Reader held its frame")
+	case <-time.After(10 * time.Millisecond):
+	}
+	db.ReturnReader()
+	<-started
+	if db.ReadersCrowded() || db.BorrowReaders(1) != 0 {
+		t.Error("two executions on two frames left a Reader to borrow")
+	}
+	db.ReleaseReader()
+	db.ReleaseReader()
+
+	ids := seedSocial(t, db)
+	rd := db.Reader()
+	if _, err := rd.NodeByID(ids[1]); err != nil {
+		t.Fatal(err)
+	}
+	if n := db.PinnedPages(); n != 1 {
+		t.Errorf("%d pages pinned by one node read, want 1", n)
+	}
+	rd.Close()
+	if n := db.PinnedPages(); n != 0 {
+		t.Errorf("%d pages pinned after Close, want 0", n)
 	}
 }
 

@@ -148,10 +148,7 @@ func OpenFS(fsys vfs.FS, path string, capacity int) (*Cache, error) {
 		f.Close()
 		return nil, err
 	}
-	n := 1
-	if capacity >= stripedMinCapacity {
-		n = stripeCount
-	}
+	n := stripes(capacity)
 	c := &Cache{file: f, capacity: capacity}
 	c.size.Store(size)
 	c.ins.Store(&Instruments{})
@@ -169,6 +166,19 @@ func OpenFS(fsys vfs.FS, path string, capacity int) (*Cache, error) {
 	}
 	return c, nil
 }
+
+func stripes(capacity int) int {
+	if capacity >= stripedMinCapacity {
+		return stripeCount
+	}
+	return 1
+}
+
+// StripeCapacity is the capacity of the smallest stripe of a cache of
+// the given capacity: how many goroutines can each keep one page of the
+// cache pinned with every Get still finding a frame, whichever stripes
+// their pages hash to.
+func StripeCapacity(capacity int) int { return capacity / stripes(capacity) }
 
 func (c *Cache) stripeFor(id int64) *stripe {
 	return c.stripes[uint64(id)%uint64(len(c.stripes))]
@@ -437,6 +447,21 @@ func (c *Cache) Resident() int {
 	for _, s := range c.stripes {
 		s.mu.Lock()
 		n += len(s.pages)
+		s.mu.Unlock()
+	}
+	return n
+}
+
+// Pinned returns the number of resident pages some caller holds pinned.
+func (c *Cache) Pinned() int {
+	n := 0
+	for _, s := range c.stripes {
+		s.mu.Lock()
+		for _, p := range s.pages {
+			if p.pins > 0 {
+				n++
+			}
+		}
 		s.mu.Unlock()
 	}
 	return n

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"twigraph/internal/obs"
@@ -176,6 +177,64 @@ func RunRanges[R any](workers, n int, m Metrics, fn func(lo, hi int) R) []R {
 	}
 	wg.Wait()
 	return out
+}
+
+// Morsels runs fn(w, i) for every morsel i in [0, n) on up to workers
+// goroutines: each worker w claims the lowest morsel no worker has
+// claimed yet, until none is left or a call fails, so uneven morsels
+// balance themselves. The caller's goroutine is worker 0; the others
+// are forked, and each worker counts as one shard. A forked worker
+// calls leave(w), when leave is not nil, before each claim, and stops
+// once it reports true; worker 0 never leaves, so every morsel runs.
+// Morsels returns the first error a call returned, after every worker
+// has stopped. Callers that need morsel order keep each morsel's result
+// by i.
+func Morsels(workers, n int, m Metrics, fn func(w, i int) error, leave func(w int) bool) error {
+	workers = min(Workers(workers), n)
+	if workers < 1 {
+		return nil
+	}
+	m.addShards(workers)
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		once   sync.Once
+		first  error
+	)
+	run := func(w int) {
+		start := time.Now()
+		done := 0
+		for !failed.Load() {
+			if w > 0 && leave != nil && leave(w) {
+				break
+			}
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				break
+			}
+			if err := fn(w, i); err != nil {
+				once.Do(func() { first = err })
+				failed.Store(true)
+				break
+			}
+			done++
+		}
+		if m.Trace.Enabled() {
+			m.Trace.Complete("par", fmt.Sprintf("worker %d/%d", w, workers),
+				int64(1+w), start, time.Since(start), map[string]any{"morsels": done})
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			run(w)
+		}(w)
+	}
+	run(0)
+	wg.Wait()
+	return first
 }
 
 // Do invokes fn for every i in [0, n), sharded across up to workers

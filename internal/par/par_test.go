@@ -1,6 +1,7 @@
 package par
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -179,5 +180,65 @@ func TestShardTraceEvents(t *testing.T) {
 	}
 	if items != 100 {
 		t.Errorf("items sum = %d, want 100", items)
+	}
+}
+
+// TestMorsels: every morsel runs exactly once at any worker count,
+// each worker counts one shard, a failing morsel stops the others from
+// claiming more and is the error returned, and worker 0 runs what the
+// workers that leave do not.
+func TestMorsels(t *testing.T) {
+	for _, workers := range []int{1, 3, 8} {
+		m := MetricsFrom(obs.NewRegistry())
+		const n = 500
+		var seen [n]atomic.Int32
+		if err := Morsels(workers, n, m, func(w, i int) error {
+			if w < 0 || w >= workers {
+				t.Errorf("worker index %d of %d", w, workers)
+			}
+			seen[i].Add(1)
+			return nil
+		}, nil); err != nil {
+			t.Fatal(err)
+		}
+		for i := range seen {
+			if c := seen[i].Load(); c != 1 {
+				t.Fatalf("%d workers: morsel %d ran %d times", workers, i, c)
+			}
+		}
+		if got := m.Shards.Load(); got != uint64(workers) {
+			t.Errorf("%d workers: par_shards = %d", workers, got)
+		}
+	}
+	if err := Morsels(4, 0, Metrics{}, func(w, i int) error { panic("no morsels") }, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	boom := errors.New("boom")
+	var ran atomic.Int32
+	err := Morsels(4, 10000, Metrics{}, func(w, i int) error {
+		ran.Add(1)
+		if i == 10 {
+			return boom
+		}
+		return nil
+	}, nil)
+	if err != boom {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if ran.Load() == 10000 {
+		t.Error("workers kept claiming morsels after a failure")
+	}
+
+	// Forked workers that leave at once leave every morsel to worker 0.
+	var by [4]atomic.Int32
+	if err := Morsels(4, 100, Metrics{}, func(w, i int) error {
+		by[w].Add(1)
+		return nil
+	}, func(w int) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	if by[0].Load() != 100 {
+		t.Errorf("worker 0 ran %d of 100 morsels after the others left", by[0].Load())
 	}
 }

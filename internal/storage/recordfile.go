@@ -391,6 +391,9 @@ func (f *RecordFile) ResetCounters() {
 // CacheStats exposes the underlying page-cache counters.
 func (f *RecordFile) CacheStats() pagecache.Stats { return f.cache.Stats() }
 
+// Pinned returns the number of the file's cached pages held pinned.
+func (f *RecordFile) Pinned() int { return f.cache.Pinned() }
+
 // Cool evicts all cached pages (cold-cache experiments).
 func (f *RecordFile) Cool() error {
 	f.mu.Lock()

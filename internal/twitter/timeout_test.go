@@ -3,11 +3,16 @@ package twitter_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"twigraph/internal/leakcheck"
 	"twigraph/internal/neodb"
 	"twigraph/internal/obs"
+	"twigraph/internal/par"
 	"twigraph/internal/sparkdb"
 	"twigraph/internal/spmat"
 	"twigraph/internal/twitter"
@@ -19,7 +24,8 @@ import (
 // abort with a context error on both engines,
 // under both profiles and on both seam paths; each abort counts into
 // queries_timed_out exactly once, and the store keeps answering once
-// the bound is lifted.
+// the bound is lifted. A subtest does the same for neodb's Q1.1 on a
+// store large enough for Tuned to split its scan into morsels.
 func TestStoreQueryTimeout(t *testing.T) {
 	neo, spark, _ := buildBoth(t, smallCfg())
 
@@ -71,5 +77,87 @@ func TestStoreQueryTimeout(t *testing.T) {
 			}
 		}
 		s.SetProfile(spmat.Tuned)
+	}
+
+	t.Run("Q1.1 in morsels", testSelectionTimeout)
+}
+
+// pollDeadline is a context whose Err reports a deadline from its n-th
+// poll on, so an abort lands at a chosen point inside a query instead
+// of before it starts. Morsel workers poll it concurrently.
+type pollDeadline struct {
+	context.Context
+	n atomic.Int64
+}
+
+func newPollDeadline(n int64) *pollDeadline {
+	c := &pollDeadline{Context: context.Background()}
+	c.n.Store(n)
+	return c
+}
+
+func (c *pollDeadline) Err() error {
+	if c.n.Add(-1) <= 0 {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// testSelectionTimeout aborts neodb's Q1.1 on a store with more than
+// four batches of users, where Tuned runs the label scan and the
+// projection as morsels on forked workers: before the query starts, in
+// the middle of the scan and in the middle of the projection. Every
+// abort counts into queries_timed_out exactly once, leaves no page
+// pinned and no goroutine behind, and the next unbounded call returns
+// every user. (sparkdb answers Q1.1 with one Select, which polls no
+// context.)
+func testSelectionTimeout(t *testing.T) {
+	leakcheck.Check(t)
+	cfg := smallCfg()
+	cfg.Users, cfg.AvgFollowees = 4500, 2
+	neo, _, _ := buildBoth(t, cfg)
+	q11 := func() error {
+		ids, err := neo.UsersWithFollowersOver(-1)
+		if err == nil && len(ids) != cfg.Users {
+			err = fmt.Errorf("%d users, want %d", len(ids), cfg.Users)
+		}
+		return err
+	}
+	// The executor polls once before the scan, once per 1024 users in
+	// the scan, then once per 1024 projected rows.
+	bounds := []struct {
+		name string
+		set  func()
+	}{
+		{"1ns deadline", func() { neo.SetQueryTimeout(time.Nanosecond) }},
+		{"deadline mid-scan", func() { neo.SetBaseContext(newPollDeadline(3)) }},
+		{"deadline mid-projection", func() { neo.SetBaseContext(newPollDeadline(8)) }},
+	}
+	timedOut := neo.Obs().Counter(neodb.CQueriesTimedOut)
+	shards := neo.Obs().Counter(par.CShards)
+	for _, p := range []spmat.Profile{spmat.Faithful, spmat.Tuned} {
+		neo.SetProfile(p)
+		for _, b := range bounds {
+			b.set()
+			before := timedOut.Load()
+			if err := q11(); !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("%s %s: %v", p, b.name, err)
+			}
+			if got := timedOut.Load() - before; got != 1 {
+				t.Errorf("%s %s: queries_timed_out moved by %d, want 1", p, b.name, got)
+			}
+			if n := neo.DB().PinnedPages(); n != 0 {
+				t.Errorf("%s %s: %d pages still pinned", p, b.name, n)
+			}
+			neo.SetQueryTimeout(0)
+			neo.SetBaseContext(nil)
+			forks := shards.Load()
+			if err := q11(); err != nil {
+				t.Errorf("%s after %s: %v", p, b.name, err)
+			}
+			if forked := shards.Load() > forks; forked != (p == spmat.Tuned && runtime.GOMAXPROCS(0) > 1) {
+				t.Errorf("%s: scan forked workers: %v", p, forked)
+			}
+		}
 	}
 }
