@@ -12,7 +12,7 @@
 //	twibench -list
 //	twibench -exp table2 -listen :9090         # live /metrics while running
 //	twibench -exp fig4a -trace trace.json      # Perfetto timeline export
-//	twibench -exp all -json new.json -compare old.json -regress 25 -floor 2ms
+//	twibench -exp fig4a -qstats -json out.json # machine-readable snapshot
 package main
 
 import (
@@ -35,11 +35,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-query deadline; timed-out queries abort and count into queries_timed_out (0 = unbounded)")
 	listen := flag.String("listen", "", "serve live telemetry (/metrics, /healthz, /slow, pprof) on this address while the bench runs")
 	trace := flag.String("trace", "", "capture span timelines and write a Chrome trace-event file (Perfetto-loadable) to this path")
-	compare := flag.String("compare", "", "diff this run's latencies against a prior -json snapshot at this path")
-	regress := flag.Float64("regress", 0, "with -compare: exit non-zero when any series' p50/p95 (or, with -qstats, any statement's mean) grew more than this percent (0 = warn-only)")
-	floor := flag.Duration("floor", 0, "with -regress: series whose baseline p50 is under this duration report deltas but never gate (noise floor for sub-millisecond series)")
 	qstatsTop := flag.Bool("qstats", false, "print per-statement statistics after the run and fold them into the -json snapshot")
-	sfmax := flag.Float64("sfmax", 0, "scale experiment: largest scale factor to sweep (0 = the experiment default, 1 = full grid)")
 	cfg := bench.DefaultConfig()
 	flag.IntVar(&cfg.Users, "users", cfg.Users, "dataset scale in users")
 	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "dataset PRNG seed")
@@ -64,7 +60,6 @@ func main() {
 	env := bench.NewEnv(cfg, dir)
 	env.QueryTimeout = *timeout
 	env.QueryStats = *qstatsTop
-	env.SFMax = *sfmax
 	defer env.Close()
 
 	if *trace != "" {
@@ -106,17 +101,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("\ntrace written to %s (load it at ui.perfetto.dev)\n", *trace)
-	}
-	if *compare != "" {
-		old, err := bench.ReadSnapshot(*compare)
-		if err != nil {
-			fatal(err)
-		}
-		report := bench.CompareFloor(old, env.Snapshot(experiment), *regress, float64(floor.Nanoseconds()))
-		fmt.Printf("\n=== latency vs %s ===\n\n%s", *compare, report.Format())
-		if report.RegressionCount() > 0 && *regress > 0 {
-			fatal(fmt.Errorf("latency regression past %.1f%% threshold", *regress))
-		}
 	}
 	if *listen != "" {
 		// Keep the final counters scrapeable until signalled, then exit 0

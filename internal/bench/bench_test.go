@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -126,5 +128,27 @@ func TestSampleUsersCoversSpectrum(t *testing.T) {
 		if u < 1 || u > int64(e.Cfg.Users) {
 			t.Fatalf("sample %d out of range", u)
 		}
+	}
+}
+
+// TestDegreeErrorSticks: a failed degree read keeps failing. Callers
+// after the first must not get empty maps, or the fig4 and ablation
+// buckets would be built from all-zero degrees.
+func TestDegreeErrorSticks(t *testing.T) {
+	e := tinyEnv(t)
+	dir, _, err := e.Dataset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, "mentions.csv")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 2; i++ {
+		if deg, err := e.MentionDegree(); err == nil {
+			t.Fatalf("call %d: MentionDegree = %d entries, nil error; want the read error", i, len(deg))
+		}
+	}
+	if _, err := e.OutDegree(); err == nil {
+		t.Fatal("OutDegree after a failed degree read returned nil error")
 	}
 }

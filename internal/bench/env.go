@@ -53,14 +53,10 @@ type Env struct {
 	Trace bool
 
 	// QueryStats folds each engine's per-fingerprint statement registry
-	// into Snapshot (twibench -qstats), so checked-in baselines can gate
-	// on individual query classes, not just the aggregate series.
+	// into Snapshot (twibench -qstats), so a run's time can be
+	// attributed to individual query classes, not just the aggregate
+	// series.
 	QueryStats bool
-
-	// SFMax caps the scale experiment's sweep: scale factors above it
-	// are skipped. 0 applies the experiment's own default (0.3); 1 runs
-	// the full grid. CI smoke runs pin it to the smallest factor.
-	SFMax float64
 
 	// neoPub/sparkPub publish the built stores for concurrent readers
 	// (the telemetry server scrapes mid-bench from HTTP goroutines; the
@@ -81,29 +77,13 @@ type Env struct {
 	sparkRes  *load.SparkResult
 
 	degOnce    sync.Once
+	degErr     error
 	mentionDeg map[int64]int // uid -> times mentioned
 	outDeg     map[int64]int // uid -> followees
 
 	scriptOnce sync.Once
 	scriptErr  error
 	scriptPath string
-
-	extraMu      sync.Mutex
-	extraEngines map[string]obs.Snapshot
-}
-
-// RecordEngineSnapshot deposits an engine registry dump taken from a
-// store the experiment built itself (outside the session's shared
-// Neo()/Spark() builds), so the session snapshot still carries its
-// counters and histograms. The session-built engine of the same name
-// wins if both exist.
-func (e *Env) RecordEngineSnapshot(name string, s obs.Snapshot) {
-	e.extraMu.Lock()
-	defer e.extraMu.Unlock()
-	if e.extraEngines == nil {
-		e.extraEngines = map[string]obs.Snapshot{}
-	}
-	e.extraEngines[name] = s
 }
 
 // NewEnv creates an environment; workDir receives the CSVs and store
@@ -264,15 +244,14 @@ func (e *Env) loadDegrees() error {
 	if _, _, err := e.Dataset(); err != nil {
 		return err
 	}
-	var err error
 	e.degOnce.Do(func() {
-		e.mentionDeg, err = countColumn(filepath.Join(e.csvDir, "mentions.csv"), 1)
-		if err != nil {
+		e.mentionDeg, e.degErr = countColumn(filepath.Join(e.csvDir, "mentions.csv"), 1)
+		if e.degErr != nil {
 			return
 		}
-		e.outDeg, err = countColumn(filepath.Join(e.csvDir, "follows.csv"), 0)
+		e.outDeg, e.degErr = countColumn(filepath.Join(e.csvDir, "follows.csv"), 0)
 	})
-	return err
+	return e.degErr
 }
 
 func countColumn(path string, col int) (map[int64]int, error) {

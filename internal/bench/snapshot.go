@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 
 	"twigraph/internal/obs"
@@ -15,8 +16,9 @@ const SnapshotSchema = "twigraph-bench/v1"
 // harness's own latency histograms (per experiment/engine series, with
 // p50/p95/p99) plus a full dump of each built engine's observability
 // registry — page-cache, record-fetch, WAL, transaction and navigation
-// counters. Snapshots from different commits diff cleanly, which is
-// what makes them useful as checked-in regression baselines.
+// counters. twibench -json writes one, so a run's numbers can be read
+// back by tools (jq, python, ReadSnapshot) instead of scraped from the
+// printed tables. Performance gating lives in perfbench, not here.
 type Snapshot struct {
 	Schema     string `json:"schema"`
 	Experiment string `json:"experiment"`
@@ -35,8 +37,10 @@ type Snapshot struct {
 	// QueryStats maps engine name to its per-fingerprint statement
 	// statistics, ordered by total time descending — the
 	// pg_stat_statements view of the run. Populated when the session ran
-	// with statement capture (twibench -qstats); lets -regress gate on
-	// a single query class instead of only the aggregate series.
+	// with statement capture (twibench -qstats). Per engine, the
+	// statements' calls and total time sum to Engines[name]'s
+	// query_latency histogram: the store wrapper records one measured
+	// duration into both.
 	QueryStats map[string][]qstats.StatSnapshot `json:"query_stats,omitempty"`
 }
 
@@ -50,11 +54,6 @@ func (e *Env) Snapshot(experiment string) Snapshot {
 		Engines:    map[string]obs.Snapshot{},
 		Bench:      e.Reg.Snapshot(),
 	}
-	e.extraMu.Lock()
-	for name, dump := range e.extraEngines {
-		s.Engines[name] = dump
-	}
-	e.extraMu.Unlock()
 	if e.neoRes != nil && e.neoErr == nil {
 		s.Engines[e.neoRes.Store.Name()] = e.neoRes.Store.Obs().Snapshot()
 	}
@@ -80,4 +79,21 @@ func WriteSnapshot(path string, s Snapshot) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// ReadSnapshot loads a snapshot written by WriteSnapshot, rejecting
+// files from a different schema version.
+func ReadSnapshot(path string) (Snapshot, error) {
+	var s Snapshot
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return s, err
+	}
+	if err := json.Unmarshal(data, &s); err != nil {
+		return s, fmt.Errorf("bench: %s: %w", path, err)
+	}
+	if s.Schema != SnapshotSchema {
+		return s, fmt.Errorf("bench: %s: schema %q, want %q", path, s.Schema, SnapshotSchema)
+	}
+	return s, nil
 }

@@ -124,6 +124,12 @@ func TestBenchListAndSingleExperiment(t *testing.T) {
 			t.Errorf("twibench -list missing %s", id)
 		}
 	}
+	// Only the paper's experiments: perfbench measures ingest, serving and scale.
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) > 0 && (f[0] == "ingest" || f[0] == "serve" || f[0] == "scale") {
+			t.Errorf("twibench -list still offers %s", f[0])
+		}
+	}
 	// One real experiment at a small scale.
 	out = run(t, "twibench", "-exp", "table1", "-users", "300")
 	if !strings.Contains(out, "follows per user") {

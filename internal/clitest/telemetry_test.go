@@ -20,17 +20,14 @@ import (
 // a bench run with -listen exposes /metrics (valid Prometheus
 // exposition with both engines' core counters and latency histograms)
 // and /healthz mid-session, -trace writes a Perfetto-loadable Chrome
-// trace, and a second run with -compare diffs against the first run's
-// -json snapshot.
+// trace, and SIGTERM ends the held session with exit status 0.
 func TestTelemetrySmoke(t *testing.T) {
 	bin := binaries(t)
-	work := t.TempDir()
-	snap := filepath.Join(work, "snap.json")
-	trace := filepath.Join(work, "trace.json")
+	trace := filepath.Join(t.TempDir(), "trace.json")
 
 	cmd := exec.Command(filepath.Join(bin, "twibench"),
 		"-exp", "table2", "-users", "300",
-		"-listen", "127.0.0.1:0", "-trace", trace, "-json", snap)
+		"-listen", "127.0.0.1:0", "-trace", trace)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -164,16 +161,6 @@ func TestTelemetrySmoke(t *testing.T) {
 	cmd.Process.Signal(syscall.SIGTERM)
 	if err := cmd.Wait(); err != nil {
 		t.Fatalf("twibench exit after SIGTERM: %v", err)
-	}
-
-	// Second run compares against the snapshot; same config, warn-only
-	// threshold, so it must exit zero and print the diff table.
-	out := run(t, "twibench", "-exp", "table2", "-users", "300", "-compare", snap)
-	if !strings.Contains(out, "latency vs") || !strings.Contains(out, "series") {
-		t.Errorf("compare output missing diff table:\n%s", out)
-	}
-	if strings.Contains(out, "REGRESSED") {
-		t.Logf("note: warn-only comparison flagged movement:\n%s", out)
 	}
 }
 
