@@ -72,7 +72,7 @@ func BenchmarkTable1DatasetCharacteristics(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
 		dir := filepath.Join(b.TempDir(), "csv")
-		if _, err := gen.Generate(cfg, dir); err != nil {
+		if _, err := gen.GenerateStream(cfg, dir); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -130,7 +130,7 @@ func BenchmarkFig2Neo4jImport(b *testing.B) {
 	cfg := benchConfig()
 	cfg.Users = 500
 	csvDir := filepath.Join(b.TempDir(), "csv")
-	if _, err := gen.Generate(cfg, csvDir); err != nil {
+	if _, err := gen.GenerateStream(cfg, csvDir); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -149,7 +149,7 @@ func BenchmarkFig3SparkseeImport(b *testing.B) {
 	cfg := benchConfig()
 	cfg.Users = 500
 	csvDir := filepath.Join(b.TempDir(), "csv")
-	if _, err := gen.Generate(cfg, csvDir); err != nil {
+	if _, err := gen.GenerateStream(cfg, csvDir); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -374,7 +374,7 @@ func BenchmarkAblationSemanticLayout(b *testing.B) {
 		cfg := benchConfig()
 		cfg.Users = 800
 		csvDir := filepath.Join(benchLayoutDir(b), "csv")
-		if _, layoutErr = gen.Generate(cfg, csvDir); layoutErr != nil {
+		if _, layoutErr = gen.GenerateStream(cfg, csvDir); layoutErr != nil {
 			return
 		}
 		build := func(name string, interleaved bool) (*twitter.NeoStore, error) {

@@ -3,11 +3,11 @@
 //
 // Usage:
 //
-//	twigen -out data/ -users 50000 -seed 42 [-retweets] [-stream]
+//	twigen -out data/ -users 50000 -seed 42 [-retweets]
 //
-// -stream selects the O(Users)-memory streaming generator for
-// paper-scale datasets; output stays seed-deterministic but is not
-// byte-identical to the default materialising generator.
+// Generation streams every row as it is drawn and keeps O(users)
+// state, so paper-scale datasets fit in memory; the output is
+// seed-deterministic.
 package main
 
 import (
@@ -30,14 +30,9 @@ func main() {
 	flag.Float64Var(&cfg.TagsPer, "tags", cfg.TagsPer, "mean hashtags per tweet")
 	flag.BoolVar(&cfg.Retweets, "retweets", false, "also generate retweets edges")
 	flag.Float64Var(&cfg.RetweetsPer, "retweets-per", 0.25, "mean retweets per tweet (with -retweets)")
-	stream := flag.Bool("stream", false, "streaming generation: O(users) memory, for paper-scale datasets")
 	flag.Parse()
 
-	generate := gen.Generate
-	if *stream {
-		generate = gen.GenerateStream
-	}
-	sum, err := generate(cfg, *out)
+	sum, err := gen.GenerateStream(cfg, *out)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "twigen:", err)
 		os.Exit(1)

@@ -34,7 +34,6 @@ func main() {
 	materialize := flag.Bool("materialize", false, "sparksee: materialise neighbor indexes during import")
 	verify := flag.Bool("verify", false, "run a structural integrity check on each store after import")
 	spill := flag.Bool("spill", false, "neo: spill import id maps to sorted disk segments after the node phase")
-	noCompress := flag.Bool("no-compress", false, "sparksee: disable run-container compression (writes a legacy v1 image)")
 	flag.Parse()
 
 	if *engine == "neo" || *engine == "both" {
@@ -44,7 +43,7 @@ func main() {
 		}
 	}
 	if *engine == "sparksee" || *engine == "both" {
-		if err := loadSpark(*csvDir, filepath.Join(*out, "sparksee.img"), *batch, *workers, *cache, *materialize, *verify, *noCompress); err != nil {
+		if err := loadSpark(*csvDir, filepath.Join(*out, "sparksee.img"), *batch, *workers, *cache, *materialize, *verify); err != nil {
 			fmt.Fprintln(os.Stderr, "twiload:", err)
 			os.Exit(1)
 		}
@@ -119,15 +118,14 @@ func loadNeo(csvDir, dbDir string, batch, workers int, groupCommit, verify, spil
 	return nil
 }
 
-func loadSpark(csvDir, imagePath string, batch, workers int, cache int64, materialize, verify, noCompress bool) error {
+func loadSpark(csvDir, imagePath string, batch, workers int, cache int64, materialize, verify bool) error {
 	fmt.Printf("== importing into the Sparksee-analog image %s ==\n", imagePath)
 	res, err := load.BuildSpark(csvDir, sparkdb.ScriptOptions{
-		BatchRows:     batch,
-		Workers:       workers,
-		CacheSize:     cache,
-		Materialize:   materialize,
-		ImagePath:     imagePath,
-		NoCompression: noCompress,
+		BatchRows:   batch,
+		Workers:     workers,
+		CacheSize:   cache,
+		Materialize: materialize,
+		ImagePath:   imagePath,
 	})
 	if err != nil {
 		return err

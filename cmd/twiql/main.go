@@ -72,7 +72,7 @@ func main() {
 		fmt.Println("generating and importing a demo dataset...")
 		cfg := gen.Default()
 		cfg.Users = 1000
-		if _, err := gen.Generate(cfg, filepath.Join(dir, "csv")); err != nil {
+		if _, err := gen.GenerateStream(cfg, filepath.Join(dir, "csv")); err != nil {
 			fatal(err)
 		}
 		res, err := load.BuildNeo(filepath.Join(dir, "csv"), filepath.Join(dir, "neo"), neodb.Config{}, 0)

@@ -104,7 +104,7 @@ func buildStores(dir string, users int, seed int64) (*load.NeoResult, *load.Spar
 	cfg.Seed = seed
 	csvDir := filepath.Join(dir, "csv")
 	fmt.Printf("generating dataset (%d users) in %s\n", cfg.Users, dir)
-	if _, err := gen.Generate(cfg, csvDir); err != nil {
+	if _, err := gen.GenerateStream(cfg, csvDir); err != nil {
 		return nil, nil, err
 	}
 	neoRes, err := load.BuildNeo(csvDir, filepath.Join(dir, "neo"),

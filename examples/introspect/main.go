@@ -32,7 +32,7 @@ func main() {
 	cfg := gen.Default()
 	cfg.Users = 1500
 	csvDir := filepath.Join(dir, "csv")
-	if _, err := gen.Generate(cfg, csvDir); err != nil {
+	if _, err := gen.GenerateStream(cfg, csvDir); err != nil {
 		log.Fatal(err)
 	}
 	res, err := load.BuildNeo(csvDir, filepath.Join(dir, "neo"), neodb.Config{}, 0)

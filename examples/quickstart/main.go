@@ -29,7 +29,7 @@ func main() {
 	cfg := gen.Default()
 	cfg.Users = 1000
 	csvDir := filepath.Join(dir, "csv")
-	sum, err := gen.Generate(cfg, csvDir)
+	sum, err := gen.GenerateStream(cfg, csvDir)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func main() {
 	cfg := gen.Default()
 	cfg.Users = 2000
 	csvDir := filepath.Join(dir, "csv")
-	if _, err := gen.Generate(cfg, csvDir); err != nil {
+	if _, err := gen.GenerateStream(cfg, csvDir); err != nil {
 		log.Fatal(err)
 	}
 	neoRes, err := load.BuildNeo(csvDir, filepath.Join(dir, "neo"), neodb.Config{}, 0)

@@ -36,7 +36,7 @@ func main() {
 	cfg.Retweets = true
 	cfg.RetweetsPer = 0.4
 	csvDir := filepath.Join(dir, "csv")
-	sum, err := gen.Generate(cfg, csvDir)
+	sum, err := gen.GenerateStream(cfg, csvDir)
 	if err != nil {
 		log.Fatal(err)
 	}

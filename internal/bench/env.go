@@ -131,7 +131,7 @@ func DefaultConfig() gen.Config {
 func (e *Env) Dataset() (string, gen.Summary, error) {
 	e.genOnce.Do(func() {
 		e.csvDir = filepath.Join(e.WorkDir, "csv")
-		e.summary, e.genErr = gen.Generate(e.Cfg, e.csvDir)
+		e.summary, e.genErr = gen.GenerateStream(e.Cfg, e.csvDir)
 	})
 	return e.csvDir, e.summary, e.genErr
 }

@@ -395,7 +395,7 @@ func runUpdates(e *Env, w io.Writer) error {
 	cfg.Seed = e.Cfg.Seed + 1
 	dir := filepath.Join(e.WorkDir, "updates")
 	csvDir := filepath.Join(dir, "csv")
-	if _, err := gen.Generate(cfg, csvDir); err != nil {
+	if _, err := gen.GenerateStream(cfg, csvDir); err != nil {
 		return err
 	}
 	neoRes, err := load.BuildNeo(csvDir, filepath.Join(dir, "neo"), neodb.Config{CachePages: 1024}, 0)

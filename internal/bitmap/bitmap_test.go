@@ -2,6 +2,7 @@ package bitmap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"sort"
 	"testing"
@@ -286,6 +287,35 @@ func TestReadFromBadMagic(t *testing.T) {
 	var c Bitmap
 	if _, err := c.ReadFrom(bytes.NewReader([]byte{1, 2, 3, 4, 0, 0, 0, 0})); err == nil {
 		t.Error("expected error on bad magic")
+	}
+}
+
+// TestReadFromRejectsBadCounts sets the counts an image carries to
+// values no container can hold, with the payload bytes present: each
+// must be an error. A container count far beyond the bytes present must
+// fail at the end of the data rather than allocate for the count.
+func TestReadFromRejectsBadCounts(t *testing.T) {
+	image := func(containers uint32, mode byte, card uint32, payload int) []byte {
+		b := make([]byte, 8+13+payload)
+		binary.LittleEndian.PutUint32(b[0:4], ioMagicV2)
+		binary.LittleEndian.PutUint32(b[4:8], containers)
+		b[8+8] = mode
+		binary.LittleEndian.PutUint32(b[8+9:], card)
+		return b
+	}
+	for _, tc := range []struct {
+		name string
+		img  []byte
+	}{
+		{"array cardinality", image(1, 0, containerSize+1, 2*(containerSize+1))},
+		{"bitset cardinality", image(1, 1, containerSize+1, 8*wordsPerSet)},
+		{"run count", image(1, 2, containerSize/2+1, 4*(containerSize/2+1))},
+		{"container count", image(1<<31, 0, 0, 0)},
+	} {
+		var c Bitmap
+		if _, err := c.ReadFrom(bytes.NewReader(tc.img)); err == nil {
+			t.Errorf("%s: corrupt image loaded without error", tc.name)
+		}
 	}
 }
 

@@ -16,9 +16,9 @@ import (
 //	  card  uint32  array: cardinality | bitset: cardinality | runs: run count
 //	  array: card × uint16 | bitset: 1024 × uint64 | runs: card × (start,length uint16)
 //
-// WriteTo emits v1 — byte-identical to the historical format — unless
-// at least one container is run-encoded; ReadFrom accepts both, so v1
-// images written before run compression existed keep loading.
+// WriteTo emits v2; ReadFrom also accepts v1, which is v2 without run
+// containers, so images written before run compression existed keep
+// loading.
 const (
 	ioMagic   = 0x314d4254 // "TBM1"
 	ioMagicV2 = 0x324d4254 // "TBM2"
@@ -27,12 +27,8 @@ const (
 // WriteTo serialises the bitmap. It returns the number of bytes written.
 func (b *Bitmap) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
-	magic := uint32(ioMagic)
-	if b.HasRuns() {
-		magic = ioMagicV2
-	}
 	hdr := make([]byte, 8)
-	binary.LittleEndian.PutUint32(hdr[0:4], magic)
+	binary.LittleEndian.PutUint32(hdr[0:4], ioMagicV2)
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(b.containers)))
 	if _, err := cw.Write(hdr); err != nil {
 		return cw.n, err
@@ -84,7 +80,10 @@ func (b *Bitmap) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// ReadFrom replaces the bitmap contents with a serialised image.
+// ReadFrom replaces the bitmap contents with a serialised image. A count
+// beyond what its container can hold is an error, and the container
+// list grows as containers are read rather than being sized from the
+// header, so a corrupt count costs at most the bytes actually present.
 func (b *Bitmap) ReadFrom(r io.Reader) (int64, error) {
 	cr := &countingReader{r: r}
 	hdr := make([]byte, 8)
@@ -95,7 +94,7 @@ func (b *Bitmap) ReadFrom(r io.Reader) (int64, error) {
 		return cr.n, fmt.Errorf("bitmap: bad magic %#x", m)
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[4:8]))
-	containers := make([]*container, 0, n)
+	var containers []*container
 	for i := 0; i < n; i++ {
 		chdr := make([]byte, 13)
 		if _, err := io.ReadFull(cr, chdr); err != nil {
@@ -103,6 +102,15 @@ func (b *Bitmap) ReadFrom(r io.Reader) (int64, error) {
 		}
 		c := &container{key: binary.LittleEndian.Uint64(chdr[0:8])}
 		card := int(binary.LittleEndian.Uint32(chdr[9:13]))
+		// A container holds at most containerSize values, and runs are
+		// disjoint and non-adjacent, so at most half that many runs.
+		limit := containerSize
+		if chdr[8] == 2 {
+			limit = containerSize / 2
+		}
+		if card > limit {
+			return cr.n, fmt.Errorf("bitmap: container %d count %d exceeds %d", i, card, limit)
+		}
 		switch chdr[8] {
 		case 1:
 			buf := make([]byte, 8*wordsPerSet)

@@ -17,7 +17,8 @@ import (
 // Representation choice is by serialized size (the same model io.go
 // uses): 2·card bytes for an array, 4·runs bytes for a run list,
 // 8 KiB for a bitset. Optimize applies the model to every container;
-// Thaw undoes it (for writing legacy v1 images). Both are canonical —
+// Thaw undoes it (tests use the thawed form as their reference). Both
+// are canonical —
 // the chosen representation depends only on the set's contents, never
 // on construction history — so byte-identical image comparisons across
 // worker counts keep holding.
@@ -53,24 +54,13 @@ func (b *Bitmap) Optimize() *Bitmap {
 }
 
 // Thaw converts every run container back to the array/bitset
-// representation (array when cardinality ≤ 4096, bitset otherwise),
-// producing a bitmap that serializes in the legacy v1 format.
+// representation (array when cardinality ≤ 4096, bitset otherwise):
+// the representation every bitmap had before run compression.
 func (b *Bitmap) Thaw() *Bitmap {
 	for _, c := range b.containers {
 		c.thaw()
 	}
 	return b
-}
-
-// HasRuns reports whether any container uses the run representation —
-// equivalently, whether WriteTo would emit the v2 format.
-func (b *Bitmap) HasRuns() bool {
-	for _, c := range b.containers {
-		if c.runs != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // ContainerCounts returns the number of containers held in each

@@ -1,6 +1,7 @@
 package crashtest
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -124,4 +125,72 @@ func TestSparkImageCrashSafety(t *testing.T) {
 			t.Errorf("unexpected error: %v", err)
 		}
 	})
+
+	// The checksum is checked after the body is read, so a flipped count
+	// must be caught before anything is sized from it: bit 40 of the
+	// follows edge count asks for 2^40 endpoints.
+	t.Run("flipped edge count rejected before allocation", func(t *testing.T) {
+		fs := vfs.NewFaultFS()
+		if err := db.SaveFS(fs, img); err != nil {
+			t.Fatal(err)
+		}
+		image, err := vfs.ReadFile(fs, img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := edgeCountOffset(t, image, "follows")
+		if got := binary.LittleEndian.Uint64(image[off:]); got != 6 {
+			t.Fatalf("edge count at offset %d reads %d, want 6", off, got)
+		}
+		fs.AddFault(vfs.Fault{Op: vfs.OpRead, PathSubstr: img, Nth: 1, Kind: vfs.KindBitFlip, BitOffset: int64(off)*8 + 40})
+		_, err = sparkdb.LoadFS(fs, img)
+		if err == nil {
+			t.Fatal("image with a flipped edge count loaded without error")
+		}
+		if !strings.Contains(err.Error(), "edge count") {
+			t.Errorf("unexpected error: %v", err)
+		}
+	})
+}
+
+// edgeCountOffset walks a v2 image's header and type entries up to the
+// named edge type and returns the offset of its uint64 edge count. The
+// image must fit in the fault layer's first read for a bit flip at that
+// offset to land (the loader reads through a 4 KiB buffer).
+func edgeCountOffset(t *testing.T, image []byte, edgeType string) int {
+	t.Helper()
+	le := binary.LittleEndian
+	if len(image) > 4096 {
+		t.Fatalf("image is %d bytes, larger than one buffered read", len(image))
+	}
+	off := 4 + 8 + 8 // magic, max objects, object count
+	nTypes := int(le.Uint32(image[off:]))
+	off += 4
+	for i := 0; i < nTypes; i++ {
+		nameLen := int(le.Uint32(image[off:]))
+		name := string(image[off+4 : off+4+nameLen])
+		isEdge := image[off+4+nameLen] != 0
+		off += 4 + nameLen + 1 + 1 + 8 // name, isEdge, materialized, nextSeq
+		nContainers := int(le.Uint32(image[off+4:]))
+		off += 8 // bitmap magic, container count
+		for c := 0; c < nContainers; c++ {
+			card := int(le.Uint32(image[off+9:]))
+			switch image[off+8] {
+			case 0:
+				off += 13 + 2*card
+			case 1:
+				off += 13 + 8192
+			case 2:
+				off += 13 + 4*card
+			}
+		}
+		if name == edgeType {
+			return off
+		}
+		if isEdge {
+			t.Fatalf("type %q before %q: edge stream length not walkable", name, edgeType)
+		}
+	}
+	t.Fatalf("no type %q in image", edgeType)
+	return 0
 }

@@ -23,12 +23,8 @@ package gen
 
 import (
 	"encoding/csv"
-	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
 )
 
 // Config controls dataset scale and shape. The zero value is unusable;
@@ -83,198 +79,6 @@ func (s Summary) TotalEdges() int {
 	return s.Follows + s.Posts + s.Mentions + s.Tags + s.Retweets
 }
 
-// Generate writes the dataset CSVs into dir (created if needed) and
-// returns the summary.
-func Generate(cfg Config, dir string) (Summary, error) {
-	if cfg.Users <= 0 {
-		return Summary{}, fmt.Errorf("gen: Users must be positive")
-	}
-	if cfg.TweetingRatio <= 0 || cfg.TweetingRatio > 1 {
-		cfg.TweetingRatio = 1
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return Summary{}, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	var sum Summary
-
-	follows, inDeg, pool := followerGraph(rng, cfg)
-	sum.Users = cfg.Users
-	sum.Follows = len(follows)
-	// Out-adjacency for mention locality: roughly half of all mentions
-	// target someone the author follows (people talk to their own
-	// community), which gives the Q5.1 "current influence" query a
-	// non-trivial answer set, as in real microblog data.
-	followees := make([][]int, cfg.Users+1)
-	for _, e := range follows {
-		followees[e[0]] = append(followees[e[0]], e[1])
-	}
-
-	// Users file with follower counts (used by Q1.1 selections).
-	if err := writeCSV(filepath.Join(dir, "users.csv"), []string{"uid", "screen_name", "followers"},
-		cfg.Users, func(i int, rec []string) {
-			uid := i + 1
-			rec[0] = strconv.Itoa(uid)
-			rec[1] = "user" + strconv.Itoa(uid)
-			rec[2] = strconv.Itoa(inDeg[i])
-		}); err != nil {
-		return sum, err
-	}
-	if err := writePairs(filepath.Join(dir, "follows.csv"), "src,dst", follows); err != nil {
-		return sum, err
-	}
-
-	// Tweets, posts, mentions, tags.
-	tweeters := int(float64(cfg.Users) * cfg.TweetingRatio)
-	if tweeters < 1 {
-		tweeters = 1
-	}
-	var tagZipf *rand.Zipf
-	if cfg.Hashtags > 0 {
-		tagZipf = rand.NewZipf(rng, 1.2, 3, uint64(cfg.Hashtags-1))
-	}
-
-	var posts, mentions, tags, retweets [][2]int
-	usedTags := map[int]bool{}
-	tweetsFile, err := newCSVFile(filepath.Join(dir, "tweets.csv"), "tid,text")
-	if err != nil {
-		return sum, err
-	}
-	defer tweetsFile.close()
-
-	tid := 0
-	for u := 1; u <= tweeters; u++ {
-		for k := 0; k < cfg.TweetsPerUser; k++ {
-			tid++
-			text := "status " + strconv.Itoa(tid) + " from user" + strconv.Itoa(u)
-			posts = append(posts, [2]int{u, tid})
-
-			// Mentions: Poisson-ish via repeated Bernoulli halving.
-			seenM := map[int]bool{}
-			for m := sampleCount(rng, cfg.MentionsPer); m > 0 && cfg.Users > 1; m-- {
-				var target int
-				if fs := followees[u]; len(fs) > 0 && rng.Float64() < 0.5 {
-					target = fs[rng.Intn(len(fs))]
-				} else {
-					target = pool[rng.Intn(len(pool))] + 1
-				}
-				if target == u || seenM[target] {
-					continue
-				}
-				seenM[target] = true
-				mentions = append(mentions, [2]int{tid, target})
-				text += " @user" + strconv.Itoa(target)
-			}
-			// Hashtags.
-			seenT := map[int]bool{}
-			for h := sampleCount(rng, cfg.TagsPer); h > 0 && cfg.Hashtags > 0; h-- {
-				tag := 1 + int(tagZipf.Uint64())
-				if seenT[tag] {
-					continue
-				}
-				seenT[tag] = true
-				usedTags[tag] = true
-				tags = append(tags, [2]int{tid, tag})
-				text += " #topic" + strconv.Itoa(tag)
-			}
-			if err := tweetsFile.write([]string{strconv.Itoa(tid), text}); err != nil {
-				return sum, err
-			}
-		}
-	}
-	sum.Tweets = tid
-	sum.Posts = len(posts)
-	sum.Mentions = len(mentions)
-	sum.Tags = len(tags)
-
-	// Retweets: optional, tweet -> earlier tweet.
-	if cfg.Retweets && tid > 1 {
-		seen := map[[2]int]bool{}
-		for t := 2; t <= tid; t++ {
-			for r := sampleCount(rng, cfg.RetweetsPer); r > 0; r-- {
-				orig := 1 + rng.Intn(t-1)
-				p := [2]int{t, orig}
-				if seen[p] {
-					continue
-				}
-				seen[p] = true
-				retweets = append(retweets, p)
-			}
-		}
-		sum.Retweets = len(retweets)
-		if err := writePairs(filepath.Join(dir, "retweets.csv"), "src,dst", retweets); err != nil {
-			return sum, err
-		}
-	}
-
-	// Hashtag vocabulary file (only used tags become nodes).
-	var tagList []int
-	for t := range usedTags {
-		tagList = append(tagList, t)
-	}
-	sort.Ints(tagList)
-	sum.Hashtags = len(tagList)
-	if err := writeCSV(filepath.Join(dir, "hashtags.csv"), []string{"hid", "tag"},
-		len(tagList), func(i int, rec []string) {
-			rec[0] = strconv.Itoa(tagList[i])
-			rec[1] = "topic" + strconv.Itoa(tagList[i])
-		}); err != nil {
-		return sum, err
-	}
-
-	if err := writePairs(filepath.Join(dir, "posts.csv"), "uid,tid", posts); err != nil {
-		return sum, err
-	}
-	if err := writePairs(filepath.Join(dir, "mentions.csv"), "tid,uid", mentions); err != nil {
-		return sum, err
-	}
-	if err := writePairs(filepath.Join(dir, "tags.csv"), "tid,hid", tags); err != nil {
-		return sum, err
-	}
-	return sum, nil
-}
-
-// followerGraph builds a preferential-attachment directed graph:
-// each user follows ~AvgFollowees others, favouring users that already
-// have followers. Returns the edge list, per-user in-degrees, and the
-// attachment pool (a follower-count-weighted sample space reused for
-// mention popularity: the most-followed accounts are also the
-// most-mentioned, as on real microblogs).
-func followerGraph(rng *rand.Rand, cfg Config) ([][2]int, []int, []int) {
-	n := cfg.Users
-	inDeg := make([]int, n)
-	var edges [][2]int
-	// Attachment pool: user u appears once, plus once per follower,
-	// making popular users proportionally likelier targets.
-	pool := make([]int, 0, n*4)
-	for u := 0; u < n; u++ {
-		pool = append(pool, u)
-	}
-	seen := make(map[[2]int]bool)
-	for u := 0; u < n; u++ {
-		k := sampleCount(rng, cfg.AvgFollowees)
-		for tries := 0; k > 0 && tries < 20*int(cfg.AvgFollowees+1); tries++ {
-			t := pool[rng.Intn(len(pool))]
-			if t == u {
-				continue
-			}
-			e := [2]int{u, t}
-			if seen[e] {
-				continue
-			}
-			seen[e] = true
-			edges = append(edges, [2]int{u + 1, t + 1})
-			inDeg[t]++
-			// Slightly superlinear attachment: two pool entries per
-			// follower gained, which produces the pronounced hubs
-			// real follower graphs (and the paper's crawl) show.
-			pool = append(pool, t, t)
-			k--
-		}
-	}
-	return edges, inDeg, pool
-}
-
 // sampleCount draws a non-negative integer with the given mean using a
 // geometric-ish scheme: floor(mean) guaranteed attempts plus a Bernoulli
 // for the fraction, then a heavy-ish tail.
@@ -293,39 +97,8 @@ func sampleCount(rng *rand.Rand, mean float64) int {
 	return k
 }
 
-// ---------- CSV plumbing ----------
-
-type csvFile struct {
-	f *os.File
-	w *csv.Writer
-}
-
-func newCSVFile(path, header string) (*csvFile, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	w := csv.NewWriter(f)
-	if header != "" {
-		if _, err := f.WriteString(header + "\n"); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	return &csvFile{f: f, w: w}, nil
-}
-
-func (c *csvFile) write(rec []string) error { return c.w.Write(rec) }
-
-func (c *csvFile) close() error {
-	c.w.Flush()
-	if err := c.w.Error(); err != nil {
-		c.f.Close()
-		return err
-	}
-	return c.f.Close()
-}
-
+// writeCSV writes header plus rows records, each filled in place by
+// fill, to path.
 func writeCSV(path string, header []string, rows int, fill func(i int, rec []string)) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -348,30 +121,6 @@ func writeCSV(path string, header []string, rows int, fill func(i int, rec []str
 	if err := w.Error(); err != nil {
 		f.Close()
 		return err
-	}
-	return f.Close()
-}
-
-func writePairs(path, header string, pairs [][2]int) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := f.WriteString(header + "\n"); err != nil {
-		f.Close()
-		return err
-	}
-	buf := make([]byte, 0, 32)
-	for _, p := range pairs {
-		buf = buf[:0]
-		buf = strconv.AppendInt(buf, int64(p[0]), 10)
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(p[1]), 10)
-		buf = append(buf, '\n')
-		if _, err := f.Write(buf); err != nil {
-			f.Close()
-			return err
-		}
 	}
 	return f.Close()
 }

@@ -9,15 +9,20 @@ import (
 	"testing"
 )
 
+// TestGenerateDeterministic pins seed determinism for the default
+// configuration and its seven-file layout (no retweets): two runs give
+// the same summary and byte-identical files.
+// TestGenerateStreamDeterministic covers the eight-file layout with
+// retweets.
 func TestGenerateDeterministic(t *testing.T) {
 	cfg := Default()
 	cfg.Users = 200
 	dirA, dirB := t.TempDir(), t.TempDir()
-	sumA, err := Generate(cfg, dirA)
+	sumA, err := GenerateStream(cfg, dirA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sumB, err := Generate(cfg, dirB)
+	sumB, err := GenerateStream(cfg, dirB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,15 +44,17 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// TestGenerateDifferentSeedsDiffer checks that the seed reaches the
+// graph: a different seed draws a different follows.csv.
 func TestGenerateDifferentSeedsDiffer(t *testing.T) {
 	cfg := Default()
 	cfg.Users = 200
 	dirA, dirB := t.TempDir(), t.TempDir()
-	if _, err := Generate(cfg, dirA); err != nil {
+	if _, err := GenerateStream(cfg, dirA); err != nil {
 		t.Fatal(err)
 	}
 	cfg.Seed = 43
-	if _, err := Generate(cfg, dirB); err != nil {
+	if _, err := GenerateStream(cfg, dirB); err != nil {
 		t.Fatal(err)
 	}
 	a, _ := os.ReadFile(filepath.Join(dirA, "follows.csv"))
@@ -61,7 +68,7 @@ func TestSummaryMatchesFiles(t *testing.T) {
 	cfg := Default()
 	cfg.Users = 300
 	dir := t.TempDir()
-	sum, err := Generate(cfg, dir)
+	sum, err := GenerateStream(cfg, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +111,7 @@ func TestPaperRatiosPreserved(t *testing.T) {
 	// mentions/tweets ≈ 0.46, tags/tweets ≈ 0.30.
 	cfg := Default()
 	cfg.Users = 3000
-	sum, err := Generate(cfg, t.TempDir())
+	sum, err := GenerateStream(cfg, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +136,7 @@ func TestHeavyTailedFollowerDistribution(t *testing.T) {
 	cfg := Default()
 	cfg.Users = 2000
 	dir := t.TempDir()
-	if _, err := Generate(cfg, dir); err != nil {
+	if _, err := GenerateStream(cfg, dir); err != nil {
 		t.Fatal(err)
 	}
 	// Read follower counts from users.csv; the max should far exceed
@@ -162,7 +169,7 @@ func TestNoDuplicateEdgesOrSelfLoops(t *testing.T) {
 	cfg := Default()
 	cfg.Users = 500
 	dir := t.TempDir()
-	if _, err := Generate(cfg, dir); err != nil {
+	if _, err := GenerateStream(cfg, dir); err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range []string{"follows.csv", "mentions.csv", "tags.csv"} {
@@ -191,7 +198,7 @@ func TestFollowersColumnMatchesInDegree(t *testing.T) {
 	cfg := Default()
 	cfg.Users = 400
 	dir := t.TempDir()
-	if _, err := Generate(cfg, dir); err != nil {
+	if _, err := GenerateStream(cfg, dir); err != nil {
 		t.Fatal(err)
 	}
 	inDeg := map[string]int{}
@@ -211,13 +218,16 @@ func TestFollowersColumnMatchesInDegree(t *testing.T) {
 	}
 }
 
+// TestRetweetsGeneration checks that turning retweets on writes
+// retweets.csv and that every retweet references an earlier tweet.
+// TestGenerateStreamRetweets pins the row count and edge ranges.
 func TestRetweetsGeneration(t *testing.T) {
 	cfg := Default()
 	cfg.Users = 200
 	cfg.Retweets = true
 	cfg.RetweetsPer = 0.5
 	dir := t.TempDir()
-	sum, err := Generate(cfg, dir)
+	sum, err := GenerateStream(cfg, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,12 +250,12 @@ func TestRetweetsGeneration(t *testing.T) {
 }
 
 func TestGenerateErrors(t *testing.T) {
-	if _, err := Generate(Config{}, t.TempDir()); err == nil {
+	if _, err := GenerateStream(Config{}, t.TempDir()); err == nil {
 		t.Error("zero config accepted")
 	}
 	cfg := Default()
 	cfg.Users = 10
-	if _, err := Generate(cfg, "/dev/null/nope"); err == nil {
+	if _, err := GenerateStream(cfg, "/dev/null/nope"); err == nil {
 		t.Error("bad directory accepted")
 	}
 }
@@ -257,7 +267,7 @@ func TestMentionsRespectZipf(t *testing.T) {
 	cfg.Users = 1000
 	cfg.MentionsPer = 2
 	dir := t.TempDir()
-	if _, err := Generate(cfg, dir); err != nil {
+	if _, err := GenerateStream(cfg, dir); err != nil {
 		t.Fatal(err)
 	}
 	counts := map[string]int{}

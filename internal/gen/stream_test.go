@@ -6,7 +6,7 @@ func streamFixture(t *testing.T) (*Stream, Summary) {
 	t.Helper()
 	cfg := Default()
 	cfg.Users = 100
-	sum, err := Generate(cfg, t.TempDir())
+	sum, err := GenerateStream(cfg, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -16,7 +16,7 @@ func streamFixture(t *testing.T) (*Stream, Summary) {
 func TestStreamDeterministic(t *testing.T) {
 	cfg := Default()
 	cfg.Users = 100
-	sum, err := Generate(cfg, t.TempDir())
+	sum, err := GenerateStream(cfg, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

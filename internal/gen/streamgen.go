@@ -11,17 +11,16 @@ import (
 	"strings"
 )
 
-// Streaming generation: the paper-scale path. Generate materialises the
-// whole edge set before writing (the follows list, a global dedup map
-// and a follower-weighted pool are all O(edges)); at SF 1 that is
-// hundreds of millions of entries and the generator — not the engines —
-// becomes the memory ceiling. GenerateStream emits every CSV row as it
-// is drawn and keeps only O(Users) state:
+// Streaming generation. Materialising the whole edge set before
+// writing (the follows list, a global dedup map and a follower-weighted
+// pool are all O(edges)) would make the generator — not the engines —
+// the memory ceiling at paper scale, where that is hundreds of millions
+// of entries. GenerateStream emits every CSV row as it is drawn and
+// keeps only O(Users) state:
 //
-//   - a Fenwick tree over per-user attachment weights replaces the
-//     pool: user u carries weight 1 + 2·inDeg(u), exactly the pool's
-//     entry multiplicity, so preferential attachment (and the
-//     superlinear hub growth) is distribution-identical;
+//   - a Fenwick tree over per-user attachment weights stands in for a
+//     multiplicity pool: user u carries weight 1 + 2·inDeg(u), so
+//     preferential attachment grows hubs superlinearly;
 //   - duplicate follows are deduplicated per source user (each source
 //     is visited once, so a global seen map adds nothing);
 //   - the tweet pass needs each author's followee list for mention
@@ -29,10 +28,9 @@ import (
 //     follows.csv sequentially — rows are grouped by source user in
 //     ascending order, so one small slice per author suffices.
 //
-// The output is seed-deterministic for a given Config but not
-// byte-identical to Generate: the two draw from their PRNGs in
-// different orders. Shape invariants (heavy-tailed follower graph,
-// Zipf hashtags, mention locality) are shared and pinned by tests.
+// The output is byte-identical for a given Config; the shape
+// invariants (heavy-tailed follower graph, Zipf hashtags, mention
+// locality) are pinned by tests.
 
 // GenerateStream writes the dataset CSVs into dir (created if needed)
 // without materialising the graph, and returns the summary.
@@ -74,8 +72,9 @@ func GenerateStream(cfg Config, dir string) (Summary, error) {
 func streamFollows(rng *rand.Rand, cfg Config, dir string, sum *Summary) ([]int, error) {
 	n := cfg.Users
 	inDeg := make([]int, n)
-	// Attachment weights: 1 per user plus 2 per follower gained — the
-	// same superlinear growth the pool-based generator uses.
+	// Attachment weights: 1 per user plus 2 per follower gained, which
+	// produces the pronounced hubs real follower graphs (and the
+	// paper's crawl) show.
 	fen := newFenwick(n)
 	for u := 0; u < n; u++ {
 		fen.add(u, 1)
@@ -124,8 +123,10 @@ func streamFollows(rng *rand.Rand, cfg Config, dir string, sum *Summary) ([]int,
 
 // streamTweets draws tweets, posts, mentions, tags (and optional
 // retweets), one author at a time, streaming each row out as drawn.
-// Mention targets mix the author's own followees (locality) with a
-// follower-weighted global draw, as in the materialising generator.
+// Mention targets mix the author's own followees (locality: people talk
+// to their own community, which gives Q5.1 a non-trivial answer set)
+// with a follower-weighted global draw (the most-followed accounts are
+// also the most-mentioned).
 func streamTweets(rng *rand.Rand, cfg Config, dir string, inDeg []int, sum *Summary) error {
 	tweeters := int(float64(cfg.Users) * cfg.TweetingRatio)
 	if tweeters < 1 {
@@ -147,27 +148,31 @@ func streamTweets(rng *rand.Rand, cfg Config, dir string, inDeg []int, sum *Summ
 	}
 	defer fol.close()
 
+	// The deferred close only releases files on an error return; the
+	// success path closes them below and reports their flush errors.
 	files := map[string]*streamCSV{}
-	for name, header := range map[string]string{
+	defer func() {
+		for _, sc := range files {
+			sc.close()
+		}
+	}()
+	headers := map[string]string{
 		"tweets.csv":   "tid,text",
 		"posts.csv":    "uid,tid",
 		"mentions.csv": "tid,uid",
 		"tags.csv":     "tid,hid",
-	} {
+	}
+	if cfg.Retweets {
+		headers["retweets.csv"] = "src,dst"
+	}
+	for name, header := range headers {
 		sc, err := newStreamCSV(filepath.Join(dir, name), header)
 		if err != nil {
 			return err
 		}
-		defer sc.close()
 		files[name] = sc
 	}
-	var retweetsF *streamCSV
-	if cfg.Retweets {
-		if retweetsF, err = newStreamCSV(filepath.Join(dir, "retweets.csv"), "src,dst"); err != nil {
-			return err
-		}
-		defer retweetsF.close()
-	}
+	retweetsF := files["retweets.csv"]
 
 	usedTags := map[int]bool{}
 	tid := 0
@@ -243,6 +248,11 @@ func streamTweets(rng *rand.Rand, cfg Config, dir string, inDeg []int, sum *Summ
 		}
 	}
 	sum.Tweets = tid
+	for _, sc := range files {
+		if err := sc.close(); err != nil {
+			return err
+		}
+	}
 
 	var tagList []int
 	for t := range usedTags {
@@ -366,12 +376,18 @@ func (s *streamCSV) row(fields ...string) error {
 	return err
 }
 
+// close flushes and closes the file, returning the first error. It is
+// idempotent: later calls return nil.
 func (s *streamCSV) close() error {
-	if err := s.w.Flush(); err != nil {
-		s.f.Close()
-		return err
+	if s.f == nil {
+		return nil
 	}
-	return s.f.Close()
+	err := s.w.Flush()
+	if cerr := s.f.Close(); err == nil {
+		err = cerr
+	}
+	s.f = nil
+	return err
 }
 
 // followeeScanner streams follows.csv back in, returning each source

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // WriteValue serialises v in a compact binary form readable by
@@ -69,11 +70,31 @@ func ReadValue(r io.Reader) (Value, error) {
 		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 			return NilValue, err
 		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
+		buf, err := readBytes(r, int(n))
+		if err != nil {
 			return NilValue, err
 		}
 		return StringValue(string(buf)), nil
 	}
 	return NilValue, fmt.Errorf("graph: unknown kind byte %d", kb[0])
+}
+
+// readChunk is the most readBytes allocates ahead of the bytes it has
+// read.
+const readChunk = 64 << 10
+
+// readBytes reads n bytes. Past readChunk it grows the buffer as bytes
+// arrive instead of sizing it from n, so a corrupt length fails at the
+// end of the input rather than allocating up to 4 GiB first.
+func readBytes(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, readChunk))
+	for len(buf) < n {
+		k := min(n-len(buf), readChunk)
+		buf = slices.Grow(buf, k)
+		if _, err := io.ReadFull(r, buf[len(buf):len(buf)+k]); err != nil {
+			return nil, err
+		}
+		buf = buf[:len(buf)+k]
+	}
+	return buf, nil
 }

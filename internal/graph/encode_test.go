@@ -14,6 +14,7 @@ func TestValueCodecRoundTrip(t *testing.T) {
 		BoolValue(true), BoolValue(false),
 		FloatValue(0), FloatValue(-2.5), FloatValue(1e300),
 		StringValue(""), StringValue("hello"), StringValue(strings.Repeat("x", 10000)),
+		StringValue(strings.Repeat("y", 3*readChunk+7)),
 		StringValue("unicode ✓ 漢字"),
 	}
 	for _, v := range values {
@@ -64,10 +65,11 @@ func TestReadValueErrors(t *testing.T) {
 	}
 	// Truncated payloads.
 	for _, b := range [][]byte{
-		{byte(KindInt), 1, 2},              // int needs 8 bytes
-		{byte(KindFloat), 1},               // float needs 8
-		{byte(KindBool)},                   // bool needs 1
-		{byte(KindString), 10, 0, 0, 0, 1}, // declares 10 bytes, has 1
+		{byte(KindInt), 1, 2},                         // int needs 8 bytes
+		{byte(KindFloat), 1},                          // float needs 8
+		{byte(KindBool)},                              // bool needs 1
+		{byte(KindString), 10, 0, 0, 0, 1},            // declares 10 bytes, has 1
+		{byte(KindString), 0xFF, 0xFF, 0xFF, 0xFF, 1}, // declares 4 GiB, has 1
 	} {
 		if _, err := ReadValue(bytes.NewReader(b)); err == nil {
 			t.Errorf("truncated %v accepted", b)

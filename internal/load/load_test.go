@@ -15,7 +15,7 @@ import (
 func generate(t *testing.T, cfg gen.Config) (string, gen.Summary) {
 	t.Helper()
 	dir := t.TempDir()
-	sum, err := gen.Generate(cfg, dir)
+	sum, err := gen.GenerateStream(cfg, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

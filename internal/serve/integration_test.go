@@ -36,7 +36,7 @@ func buildEngines(t testing.TB) (*twitter.NeoStore, *twitter.SparkStore, []*serv
 	cfg.Hashtags = 30
 	cfg.MentionsPer = 0.8
 	cfg.TagsPer = 0.6
-	if _, err := gen.Generate(cfg, csvDir); err != nil {
+	if _, err := gen.GenerateStream(cfg, csvDir); err != nil {
 		t.Fatal(err)
 	}
 	neoRes, err := load.BuildNeo(csvDir, filepath.Join(dir, "neo"), neodb.Config{CachePages: 1024}, 0)

@@ -10,9 +10,6 @@ import (
 // (array ↔ run ↔ bitset) before every Save and after Load, which is
 // what lets a paper-scale image fit in memory: bulk-loaded extents are
 // contiguous OID ranges and collapse to a handful of 4-byte runs.
-// Compression is on by default; Config.NoCompression (or
-// SetCompression(false)) pins the legacy v1 representations instead,
-// the knob the compression differential tests flip.
 
 // Gauge names for the container mix, surfaced through `:stats` and the
 // telemetry /metrics endpoint.
@@ -33,23 +30,7 @@ type BitmapStats struct {
 // Containers returns the total container count.
 func (s BitmapStats) Containers() int { return s.Arrays + s.Runs + s.Bitsets }
 
-// SetCompression toggles run-container compression for subsequent
-// Optimize/Save calls. It does not re-represent anything by itself.
-func (db *DB) SetCompression(on bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.noCompression = !on
-}
-
-// Compression reports whether run-container compression is enabled.
-func (db *DB) Compression() bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return !db.noCompression
-}
-
-// Optimize re-represents every bitmap at its minimum serialized size —
-// or back to the legacy array/bitset forms when compression is off —
+// Optimize re-represents every bitmap at its minimum serialized size,
 // refreshes the container-mix gauges, and returns the aggregate stats.
 // It runs automatically before Save and after Load; bulk loaders may
 // also call it once ingest settles. Like every mutation it excludes
@@ -63,11 +44,7 @@ func (db *DB) Optimize() BitmapStats {
 func (db *DB) optimizeLocked() BitmapStats {
 	var st BitmapStats
 	db.forEachBitmap(func(b *bitmap.Bitmap) {
-		if db.noCompression {
-			b.Thaw()
-		} else {
-			b.Optimize()
-		}
+		b.Optimize()
 		st.add(b)
 	})
 	db.setBitmapGauges(st)

@@ -2,10 +2,13 @@ package sparkdb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"twigraph/internal/bitmap"
 	"twigraph/internal/graph"
 )
 
@@ -62,40 +65,56 @@ func saveImage(t *testing.T, db *DB, name string) []byte {
 	return img
 }
 
-// TestImageV2RoundTripAndLegacy pins the image format contract: the
-// compressed image is v2 and smaller, it loads back, the loaded
-// database re-saved without compression is byte-identical to a v1 image
-// of the original, and the v1 image itself still loads.
+// TestImageV2RoundTripAndLegacy pins the image format contract: Save
+// writes v2, a v2 image loads back and re-saves byte-identically, and a
+// legacy v1 image still loads (TestLegacyImageGolden).
 func TestImageV2RoundTripAndLegacy(t *testing.T) {
 	db := buildBulk(t, 2000, 4)
-
 	v2 := saveImage(t, db, "v2.img")
-	db.SetCompression(false)
-	v1 := saveImage(t, db, "v1.img")
-	db.SetCompression(true)
-
-	if len(v2) >= len(v1) {
-		t.Fatalf("v2 image (%d bytes) not smaller than v1 (%d bytes)", len(v2), len(v1))
+	if magic := binary.LittleEndian.Uint32(v2); magic != imageMagicV2 {
+		t.Fatalf("image magic %#x, want SKD2 %#x", magic, imageMagicV2)
 	}
+	path := filepath.Join(t.TempDir(), "v2.img")
+	if err := os.WriteFile(path, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(path)
+	if err != nil {
+		t.Fatalf("loading v2 image: %v", err)
+	}
+	if got := saveImage(t, loaded, "v2-resaved.img"); !bytes.Equal(got, v2) {
+		t.Fatalf("v2 image round trip diverged: resaved %d bytes, want %d", len(got), len(v2))
+	}
+}
 
-	dir := t.TempDir()
-	for name, img := range map[string][]byte{"v1": v1, "v2": v2} {
-		path := filepath.Join(dir, name+".img")
-		if err := os.WriteFile(path, img, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := Load(path)
-		if err != nil {
-			t.Fatalf("loading %s image: %v", name, err)
-		}
-		// Equivalence: re-save the loaded database in legacy form and
-		// compare against the original's legacy image — v1 bytes are a
-		// canonical content dump (sorted attrs, thawed bitmaps).
-		loaded.SetCompression(false)
-		got := saveImage(t, loaded, name+"-resaved.img")
-		if !bytes.Equal(got, v1) {
-			t.Fatalf("%s image round trip diverged: resaved %d bytes, want %d", name, len(got), len(v1))
-		}
+// TestLegacyImageGolden loads testdata/legacy-v1.img, a v1 image of
+// buildBulk(500, 3) with compression off, written by commit 3149df9
+// (the last commit whose Save could still write v1). Re-saved, it must
+// be byte-identical to the v2 image of a fresh buildBulk(500, 3), and
+// that image at most 70% of the legacy one's size.
+func TestLegacyImageGolden(t *testing.T) {
+	const golden = "testdata/legacy-v1.img"
+	legacy, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if magic := binary.LittleEndian.Uint32(legacy); magic != imageMagic {
+		t.Fatalf("golden image magic %#x, want SKD1 %#x", magic, imageMagic)
+	}
+	loaded, err := Load(golden)
+	if err != nil {
+		t.Fatalf("loading legacy image: %v", err)
+	}
+	if r := loaded.CheckIntegrity(); !r.OK() {
+		t.Fatalf("legacy image has violations:\n%s", r)
+	}
+	got := saveImage(t, loaded, "resaved.img")
+	want := saveImage(t, buildBulk(t, 500, 3), "fresh.img")
+	if !bytes.Equal(got, want) {
+		t.Fatalf("re-saved legacy image (%d bytes) differs from a fresh build's (%d bytes)", len(got), len(want))
+	}
+	if len(want) > len(legacy)*7/10 {
+		t.Errorf("v2 image %d bytes, want <= 70%% of the v1 image (%d bytes)", len(want), len(legacy))
 	}
 }
 
@@ -129,20 +148,11 @@ func TestBitmapStatsAndGauges(t *testing.T) {
 	if got := db.Obs().Gauge(GBitmapMemBytes).Load(); got != int64(st.MemBytes) {
 		t.Fatalf("gauge %s = %d, stats %d", GBitmapMemBytes, got, st.MemBytes)
 	}
-
-	// Compression off: Optimize thaws everything back.
-	db.SetCompression(false)
-	st = db.Optimize()
-	if st.Runs != 0 {
-		t.Fatalf("run containers survived Thaw: %+v", st)
-	}
-	if !db.Compression() {
-		return // unreachable; silences lint on the accessor
-	}
 }
 
 // TestQueriesUnchangedByOptimize runs a neighborhood probe before and
-// after Optimize/Thaw cycles — compression must be invisible to reads.
+// after Optimize and after thawing every bitmap back to array/bitset
+// containers — the representation must be invisible to reads.
 func TestQueriesUnchangedByOptimize(t *testing.T) {
 	db, objs := buildTiny(t)
 	follows := db.FindType("follows")
@@ -159,8 +169,9 @@ func TestQueriesUnchangedByOptimize(t *testing.T) {
 	before := probe()
 	db.Optimize()
 	after := probe()
-	db.SetCompression(false)
-	db.Optimize()
+	db.mu.Lock()
+	db.forEachBitmap(func(b *bitmap.Bitmap) { b.Thaw() })
+	db.mu.Unlock()
 	thawed := probe()
 	for i := range before {
 		if !equalU64(before[i], after[i]) || !equalU64(before[i], thawed[i]) {
@@ -179,4 +190,40 @@ func equalU64(a, b []uint64) bool {
 		}
 	}
 	return true
+}
+
+// TestLoadRejectsCorruptCounts sets a type-name length and an
+// attribute's value count of an image to values its bytes cannot hold:
+// Load must return an error naming the count, before the checksum is
+// reached and without sizing anything from the count.
+func TestLoadRejectsCorruptCounts(t *testing.T) {
+	db := New(Config{})
+	user, err := db.NewNodeType("user")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.NewAttribute(user, "uid", graph.KindInt, true); err != nil {
+		t.Fatal(err)
+	}
+	img := saveImage(t, db, "empty.img")
+	const trailer = 8
+	for _, tc := range []struct {
+		name string
+		off  int
+		put  func([]byte)
+	}{
+		{"string length", 24, func(b []byte) { binary.LittleEndian.PutUint32(b, 1<<31) }},
+		{"value count", len(img) - trailer - 8, func(b []byte) { binary.LittleEndian.PutUint64(b, 1<<40) }},
+	} {
+		bad := append([]byte(nil), img...)
+		tc.put(bad[tc.off:])
+		path := filepath.Join(t.TempDir(), "bad.img")
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(path)
+		if err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("%s: Load error %v, want one naming the %s", tc.name, err, tc.name)
+		}
+	}
 }

@@ -46,10 +46,6 @@ type Config struct {
 	// MaxObjects caps the total number of nodes plus edges; 0 means
 	// DefaultMaxObjects.
 	MaxObjects uint64
-	// NoCompression disables run-container bitmap compression: Optimize
-	// and Save keep the legacy array/bitset representations and the v1
-	// image format. Default off (compression on).
-	NoCompression bool
 }
 
 // Engine-specific counter names registered alongside obs.CoreCounters.
@@ -90,9 +86,8 @@ type Counters struct {
 type DB struct {
 	mu sync.RWMutex
 
-	maxObjects    uint64
-	objects       uint64 // live object count
-	noCompression bool   // pin legacy bitmap representations + v1 image
+	maxObjects uint64
+	objects    uint64 // live object count
 
 	types       []*typeInfo // index = TypeID-1
 	typesByName map[string]graph.TypeID
@@ -157,14 +152,13 @@ func New(cfg Config) *DB {
 	}
 	reg := obs.NewEngineRegistry()
 	db := &DB{
-		maxObjects:    max,
-		noCompression: cfg.NoCompression,
-		typesByName:   make(map[string]graph.TypeID),
-		reg:           reg,
-		tracer:        obs.NewTracer(),
-		traceBuf:      obs.NewTraceBuffer(obs.DefaultTraceEvents),
-		stats:         qstats.NewStats(0),
-		logger:        olog.New("sparksee"),
+		maxObjects:  max,
+		typesByName: make(map[string]graph.TypeID),
+		reg:         reg,
+		tracer:      obs.NewTracer(),
+		traceBuf:    obs.NewTraceBuffer(obs.DefaultTraceEvents),
+		stats:       qstats.NewStats(0),
+		logger:      olog.New("sparksee"),
 		hooks: &setHooks{
 			and:  reg.Counter(CBitmapAndOps),
 			or:   reg.Counter(CBitmapOrOps),

@@ -12,12 +12,12 @@ import (
 	"twigraph/internal/vfs"
 )
 
-// Image format version tags. v1 is the legacy fixed-width layout; v2
-// (written whenever compression is on, the default) differs in two
-// ways: embedded bitmaps may carry run containers, and edge endpoint
-// arrays are zigzag-delta varint streams instead of 16 fixed bytes per
-// edge — endpoints arrive in near-ascending OID order from the bulk
-// loaders, so deltas are small. Load accepts both versions.
+// Image format version tags. Save writes v2; Load also accepts the
+// legacy v1 layout. The two differ in two ways: v2's embedded bitmaps
+// may carry run containers, and its edge endpoint arrays are
+// zigzag-delta varint streams instead of v1's 16 fixed bytes per edge —
+// endpoints arrive in near-ascending OID order from the bulk loaders,
+// so deltas are small.
 const (
 	imageMagic   = 0x31444b53 // "SKD1"
 	imageMagicV2 = 0x32444b53 // "SKD2"
@@ -43,9 +43,9 @@ func (db *DB) Save(path string) error {
 // publish a zero-length "committed" image — and the parent directory is
 // fsynced best-effort afterwards so the rename itself is durable.
 func (db *DB) SaveFS(fsys vfs.FS, path string) error {
-	// Canonicalise every bitmap representation first (compress or thaw,
-	// per configuration): image bytes then depend only on contents, so
-	// the worker-count determinism comparisons keep holding.
+	// Canonicalise every bitmap representation first: image bytes then
+	// depend only on contents, so the worker-count determinism
+	// comparisons keep holding.
 	db.Optimize()
 	tmp := path + ".tmp"
 	f, err := vfs.Create(fsys, tmp)
@@ -107,11 +107,7 @@ func (db *DB) save(w io.Writer) error {
 		return err
 	}
 
-	magic := uint32(imageMagic)
-	if !db.noCompression {
-		magic = imageMagicV2
-	}
-	if err := put32(magic); err != nil {
+	if err := put32(imageMagicV2); err != nil {
 		return err
 	}
 	if err := put64(db.maxObjects); err != nil {
@@ -143,24 +139,13 @@ func (db *DB) save(w io.Writer) error {
 			if err := put64(uint64(len(ti.tails))); err != nil {
 				return err
 			}
-			if magic == imageMagicV2 {
-				var buf [2 * binary.MaxVarintLen64]byte
-				var prevT, prevH uint64
-				for i := range ti.tails {
-					n := binary.PutUvarint(buf[:], zigzag(int64(ti.tails[i])-int64(prevT)))
-					n += binary.PutUvarint(buf[n:], zigzag(int64(ti.heads[i])-int64(prevH)))
-					prevT, prevH = ti.tails[i], ti.heads[i]
-					if _, err := w.Write(buf[:n]); err != nil {
-						return err
-					}
-				}
-				continue
-			}
+			var buf [2 * binary.MaxVarintLen64]byte
+			var prevT, prevH uint64
 			for i := range ti.tails {
-				if err := put64(ti.tails[i]); err != nil {
-					return err
-				}
-				if err := put64(ti.heads[i]); err != nil {
+				n := binary.PutUvarint(buf[:], zigzag(int64(ti.tails[i])-int64(prevT)))
+				n += binary.PutUvarint(buf[n:], zigzag(int64(ti.heads[i])-int64(prevH)))
+				prevT, prevH = ti.tails[i], ti.heads[i]
+				if _, err := w.Write(buf[:n]); err != nil {
 					return err
 				}
 			}
@@ -213,17 +198,24 @@ func Load(path string) (*DB, error) {
 
 // LoadFS is Load on an explicit filesystem. When the image carries a
 // checksum trailer the body CRC is verified; images written before the
-// trailer existed load unchecked (backward compatible).
+// trailer existed load unchecked (backward compatible). The CRC can only
+// be checked once the body is read, so every count the body sizes
+// anything from is first checked against the bytes left in the file: a
+// corrupt count is an error, never an allocation sized from it.
 func LoadFS(fsys vfs.FS, path string) (*DB, error) {
 	f, err := vfs.Open(fsys, path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	size, err := f.Size()
+	if err != nil {
+		return nil, err
+	}
 	br := bufio.NewReader(f)
 	sum := crc32.NewIEEE()
 	db := New(Config{})
-	if err := db.load(io.TeeReader(br, sum)); err != nil {
+	if err := db.load(&imageReader{r: io.TeeReader(br, sum), left: size}); err != nil {
 		return nil, fmt.Errorf("sparkdb: loading %s: %w", path, err)
 	}
 	// Trailer check: read past the body from br directly so the trailer
@@ -249,7 +241,7 @@ func LoadFS(fsys vfs.FS, path string) (*DB, error) {
 	return db, nil
 }
 
-func (db *DB) load(r io.Reader) error {
+func (db *DB) load(r *imageReader) error {
 	le := binary.LittleEndian
 	get32 := func() (uint32, error) {
 		var v uint32
@@ -264,6 +256,9 @@ func (db *DB) load(r io.Reader) error {
 	getStr := func() (string, error) {
 		n, err := get32()
 		if err != nil {
+			return "", err
+		}
+		if err := r.fit("string length", uint64(n), 1); err != nil {
 			return "", err
 		}
 		buf := make([]byte, n)
@@ -287,7 +282,6 @@ func (db *DB) load(r io.Reader) error {
 	if magic != imageMagic && magic != imageMagicV2 {
 		return fmt.Errorf("bad magic %#x", magic)
 	}
-	vr := &byteReader{r: r}
 	if db.maxObjects, err = get64(); err != nil {
 		return err
 	}
@@ -327,16 +321,24 @@ func (db *DB) load(r io.Reader) error {
 			if err != nil {
 				return err
 			}
+			// An edge takes two varints (v2) or two uint64s (v1).
+			edgeBytes := uint64(16)
+			if magic == imageMagicV2 {
+				edgeBytes = 2
+			}
+			if err := r.fit(name+" edge count", nEdges, edgeBytes); err != nil {
+				return err
+			}
 			ti.tails = make([]uint64, nEdges)
 			ti.heads = make([]uint64, nEdges)
 			if magic == imageMagicV2 {
 				var prevT, prevH int64
 				for j := uint64(0); j < nEdges; j++ {
-					dt, err := binary.ReadUvarint(vr)
+					dt, err := binary.ReadUvarint(r)
 					if err != nil {
 						return err
 					}
-					dh, err := binary.ReadUvarint(vr)
+					dh, err := binary.ReadUvarint(r)
 					if err != nil {
 						return err
 					}
@@ -396,6 +398,10 @@ func (db *DB) load(r io.Reader) error {
 		if err != nil {
 			return err
 		}
+		// A value entry holds an OID and at least a kind byte.
+		if err := r.fit(name+" value count", nVals, 8+1); err != nil {
+			return err
+		}
 		ai := db.attrs[aid-1]
 		for j := uint64(0); j < nVals; j++ {
 			oid, err := get64()
@@ -425,18 +431,34 @@ func (db *DB) load(r io.Reader) error {
 func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// byteReader adapts the image body reader (a TeeReader feeding the
-// checksum) to the io.ByteReader that varint decoding needs.
-type byteReader struct {
-	r   io.Reader
-	one [1]byte
+// imageReader is the image body reader (a TeeReader feeding the
+// checksum). It counts down the bytes left in the file, so a count read
+// from the image can be checked before anything is sized from it, and
+// it is the io.ByteReader that varint decoding needs.
+type imageReader struct {
+	r    io.Reader
+	left int64 // file bytes not yet consumed
+	one  [1]byte
 }
 
-func (b *byteReader) Read(p []byte) (int, error) { return b.r.Read(p) }
+func (b *imageReader) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	b.left -= int64(n)
+	return n, err
+}
 
-func (b *byteReader) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(b.r, b.one[:]); err != nil {
+func (b *imageReader) ReadByte() (byte, error) {
+	if _, err := io.ReadFull(b, b.one[:]); err != nil {
 		return 0, err
 	}
 	return b.one[0], nil
+}
+
+// fit returns an error unless n entries of at least size bytes each fit
+// in the bytes left.
+func (b *imageReader) fit(what string, n, size uint64) error {
+	if n > uint64(max(b.left, 0))/size {
+		return fmt.Errorf("%s %d overruns the image (%d bytes left)", what, n, b.left)
+	}
+	return nil
 }

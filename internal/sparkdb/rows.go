@@ -91,10 +91,6 @@ func (s *EdgeSource) Lends() bool {
 	return ti != nil && ti.isEdge && ti.materialized
 }
 
-// RunCompressed implements spmat.RunCompressed: lent rows may carry
-// run containers whenever the database's compression knob is on.
-func (s *EdgeSource) RunCompressed() bool { return s.db.Compression() }
-
 // ForEachEdge implements spmat.Source: one scan over the row's link
 // bitmap, one endpoint-array read per edge, visited in edge-record
 // order (ascending edge OID — the order the endpoint arrays were

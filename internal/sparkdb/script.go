@@ -34,10 +34,6 @@ type ScriptOptions struct {
 	DataDir     string // directory CSV references resolve against; default the script's directory
 	BatchRows   int    // pipeline batch size and progress granularity; default 100k
 	Workers     int    // import pipeline workers: 0 = GOMAXPROCS, 1 = serial
-
-	// NoCompression disables run-container compression for the target
-	// database: flushes write legacy v1 images.
-	NoCompression bool
 }
 
 // Progress describes one loader progress event.
@@ -176,9 +172,6 @@ func parseRef(s string) (endpointRef, error) {
 // directory when unset. The optional progress callback receives one
 // event per BatchRows rows and after every flush stall.
 func (db *DB) RunScript(path string, opts ScriptOptions, progress func(Progress)) (ScriptResult, error) {
-	if opts.NoCompression {
-		db.SetCompression(false)
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return ScriptResult{}, err

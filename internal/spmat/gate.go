@@ -10,36 +10,13 @@ package spmat
 const DensityFraction = 64
 
 // LentDensityFraction is the calibrated threshold for hops whose
-// gathered rows are lent as materialised bitmaps: the row-gather then
-// costs a handful of bitmap sweeps even on sparse frontiers, so the
-// algebraic crossover sits far lower than for streamed chain walks and
-// the gate is correspondingly more aggressive.
-const LentDensityFraction = 2048
-
-// LentRunDensityFraction is the lent-row threshold when the engine's
-// bitmaps are run-compressed: a run container ORs into the accumulator
-// in whole-interval strides instead of per-word sweeps, so each
-// gathered row costs even less and the algebraic crossover drops
-// further still.
-const LentRunDensityFraction = 4096
-
-// RunCompressed is the optional capability a Source implements to
-// report that its lent rows may be run-compressed bitmaps; gates
-// calibrate their threshold divisor to the cheaper row sweep
-// (LentRunDensityFraction instead of LentDensityFraction).
-type RunCompressed interface {
-	RunCompressed() bool
-}
-
-// LentFraction picks the lent-row threshold divisor for src:
-// LentRunDensityFraction when it reports run compression,
-// LentDensityFraction otherwise.
-func LentFraction(src Source) int {
-	if rc, ok := src.(RunCompressed); ok && rc.RunCompressed() {
-		return LentRunDensityFraction
-	}
-	return LentDensityFraction
-}
+// gathered rows are lent as run-compressed bitmaps: the row-gather then
+// costs a handful of bitmap sweeps even on sparse frontiers, and a run
+// container ORs into the accumulator in whole-interval strides instead
+// of per-word sweeps, so the algebraic crossover sits far lower than
+// for streamed chain walks and the gate is correspondingly more
+// aggressive.
+const LentDensityFraction = 4096
 
 // PullFraction is the direction-optimizing BFS rule (Beamer's
 // bottom-up switch): a level whose frontier holds more than

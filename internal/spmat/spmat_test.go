@@ -157,24 +157,19 @@ func TestGateThresholds(t *testing.T) {
 	}
 }
 
-// rcSource wraps memSource with the RunCompressed capability.
-type rcSource struct {
-	*memSource
-	rc bool
-}
-
-func (s rcSource) RunCompressed() bool { return s.rc }
-
-func TestLentFraction(t *testing.T) {
-	src := newMemSource(true, map[uint64][]uint64{1: {2, 3}})
-	if got := LentFraction(src); got != LentDensityFraction {
-		t.Fatalf("plain source: LentFraction = %d, want %d", got, LentDensityFraction)
+// TestLentGateThreshold pins the lent-row divisor the sparkdb 2-hop
+// gate uses: with it, a hop goes algebraic once it is expected to touch
+// Candidates/LentDensityFraction edges, 64x sooner than the default.
+func TestLentGateThreshold(t *testing.T) {
+	g := NewGate(LentDensityFraction*100, 100, 1000).WithFraction(LentDensityFraction) // meanDeg 10, threshold 100 edges
+	if g.UseMatrix(9) {
+		t.Fatal("9 rows x deg 10 = 90 expected edges should stay navigational")
 	}
-	if got := LentFraction(rcSource{src, false}); got != LentDensityFraction {
-		t.Fatalf("capability off: LentFraction = %d, want %d", got, LentDensityFraction)
+	if !g.UseMatrix(10) {
+		t.Fatal("10 rows x deg 10 = 100 expected edges should go algebraic")
 	}
-	if got := LentFraction(rcSource{src, true}); got != LentRunDensityFraction {
-		t.Fatalf("run-compressed source: LentFraction = %d, want %d", got, LentRunDensityFraction)
+	if NewGate(LentDensityFraction*100, 100, 1000).UseMatrix(10) {
+		t.Fatal("the default divisor must not admit the lent-row threshold")
 	}
 }
 

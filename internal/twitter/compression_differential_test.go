@@ -1,7 +1,6 @@
 package twitter_test
 
 import (
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -15,19 +14,19 @@ import (
 )
 
 // TestCompressionDifferential is the run-container compression
-// differential: both engines, with the sparkdb engine loaded twice —
-// compressed (run containers, v2 image) and uncompressed (legacy
-// representations, v1 image) — must return byte-identical results for
-// every workload query under Faithful, Tuned and the seam's 8-shard
-// matrix and navigational paths. Compression only changes how sets are
-// stored, never what they contain.
+// differential: the bulk-loaded sparkdb store, whose bitmaps hold run
+// containers, must return byte-identical results to neodb, which holds
+// no bitmaps, for every workload query under Faithful, Tuned and the
+// seam's 8-shard matrix and navigational paths. Compression only
+// changes how sets are stored, never what they contain. The v2 image's
+// size against v1 is pinned by sparkdb's TestLegacyImageGolden.
 func TestCompressionDifferential(t *testing.T) {
 	if testing.Short() {
-		t.Skip("differential test builds three databases")
+		t.Skip("differential test builds two databases")
 	}
 	dir := t.TempDir()
 	csvDir := filepath.Join(dir, "csv")
-	if _, err := gen.Generate(smallCfg(), csvDir); err != nil {
+	if _, err := gen.GenerateStream(smallCfg(), csvDir); err != nil {
 		t.Fatal(err)
 	}
 	neoRes, err := load.BuildNeo(csvDir, filepath.Join(dir, "neo"), neodb.Config{CachePages: 1024}, 0)
@@ -41,38 +40,10 @@ func TestCompressionDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := load.BuildSpark(csvDir, sparkdb.ScriptOptions{
-		ImagePath:     filepath.Join(dir, "v1.img"),
-		NoCompression: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	// The compressed build must actually hold run containers, and its
-	// image must be meaningfully smaller — the acceptance bar is 30%.
+	// The compressed build must actually hold run containers.
 	if st := comp.Store.DB().BitmapStats(); st.Runs == 0 {
 		t.Fatalf("compressed build has no run containers: %+v", st)
-	}
-	v2, err := os.Stat(filepath.Join(dir, "v2.img"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1, err := os.Stat(filepath.Join(dir, "v1.img"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2.Size() > v1.Size()*7/10 {
-		t.Errorf("v2 image %d bytes, want <= 70%% of v1 (%d bytes)", v2.Size(), v1.Size())
-	}
-	// The legacy image still loads and serves queries.
-	legacy, err := sparkdb.Load(filepath.Join(dir, "v1.img"))
-	if err != nil {
-		t.Fatalf("legacy v1 image load: %v", err)
-	}
-	legacyStore, err := twitter.NewSparkStore(legacy)
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	queries := append([]probeQuery{
@@ -105,9 +76,7 @@ func TestCompressionDifferential(t *testing.T) {
 		s    profileStore
 	}{
 		{"neo", neoRes.Store},
-		{"spark-plain", plain.Store},
 		{"spark-compressed", comp.Store},
-		{"spark-legacy-image", legacyStore},
 	}
 	stats := map[string]sweepStats{}
 	for _, st := range stores {
@@ -115,22 +84,19 @@ func TestCompressionDifferential(t *testing.T) {
 	}
 	for qi, q := range queries {
 		t.Run(q.name, func(t *testing.T) {
-			// Every store must agree with itself across the columns; every
-			// sparkdb variant must then match the uncompressed build (the
-			// neo engine is checked against sparkdb by
-			// TestDifferentialWorkload).
-			var sparkBase any
-			for _, st := range stores {
+			// Every store must agree with itself across the columns, and
+			// the compressed sparkdb build must match neo.
+			var base any
+			for i, st := range stores {
 				var acc sweepStats
 				if qi >= len(queries)-len(multiHopQueries) {
 					acc = stats[st.name]
 				}
 				got := sweep(t, st.s, q, acc)
-				switch {
-				case st.name == "spark-plain":
-					sparkBase = got
-				case st.name != "neo" && !reflect.DeepEqual(got, sparkBase):
-					t.Fatalf("%s diverges from spark-plain:\n base: %#v\n  got: %#v", st.name, sparkBase, got)
+				if i == 0 {
+					base = got
+				} else if !sameRows(reflect.ValueOf(got), reflect.ValueOf(base)) {
+					t.Fatalf("%s diverges from %s:\n base: %#v\n  got: %#v", st.name, stores[0].name, base, got)
 				}
 			}
 		})
@@ -160,4 +126,25 @@ func TestCompressionDifferential(t *testing.T) {
 	if seen[sparkdb.GBitmapRunContainers] == 0 {
 		t.Errorf("gauge %s is zero on a compressed build", sparkdb.GBitmapRunContainers)
 	}
+}
+
+// sameRows is reflect.DeepEqual, except that a nil slice equals an
+// empty one: for a query with no rows neodb returns one and sparkdb the
+// other.
+func sameRows(a, b reflect.Value) bool {
+	if a.Type() != b.Type() {
+		return false
+	}
+	if a.Kind() != reflect.Slice {
+		return reflect.DeepEqual(a.Interface(), b.Interface())
+	}
+	if a.Len() != b.Len() {
+		return false
+	}
+	for i := 0; i < a.Len(); i++ {
+		if !sameRows(a.Index(i), b.Index(i)) {
+			return false
+		}
+	}
+	return true
 }

@@ -22,7 +22,7 @@ func TestDenseNodesDifferential(t *testing.T) {
 	dir := t.TempDir()
 	csvDir := filepath.Join(dir, "csv")
 	cfg := smallCfg()
-	if _, err := gen.Generate(cfg, csvDir); err != nil {
+	if _, err := gen.GenerateStream(cfg, csvDir); err != nil {
 		t.Fatal(err)
 	}
 	neoRes, err := load.BuildNeo(csvDir, filepath.Join(dir, "neo"),

@@ -230,7 +230,7 @@ func TestWorkersOnSmallCache(t *testing.T) {
 	}
 	dir := t.TempDir()
 	csvDir := filepath.Join(dir, "csv")
-	if _, err := gen.Generate(smallCfg(), csvDir); err != nil {
+	if _, err := gen.GenerateStream(smallCfg(), csvDir); err != nil {
 		t.Fatal(err)
 	}
 	res, err := load.BuildNeo(csvDir, filepath.Join(dir, "neo"), neodb.Config{CachePages: 16}, 0)

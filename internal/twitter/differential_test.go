@@ -19,7 +19,7 @@ func buildBoth(t testing.TB, cfg gen.Config) (*twitter.NeoStore, *twitter.SparkS
 	t.Helper()
 	dir := t.TempDir()
 	csvDir := filepath.Join(dir, "csv")
-	sum, err := gen.Generate(cfg, csvDir)
+	sum, err := gen.GenerateStream(cfg, csvDir)
 	if err != nil {
 		t.Fatal(err)
 	}

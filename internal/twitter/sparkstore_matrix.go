@@ -33,12 +33,11 @@ func (s *SparkStore) secondHopGate(candType, srcType, edgeType graph.TypeID) spm
 // (nil, false, nil) when the gate sends the hop to the navigational
 // path — the caller falls through to its existing code.
 func (s *SparkStore) twoHopGather(q *runningQuery, first, second spmat.Source, anchor uint64, midBase, outBase uint64, g spmat.Gate) (*spmat.Accum, bool, error) {
-	// The engine's row access — lent bitmaps when materialised, array-
-	// backed endpoint streams otherwise — is cheap at every density
-	// (no per-edge OID decoding), so the algebraic crossover sits far
-	// below the chain-walking default; run-compressed rows push it
-	// lower again (whole-interval strides instead of word sweeps).
-	g = g.WithFraction(spmat.LentFraction(second))
+	// The engine's row access — lent run-compressed bitmaps when
+	// materialised, array-backed endpoint streams otherwise — is cheap
+	// at every density (no per-edge OID decoding), so the algebraic
+	// crossover sits far below the chain-walking default.
+	g = g.WithFraction(spmat.LentDensityFraction)
 	// The gate first checks the anchor row's cheap cardinality bound,
 	// so sparse anchors skip the frontier build entirely instead of
 	// paying for one the exact gate below would discard.
