@@ -44,8 +44,8 @@ func TestAddRangeMatchesAddLoop(t *testing.T) {
 
 func TestAddRangeOntoExisting(t *testing.T) {
 	for _, preset := range [][]uint64{
-		{1, 50, 200, 70000},               // array containers
-		rangeSlice(0, arrayToBitmapThreshold + 10), // a set container
+		{1, 50, 200, 70000},                      // array containers
+		rangeSlice(0, arrayToBitmapThreshold+10), // a set container
 	} {
 		fast := Of(preset...)
 		slow := Of(preset...)

@@ -38,9 +38,9 @@ func TestImportGroupCommitCrashRecoversBatchPrefix(t *testing.T) {
 	const batchRows = 2
 	type state struct{ nodes, edges uint64 }
 	validPrefix := map[state]bool{
-		{0, 0}: true, // no frame durable
+		{0, 0}: true,                             // no frame durable
 		{2, 0}: true, {3, 0}: true, {5, 0}: true, // node batches
-		{6, 0}: true, // all nodes (and possibly the dense frame)
+		{6, 0}: true,                                                         // all nodes (and possibly the dense frame)
 		{6, 2}: true, {6, 4}: true, {6, 6}: true, {6, 7}: true, {6, 8}: true, // edge batches
 	}
 

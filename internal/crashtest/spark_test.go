@@ -1,6 +1,7 @@
 package crashtest
 
 import (
+	"bytes"
 	"encoding/binary"
 	"strings"
 	"testing"
@@ -148,6 +149,38 @@ func TestSparkImageCrashSafety(t *testing.T) {
 			t.Fatal("image with a flipped edge count loaded without error")
 		}
 		if !strings.Contains(err.Error(), "edge count") {
+			t.Errorf("unexpected error: %v", err)
+		}
+	})
+
+	// Likewise a value OID: bit 39 of the first uid value's OID names
+	// seq 2^39+1, which would size a column of 2^39 values.
+	t.Run("flipped value OID rejected before allocation", func(t *testing.T) {
+		fs := vfs.NewFaultFS()
+		if err := db.SaveFS(fs, img); err != nil {
+			t.Fatal(err)
+		}
+		image, err := vfs.ReadFile(fs, img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(image) > 4096 {
+			t.Fatalf("image is %d bytes, larger than one buffered read", len(image))
+		}
+		// The first user's OID (type 1, seq 1) appears as eight
+		// little-endian bytes only as its uid value's OID.
+		var oid [8]byte
+		binary.LittleEndian.PutUint64(oid[:], 1<<40|1)
+		if n := bytes.Count(image, oid[:]); n != 1 {
+			t.Fatalf("first user OID stored %d times, want 1", n)
+		}
+		off := bytes.Index(image, oid[:])
+		fs.AddFault(vfs.Fault{Op: vfs.OpRead, PathSubstr: img, Nth: 1, Kind: vfs.KindBitFlip, BitOffset: int64(off)*8 + 39})
+		_, err = sparkdb.LoadFS(fs, img)
+		if err == nil {
+			t.Fatal("image with a flipped value OID loaded without error")
+		}
+		if !strings.Contains(err.Error(), "value OID") {
 			t.Errorf("unexpected error: %v", err)
 		}
 	})

@@ -15,10 +15,11 @@ import (
 // NewNodeBatch creates rows nodes of typeID with consecutive OIDs and
 // sets every attribute in attrIDs from vals (row-major, one value per
 // attribute per row) under a single lock acquisition. It returns the
-// number of rows fully created. When the license object cap is reached
-// mid-batch the preceding prefix stays applied and a cap error is
-// returned together with the prefix length — the same end state the
-// per-row path leaves behind.
+// number of rows fully created. A value of the wrong kind rejects the
+// whole batch before anything is created. When the license object cap
+// is reached mid-batch the preceding prefix stays applied and a cap
+// error is returned together with the prefix length — the same end
+// state the per-row path leaves behind.
 func (db *DB) NewNodeBatch(typeID graph.TypeID, attrIDs []graph.AttrID, rows int, vals []graph.Value) (int, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -38,6 +39,13 @@ func (db *DB) NewNodeBatch(typeID graph.TypeID, attrIDs []graph.AttrID, rows int
 		}
 		ais[i] = ai
 	}
+	for r := 0; r < rows; r++ {
+		for i, ai := range ais {
+			if v := vals[r*nattrs+i]; v.Kind() != ai.kind {
+				return 0, fmt.Errorf("%w: %s wants %v, got %v", graph.ErrKindMismatch, ai.name, ai.kind, v.Kind())
+			}
+		}
+	}
 	allowed := rows
 	var capErr error
 	if free := db.maxObjects - db.objects; uint64(allowed) > free {
@@ -47,14 +55,14 @@ func (db *DB) NewNodeBatch(typeID graph.TypeID, attrIDs []graph.AttrID, rows int
 	if allowed > 0 {
 		first := makeOID(typeID, ti.nextSeq+1)
 		ti.objects.AddRange(first, first+uint64(allowed)-1)
+		for _, ai := range ais {
+			ai.size(ti.nextSeq + uint64(allowed))
+		}
 		for r := 0; r < allowed; r++ {
 			oid := makeOID(typeID, ti.nextSeq+uint64(r)+1)
 			for i, ai := range ais {
 				v := vals[r*nattrs+i]
-				if v.Kind() != ai.kind {
-					return r, fmt.Errorf("%w: %s wants %v, got %v", graph.ErrKindMismatch, ai.name, ai.kind, v.Kind())
-				}
-				ai.values[oid] = v
+				ai.put(oid, v)
 				if ai.indexed {
 					k := v.Key()
 					b, ok := ai.index[k]

@@ -9,8 +9,9 @@
 //   - every node and edge is an object identified by a dense OID whose
 //     high bits encode its type;
 //   - each type owns a bitmap of its member OIDs;
-//   - each attribute keeps an OID→value map plus, when indexed, a
-//     value→OID-bitmap inverted index;
+//   - each attribute keeps an OID→value column, dense over its type's
+//     sequence numbers, plus, when indexed, a value→OID-bitmap inverted
+//     index;
 //   - adjacency is stored as link maps from tail/head OIDs to bitmaps of
 //     edge OIDs, so Neighbors and Explode are bitmap unions;
 //   - there is no declarative layer: selections evaluate one predicate
@@ -139,9 +140,64 @@ type attrInfo struct {
 	name    string
 	kind    graph.Kind
 	indexed bool
-	values  map[uint64]graph.Value
+	// values is the OID→value column: values[seq-1] holds the value of
+	// makeOID(typeID, seq), NilValue when unset. A type's OIDs are dense
+	// and never deleted, so a slice stands where a map would; set counts
+	// its non-nil entries (Save's value count). Single values are read
+	// and written only through get and put; scans range over it in OID
+	// order.
+	values  []graph.Value
+	set     int
 	index   map[string]*bitmap.Bitmap // Value.Key() -> OIDs
 	keyVals map[string]graph.Value    // Value.Key() -> Value
+}
+
+// get returns the value stored for oid: NilValue when unset or when oid
+// is not an object of the attribute's type.
+func (ai *attrInfo) get(oid uint64) graph.Value {
+	if ObjectType(oid) != ai.typeID {
+		return graph.NilValue
+	}
+	if i := seqOf(oid) - 1; i < uint64(len(ai.values)) {
+		return ai.values[i]
+	}
+	return graph.NilValue
+}
+
+// put stores v for oid, NilValue clearing it, and keeps set in step.
+// The caller has checked that oid is a live object of the attribute's
+// type, which bounds the column by the type's sequence counter.
+func (ai *attrInfo) put(oid uint64, v graph.Value) {
+	i := seqOf(oid) - 1
+	if i >= uint64(len(ai.values)) {
+		if v.IsNil() {
+			return
+		}
+		ai.values = append(ai.values, make([]graph.Value, i+1-uint64(len(ai.values)))...)
+	}
+	if old := ai.values[i]; old.IsNil() != v.IsNil() {
+		if v.IsNil() {
+			ai.set--
+		} else {
+			ai.set++
+		}
+	}
+	ai.values[i] = v
+}
+
+// size lengthens the column to n entries at exactly that capacity, for
+// callers that know how many objects the type is about to hold.
+func (ai *attrInfo) size(n uint64) {
+	if n <= uint64(len(ai.values)) {
+		return
+	}
+	if n <= uint64(cap(ai.values)) {
+		ai.values = ai.values[:n]
+		return
+	}
+	col := make([]graph.Value, n)
+	copy(col, ai.values)
+	ai.values = col
 }
 
 // New creates an empty database.
@@ -295,7 +351,6 @@ func (db *DB) NewAttribute(typeID graph.TypeID, name string, kind graph.Kind, in
 	id := graph.AttrID(len(db.attrs) + 1)
 	ai := &attrInfo{
 		id: id, typeID: typeID, name: name, kind: kind, indexed: indexed,
-		values: make(map[uint64]graph.Value),
 	}
 	if indexed {
 		ai.index = make(map[string]*bitmap.Bitmap)
@@ -433,8 +488,10 @@ func (db *DB) Objects(typeID graph.TypeID) *Objects {
 
 // ---------- attributes ----------
 
-// SetAttribute sets attr on oid. The value kind must match the declared
-// attribute kind (or be nil to clear).
+// SetAttribute sets attr on oid. The object must exist and the value
+// kind must match the declared attribute kind (or be nil to clear); a
+// rejected write leaves the stored value and its index entry as they
+// were.
 func (db *DB) SetAttribute(oid uint64, attr graph.AttrID, v graph.Value) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -445,24 +502,21 @@ func (db *DB) SetAttribute(oid uint64, attr graph.AttrID, v graph.Value) error {
 	if ObjectType(oid) != ai.typeID {
 		return fmt.Errorf("sparkdb: attribute %s belongs to type %d, object is type %d", ai.name, ai.typeID, ObjectType(oid))
 	}
-	if old, ok := ai.values[oid]; ok && ai.indexed {
-		unindex(ai, old, oid)
+	if seq := seqOf(oid); seq == 0 || seq > db.typeInfo(ai.typeID).nextSeq {
+		return fmt.Errorf("%w: object %d", graph.ErrNotFound, oid)
 	}
-	if v.IsNil() {
-		delete(ai.values, oid)
-		return nil
-	}
-	if v.Kind() != ai.kind {
+	if !v.IsNil() && v.Kind() != ai.kind {
 		return fmt.Errorf("%w: %s wants %v, got %v", graph.ErrKindMismatch, ai.name, ai.kind, v.Kind())
 	}
-	ai.values[oid] = v
-	if ai.indexed {
+	if old := ai.get(oid); !old.IsNil() && ai.indexed {
+		unindex(ai, old, oid)
+	}
+	ai.put(oid, v)
+	if ai.indexed && !v.IsNil() {
 		k := v.Key()
 		b, ok := ai.index[k]
 		if !ok {
-			b = bitmap.New()
-			ai.index[k] = b
-			ai.keyVals[k] = v
+			b = newPostings(ai, k, v)
 		}
 		b.Add(oid)
 	}
@@ -497,7 +551,25 @@ func (db *DB) GetAttribute(oid uint64, attr graph.AttrID) graph.Value {
 	if ai == nil {
 		return graph.NilValue
 	}
-	return ai.values[oid]
+	return ai.get(oid)
+}
+
+// GetAttributes appends to dst the value of attr on each of oids, in
+// order, and returns the extended slice: GetAttribute over a batch,
+// under one read lock and one record_fetches update of len(oids).
+func (db *DB) GetAttributes(oids []uint64, attr graph.AttrID, dst []graph.Value) []graph.Value {
+	db.cFetches.Add(uint64(len(oids)))
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	ai := db.attrInfo(attr)
+	for _, oid := range oids {
+		v := graph.NilValue
+		if ai != nil {
+			v = ai.get(oid)
+		}
+		dst = append(dst, v)
+	}
+	return dst
 }
 
 // FindObject returns the first object whose attr equals v, mirroring

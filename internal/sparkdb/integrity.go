@@ -55,8 +55,9 @@ func (r *IntegrityReport) String() string {
 //   - materialised neighbor indexes contain exactly the endpoint pairs
 //     of the live edges;
 //   - attribute values sit on live objects of the declared type with
-//     the declared kind, and inverted indexes match the value maps in
-//     both directions;
+//     the declared kind, each column's set count matches its non-nil
+//     entries, and inverted indexes match the value columns in both
+//     directions;
 //   - the global object count equals the sum of the per-type bitmaps.
 //
 // A loaded image that fails these checks was corrupted in storage (or
@@ -205,16 +206,16 @@ func (db *DB) checkEdgeType(r *IntegrityReport, ti *typeInfo) {
 }
 
 func (db *DB) checkAttr(r *IntegrityReport, ai *attrInfo) {
-	for oid, v := range ai.values {
-		r.Attrs++
-		if ObjectType(oid) != ai.typeID {
-			r.addf("attr %s: value on %d, an object of type %d not %d", ai.name, oid, ObjectType(oid), ai.typeID)
-		} else if !db.live(oid) {
-			r.addf("attr %s: value on dead object %d", ai.name, oid)
-		}
+	set := 0
+	for i, v := range ai.values {
 		if v.IsNil() {
-			r.addf("attr %s: nil value stored for object %d", ai.name, oid)
 			continue
+		}
+		set++
+		r.Attrs++
+		oid := makeOID(ai.typeID, uint64(i+1))
+		if !db.live(oid) {
+			r.addf("attr %s: value on dead object %d", ai.name, oid)
 		}
 		if v.Kind() != ai.kind {
 			r.addf("attr %s: object %d holds kind %v, declared %v", ai.name, oid, v.Kind(), ai.kind)
@@ -224,6 +225,9 @@ func (db *DB) checkAttr(r *IntegrityReport, ai *attrInfo) {
 				r.addf("attr %s: object %d value %v missing from inverted index", ai.name, oid, v)
 			}
 		}
+	}
+	if set != ai.set {
+		r.addf("attr %s: %d values stored but set count %d", ai.name, set, ai.set)
 	}
 	if !ai.indexed {
 		if len(ai.index) != 0 || len(ai.keyVals) != 0 {
@@ -242,8 +246,8 @@ func (db *DB) checkAttr(r *IntegrityReport, ai *attrInfo) {
 			r.addf("attr %s: value record for key %q re-keys to %q", ai.name, k, kv.Key())
 		}
 		b.ForEach(func(oid uint64) bool {
-			v, ok := ai.values[oid]
-			if !ok {
+			v := ai.get(oid)
+			if v.IsNil() {
 				r.addf("attr %s: index key %q lists object %d with no stored value", ai.name, k, oid)
 			} else if v.Key() != k {
 				r.addf("attr %s: object %d indexed under %q but stores key %q", ai.name, oid, k, v.Key())

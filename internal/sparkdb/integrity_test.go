@@ -91,7 +91,7 @@ func TestIntegrityDetectsIndexDrift(t *testing.T) {
 	uid := db.types[user-1].attrsByName["uid"]
 	ai := db.attrs[uid-1]
 	// Re-point the stored value without updating the index.
-	ai.values[oids[0]] = graph.IntValue(999)
+	ai.put(oids[0], graph.IntValue(999))
 	r := db.CheckIntegrity()
 	if r.OK() {
 		t.Fatal("index drift passed integrity check")

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
 
 	"twigraph/internal/graph"
 	"twigraph/internal/vfs"
@@ -31,7 +30,7 @@ const imageTrailerMagic = 0x43444b53 // "SKDC"
 // Save writes the database image to path atomically. Link maps,
 // materialised neighbor indexes and attribute inverted indexes are not
 // stored: they are derived structures rebuilt on Load from the edge
-// endpoint arrays and attribute value maps.
+// endpoint arrays and attribute value columns.
 func (db *DB) Save(path string) error {
 	return db.SaveFS(vfs.OS, path)
 }
@@ -167,22 +166,20 @@ func (db *DB) save(w io.Writer) error {
 		if err := putBool(ai.indexed); err != nil {
 			return err
 		}
-		if err := put64(uint64(len(ai.values))); err != nil {
+		if err := put64(uint64(ai.set)); err != nil {
 			return err
 		}
-		// Serialise in ascending OID order: map iteration order would
-		// make repeated saves of the same database differ byte-for-byte,
-		// breaking image comparison (and the import determinism tests).
-		oids := make([]uint64, 0, len(ai.values))
-		for oid := range ai.values {
-			oids = append(oids, oid)
-		}
-		sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
-		for _, oid := range oids {
-			if err := put64(oid); err != nil {
+		// The column is in ascending OID order, so repeated saves of the
+		// same database are byte-identical (the import determinism tests
+		// compare images).
+		for i, v := range ai.values {
+			if v.IsNil() {
+				continue
+			}
+			if err := put64(makeOID(ai.typeID, uint64(i+1))); err != nil {
 				return err
 			}
-			if err := graph.WriteValue(w, ai.values[oid]); err != nil {
+			if err := graph.WriteValue(w, v); err != nil {
 				return err
 			}
 		}
@@ -316,6 +313,11 @@ func (db *DB) load(r *imageReader) error {
 		if _, err := ti.objects.ReadFrom(r); err != nil {
 			return err
 		}
+		// Objects are never deleted, so a type's members are exactly
+		// seqs 1..nextSeq; attribute columns are sized from nextSeq.
+		if !denseMembers(ti) {
+			return fmt.Errorf("type %s: members are not seqs 1..%d", name, ti.nextSeq)
+		}
 		if isEdge {
 			nEdges, err := get64()
 			if err != nil {
@@ -403,16 +405,32 @@ func (db *DB) load(r *imageReader) error {
 			return err
 		}
 		ai := db.attrs[aid-1]
+		ti := db.typeInfo(ai.typeID)
+		if nVals > 0 {
+			ai.size(ti.nextSeq)
+		}
+		// Values arrive in ascending OID order on objects of the
+		// attribute's type; anything else is corruption, caught before
+		// it can index the column.
+		var prevSeq uint64
 		for j := uint64(0); j < nVals; j++ {
 			oid, err := get64()
 			if err != nil {
 				return err
 			}
+			seq := seqOf(oid)
+			if ObjectType(oid) != ai.typeID || seq <= prevSeq || seq > ti.nextSeq {
+				return fmt.Errorf("%s value OID %#x out of order or not an object of type %s (1..%d)", name, oid, ti.name, ti.nextSeq)
+			}
+			prevSeq = seq
 			v, err := graph.ReadValue(r)
 			if err != nil {
 				return err
 			}
-			ai.values[oid] = v
+			if v.IsNil() {
+				return fmt.Errorf("%s value on %#x is nil", name, oid)
+			}
+			ai.put(oid, v)
 			if indexed {
 				k := v.Key()
 				b, ok := ai.index[k]
@@ -424,6 +442,20 @@ func (db *DB) load(r *imageReader) error {
 		}
 	}
 	return nil
+}
+
+// denseMembers reports whether ti's member bitmap is exactly the OIDs
+// of seqs 1..nextSeq.
+func denseMembers(ti *typeInfo) bool {
+	if ti.nextSeq >= 1<<oidTypeShift || uint64(ti.objects.Cardinality()) != ti.nextSeq {
+		return false
+	}
+	if ti.nextSeq == 0 {
+		return true
+	}
+	lo, _ := ti.objects.Min()
+	hi, _ := ti.objects.Max()
+	return lo == makeOID(ti.id, 1) && hi == makeOID(ti.id, ti.nextSeq)
 }
 
 // zigzag maps signed deltas onto small unsigned varints

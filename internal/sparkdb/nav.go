@@ -143,7 +143,7 @@ const (
 // disjunctions are built by combining Objects sets (paper, Q1).
 //
 // Equality on an indexed attribute is a bitmap lookup; every other case
-// scans the attribute's value map.
+// scans the attribute's value column.
 func (db *DB) Select(attr graph.AttrID, op CompareOp, v graph.Value) *Objects {
 	db.cNavSelects.Inc()
 	db.mu.RLock()
@@ -160,15 +160,20 @@ func (db *DB) Select(attr graph.AttrID, op CompareOp, v graph.Value) *Objects {
 		}
 		return db.newObjects(bitmap.New())
 	}
-	// Full value-map scan: one fetch per attribute value compared.
+	// Full column scan in OID order: one fetch per set value compared.
 	db.cBitmapScan.Inc()
 	out := bitmap.New()
-	for oid, val := range ai.values {
-		db.cFetches.Inc()
+	var compared uint64
+	for i, val := range ai.values {
+		if val.IsNil() {
+			continue
+		}
+		compared++
 		if matchOp(val.Compare(v), op) {
-			out.Add(oid)
+			out.Add(makeOID(ai.typeID, uint64(i+1)))
 		}
 	}
+	db.cFetches.Add(compared)
 	return db.newObjects(out)
 }
 

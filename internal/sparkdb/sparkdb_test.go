@@ -142,9 +142,15 @@ func TestAttributesAndFindObject(t *testing.T) {
 	if got := db.GetAttribute(objs["u3"], uid); got.Int() != 3 {
 		t.Errorf("GetAttribute = %v", got)
 	}
-	// Kind mismatch rejected.
+	// Kind mismatch rejected, leaving the value and its index entry.
 	if err := db.SetAttribute(objs["u3"], uid, graph.StringValue("x")); !errors.Is(err, graph.ErrKindMismatch) {
 		t.Errorf("kind mismatch err = %v", err)
+	}
+	if oid, ok := db.FindObject(uid, graph.IntValue(3)); !ok || oid != objs["u3"] {
+		t.Errorf("after a rejected write FindObject = %d,%v want %d", oid, ok, objs["u3"])
+	}
+	if r := db.CheckIntegrity(); !r.OK() {
+		t.Errorf("a rejected write broke integrity:\n%s", r)
 	}
 	// Re-setting updates the index.
 	if err := db.SetAttribute(objs["u3"], uid, graph.IntValue(33)); err != nil {

@@ -95,7 +95,7 @@ func TestCompressionDifferential(t *testing.T) {
 				got := sweep(t, st.s, q, acc)
 				if i == 0 {
 					base = got
-				} else if !sameRows(reflect.ValueOf(got), reflect.ValueOf(base)) {
+				} else if !reflect.DeepEqual(got, base) {
 					t.Fatalf("%s diverges from %s:\n base: %#v\n  got: %#v", st.name, stores[0].name, base, got)
 				}
 			}
@@ -126,25 +126,4 @@ func TestCompressionDifferential(t *testing.T) {
 	if seen[sparkdb.GBitmapRunContainers] == 0 {
 		t.Errorf("gauge %s is zero on a compressed build", sparkdb.GBitmapRunContainers)
 	}
-}
-
-// sameRows is reflect.DeepEqual, except that a nil slice equals an
-// empty one: for a query with no rows neodb returns one and sparkdb the
-// other.
-func sameRows(a, b reflect.Value) bool {
-	if a.Type() != b.Type() {
-		return false
-	}
-	if a.Kind() != reflect.Slice {
-		return reflect.DeepEqual(a.Interface(), b.Interface())
-	}
-	if a.Len() != b.Len() {
-		return false
-	}
-	for i := 0; i < a.Len(); i++ {
-		if !sameRows(a.Index(i), b.Index(i)) {
-			return false
-		}
-	}
-	return true
 }

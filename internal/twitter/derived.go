@@ -149,7 +149,7 @@ func (s *NeoStore) PosterOf(tid int64) (int64, bool, error) {
 func (s *SparkStore) TopTweetsWithTag(tag string, n int) ([]Counted, error) {
 	h, ok := s.db.FindObject(s.tagAttr, graph.StringValue(tag))
 	if !ok {
-		return nil, nil
+		return []Counted{}, nil
 	}
 	out := []Counted{}
 	s.db.Neighbors(h, s.tags, graph.Incoming).ForEach(func(t uint64) bool {

@@ -54,7 +54,9 @@ func TestDifferentialWorkload(t *testing.T) {
 		t.Fatalf("degenerate dataset: %+v", sum)
 	}
 
-	probes := []int64{1, 2, 3, 5, 17, 42, 100, 250, 299}
+	// 1_000_000 is no user's uid and "missing" no hashtag: both engines
+	// must answer them with the same empty, non-nil result.
+	probes := []int64{1, 2, 3, 5, 17, 42, 100, 250, 299, 1_000_000}
 
 	t.Run("Q1.1-select", func(t *testing.T) {
 		for _, th := range []int64{0, 1, 5, 20, 1000} {
@@ -112,7 +114,7 @@ func TestDifferentialWorkload(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !countedEqual(a, b) {
+			if !reflect.DeepEqual(a, b) {
 				t.Fatalf("uid %d: neo %v, spark %v", uid, a, b)
 			}
 		}
@@ -128,13 +130,8 @@ func TestDifferentialWorkload(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(a) != len(b) {
-				t.Fatalf("tag %s: neo %v, spark %v", tag, a, b)
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("tag %s [%d]: neo %v, spark %v", tag, i, a[i], b[i])
-				}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("tag %s: neo %#v, spark %#v", tag, a, b)
 			}
 		}
 	})
@@ -149,7 +146,7 @@ func TestDifferentialWorkload(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !countedEqual(a, b) {
+			if !reflect.DeepEqual(a, b) {
 				t.Fatalf("uid %d: neo %v, spark %v", uid, a, b)
 			}
 		}
@@ -166,7 +163,7 @@ func TestDifferentialWorkload(t *testing.T) {
 				if err != nil {
 					t.Fatalf("method %s: %v", m, err)
 				}
-				if !countedEqual(ref, got) {
+				if !reflect.DeepEqual(ref, got) {
 					t.Fatalf("uid %d method %s: %v vs %v", uid, m, got, ref)
 				}
 			}
@@ -175,7 +172,7 @@ func TestDifferentialWorkload(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !countedEqual(ref, trav) {
+			if !reflect.DeepEqual(ref, trav) {
 				t.Fatalf("uid %d traversal: %v vs %v", uid, trav, ref)
 			}
 			// And Sparksee's traversal-class rewrite.
@@ -183,7 +180,7 @@ func TestDifferentialWorkload(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !countedEqual(ref, strav) {
+			if !reflect.DeepEqual(ref, strav) {
 				t.Fatalf("uid %d spark traversal: %v vs %v", uid, strav, ref)
 			}
 		}
@@ -193,7 +190,7 @@ func TestDifferentialWorkload(t *testing.T) {
 		for _, uid := range probes {
 			a, _ := neo.RecommendFollowersOfFollowees(uid, 10)
 			b, _ := spark.RecommendFollowersOfFollowees(uid, 10)
-			if !countedEqual(a, b) {
+			if !reflect.DeepEqual(a, b) {
 				t.Fatalf("uid %d: neo %v, spark %v", uid, a, b)
 			}
 		}
@@ -203,19 +200,19 @@ func TestDifferentialWorkload(t *testing.T) {
 		for _, uid := range probes {
 			a1, _ := neo.CurrentInfluence(uid, 10)
 			b1, _ := spark.CurrentInfluence(uid, 10)
-			if !countedEqual(a1, b1) {
+			if !reflect.DeepEqual(a1, b1) {
 				t.Fatalf("Q5.1 uid %d: neo %v, spark %v", uid, a1, b1)
 			}
 			a2, _ := neo.PotentialInfluence(uid, 10)
 			b2, _ := spark.PotentialInfluence(uid, 10)
-			if !countedEqual(a2, b2) {
+			if !reflect.DeepEqual(a2, b2) {
 				t.Fatalf("Q5.2 uid %d: neo %v, spark %v", uid, a2, b2)
 			}
 		}
 	})
 
 	t.Run("Q6.1-shortest-path", func(t *testing.T) {
-		pairs := [][2]int64{{1, 2}, {1, 50}, {5, 250}, {17, 42}, {100, 299}, {3, 3}}
+		pairs := [][2]int64{{1, 2}, {1, 50}, {5, 250}, {17, 42}, {100, 299}, {3, 3}, {1, 1_000_000}}
 		for _, p := range pairs {
 			la, oka, err := neo.ShortestPathLength(p[0], p[1], 3)
 			if err != nil {

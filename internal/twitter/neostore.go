@@ -356,7 +356,7 @@ func (s *NeoStore) RecommendFolloweesTraversal(uid int64, n int) (out []Counted,
 	follows := s.db.RelTypeID(RelFollows)
 	a, ok := s.db.FindNode(user, uidKey, graph.IntValue(uid))
 	if !ok {
-		return nil, nil
+		return []Counted{}, nil
 	}
 	// Direct followees, to exclude.
 	direct := map[graph.NodeID]bool{a: true}

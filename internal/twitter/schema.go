@@ -45,7 +45,9 @@ type CountedTag struct {
 
 // Store is the engine-agnostic interface to the Table 2 workload. Both
 // database engines implement it; ids are the external dataset ids (uid,
-// tid), never engine-internal node ids.
+// tid), never engine-internal node ids. A query with no rows, an
+// unknown uid or tag included, returns an empty non-nil slice and a nil
+// error, so both engines' results compare equal with reflect.DeepEqual.
 type Store interface {
 	// Name identifies the engine ("neo" or "sparksee").
 	Name() string

@@ -145,14 +145,7 @@ func (s *SparkStore) uidOf(oid uint64) int64 {
 func (s *SparkStore) UsersWithFollowersOver(threshold int64) (out []int64, err error) {
 	q := s.beginQuery("UsersWithFollowersOver")
 	defer func() { q.finish(err, len(out)) }()
-	objs := s.db.Select(s.followersAttr, sparkdb.Greater, graph.IntValue(threshold))
-	out = make([]int64, 0, objs.Count())
-	objs.ForEach(func(oid uint64) bool {
-		out = append(out, s.uidOf(oid))
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
+	return s.intsOf(s.db.Select(s.followersAttr, sparkdb.Greater, graph.IntValue(threshold)), s.uidAttr), nil
 }
 
 // Followees implements Q2.1.
@@ -161,17 +154,24 @@ func (s *SparkStore) Followees(uid int64) (out []int64, err error) {
 	defer func() { q.finish(err, len(out)) }()
 	a, ok := s.userByUID(uid)
 	if !ok {
-		return nil, nil
+		return []int64{}, nil
 	}
-	return s.uidsOf(s.db.Neighbors(a, s.follows, graph.Outgoing)), nil
+	return s.intsOf(s.db.Neighbors(a, s.follows, graph.Outgoing), s.uidAttr), nil
 }
 
-func (s *SparkStore) uidsOf(objs *sparkdb.Objects) []int64 {
-	out := make([]int64, 0, objs.Count())
+// intsOf resolves the integer attribute attr of every member of objs in
+// one batch and returns the values ascending.
+func (s *SparkStore) intsOf(objs *sparkdb.Objects, attr graph.AttrID) []int64 {
+	oids := make([]uint64, 0, objs.Count())
 	objs.ForEach(func(oid uint64) bool {
-		out = append(out, s.uidOf(oid))
+		oids = append(oids, oid)
 		return true
 	})
+	vals := s.db.GetAttributes(oids, attr, make([]graph.Value, 0, len(oids)))
+	out := make([]int64, len(vals))
+	for i, v := range vals {
+		out[i] = v.Int()
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
@@ -183,20 +183,14 @@ func (s *SparkStore) TweetsOfFollowees(uid int64) (out []int64, err error) {
 	defer func() { q.finish(err, len(out)) }()
 	a, ok := s.userByUID(uid)
 	if !ok {
-		return nil, nil
+		return []int64{}, nil
 	}
 	tweets := sparkdb.NewObjects()
 	s.db.Neighbors(a, s.follows, graph.Outgoing).ForEach(func(f uint64) bool {
 		tweets.UnionWith(s.db.Neighbors(f, s.posts, graph.Outgoing))
 		return true
 	})
-	out = make([]int64, 0, tweets.Count())
-	tweets.ForEach(func(t uint64) bool {
-		out = append(out, s.db.GetAttribute(t, s.tidAttr).Int())
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
+	return s.intsOf(tweets, s.tidAttr), nil
 }
 
 // HashtagsOfFollowees implements Q2.3 (3-step adjacency).
@@ -205,7 +199,7 @@ func (s *SparkStore) HashtagsOfFollowees(uid int64) (out []string, err error) {
 	defer func() { q.finish(err, len(out)) }()
 	a, ok := s.userByUID(uid)
 	if !ok {
-		return nil, nil
+		return []string{}, nil
 	}
 	tagsSet := sparkdb.NewObjects()
 	s.db.Neighbors(a, s.follows, graph.Outgoing).ForEach(func(f uint64) bool {
@@ -231,7 +225,7 @@ func (s *SparkStore) CoMentionedUsers(uid int64, n int) (out []Counted, err erro
 	defer func() { q.finish(err, len(out)) }()
 	a, ok := s.userByUID(uid)
 	if !ok {
-		return nil, nil
+		return []Counted{}, nil
 	}
 	if s.mode.gate {
 		if res, used, merr := s.coMentionedMatrix(q, a, n); used {
@@ -269,7 +263,7 @@ func (s *SparkStore) CoOccurringHashtags(tag string, n int) (out []CountedTag, e
 	defer func() { q.finish(err, len(out)) }()
 	h, ok := s.db.FindObject(s.tagAttr, graph.StringValue(tag))
 	if !ok {
-		return nil, nil
+		return []CountedTag{}, nil
 	}
 	if s.mode.gate {
 		if res, used, merr := s.coOccurringTagsMatrix(q, h, n); used {
@@ -312,7 +306,7 @@ func (s *SparkStore) RecommendFollowees(uid int64, n int) (out []Counted, err er
 	defer func() { q.finish(err, len(out)) }()
 	a, ok := s.userByUID(uid)
 	if !ok {
-		return nil, nil
+		return []Counted{}, nil
 	}
 	if s.mode.gate {
 		if res, used, merr := s.recommendMatrix(q, a, n, graph.Outgoing); used {
@@ -352,7 +346,7 @@ func (s *SparkStore) RecommendFolloweesTraversal(uid int64, n int) (out []Counte
 	defer func() { q.finish(err, len(out)) }()
 	a, ok := s.userByUID(uid)
 	if !ok {
-		return nil, nil
+		return []Counted{}, nil
 	}
 	direct := s.db.Neighbors(a, s.follows, graph.Outgoing)
 	counts := map[uint64]int64{}
@@ -391,7 +385,7 @@ func (s *SparkStore) RecommendFollowersOfFollowees(uid int64, n int) (out []Coun
 	defer func() { q.finish(err, len(out)) }()
 	a, ok := s.userByUID(uid)
 	if !ok {
-		return nil, nil
+		return []Counted{}, nil
 	}
 	if s.mode.gate {
 		if res, used, merr := s.recommendMatrix(q, a, n, graph.Incoming); used {
@@ -438,7 +432,7 @@ func (s *SparkStore) PotentialInfluence(uid int64, n int) (out []Counted, err er
 func (s *SparkStore) influence(q *runningQuery, uid int64, n int, keepFollowers bool) ([]Counted, error) {
 	a, ok := s.userByUID(uid)
 	if !ok {
-		return nil, nil
+		return []Counted{}, nil
 	}
 	if s.mode.gate {
 		if res, used, merr := s.influenceMatrix(q, a, n, keepFollowers); used {
