@@ -20,6 +20,7 @@ import (
 
 	"twigraph/internal/load"
 	"twigraph/internal/neodb"
+	"twigraph/internal/pagecache"
 	"twigraph/internal/sparkdb"
 )
 
@@ -106,8 +107,10 @@ func loadNeo(csvDir, dbDir string, batch, workers int, groupCommit, verify, spil
 	if r.Spilled {
 		spilledNote = " (spilled to disk)"
 	}
-	fmt.Printf("store: nodes %d, edges %d, store bytes %d, id-map bytes %d%s, peak heap %d\n\n",
+	fmt.Printf("store: nodes %d, edges %d, store bytes %d, id-map bytes %d%s, peak heap %d\n",
 		r.Nodes, r.Edges, dirBytes(dbDir), r.IDMapBytes, spilledNote, peakHeapBytes())
+	printStoreFiles(dbDir)
+	fmt.Println()
 	if verify {
 		rep := res.Store.DB().CheckIntegrity()
 		if !rep.OK() {
@@ -116,6 +119,23 @@ func loadNeo(csvDir, dbDir string, batch, workers int, groupCommit, verify, spil
 		fmt.Println("integrity check passed")
 	}
 	return nil
+}
+
+// storeFiles are neodb's record files, one line each in twiload's
+// report, so the bytes relationship groups add and 48-bit records save
+// can be read off an import.
+var storeFiles = []string{"nodes.store", "rels.store", "groups.store", "props.store", "strings.store"}
+
+// printStoreFiles prints each record file's size and page count
+// (header page included).
+func printStoreFiles(dbDir string) {
+	for _, name := range storeFiles {
+		var size int64
+		if info, err := os.Stat(filepath.Join(dbDir, name)); err == nil {
+			size = info.Size()
+		}
+		fmt.Printf("  %-14s %12d bytes %8d pages\n", name, size, (size+pagecache.PageSize-1)/pagecache.PageSize)
+	}
 }
 
 func loadSpark(csvDir, imagePath string, batch, workers int, cache int64, materialize, verify bool) error {

@@ -144,7 +144,7 @@ func (e *Env) Neo() (*load.NeoResult, error) {
 	}
 	e.neoOnce.Do(func() {
 		e.neoRes, e.neoErr = load.BuildNeo(e.csvDir, filepath.Join(e.WorkDir, "neo"),
-			neodb.Config{CachePages: 8192}, e.Cfg.Users/4+1)
+			neodb.Config{CachePages: 8192, DenseThreshold: neodb.Neo4jDenseThreshold}, e.Cfg.Users/4+1)
 		if e.neoErr == nil {
 			e.neoRes.Store.SetProfile(spmat.Faithful)
 			if e.QueryTimeout > 0 {

@@ -398,7 +398,9 @@ func runUpdates(e *Env, w io.Writer) error {
 	if _, err := gen.GenerateStream(cfg, csvDir); err != nil {
 		return err
 	}
-	neoRes, err := load.BuildNeo(csvDir, filepath.Join(dir, "neo"), neodb.Config{CachePages: 1024}, 0)
+	neoRes, err := load.BuildNeo(csvDir, filepath.Join(dir, "neo"), neodb.Config{
+		CachePages: 1024, DenseThreshold: neodb.Neo4jDenseThreshold,
+	}, 0)
 	if err != nil {
 		return err
 	}

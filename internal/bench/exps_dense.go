@@ -12,11 +12,11 @@ import (
 
 // runDenseNodes measures what the relationship groups buy: the same
 // typed traversals from hub users on two otherwise identical
-// record-store databases, one with the Neo4j dense threshold (50) and
-// one with groups disabled (threshold beyond every degree). The
-// import's "computing the dense nodes" step is what prepares these
-// structures — the paper times it at roughly ten minutes at crawl
-// scale.
+// record-store databases, one with Neo4j's dense threshold
+// (neodb.Neo4jDenseThreshold, 50) and one with groups disabled
+// (threshold beyond every degree). The import's "computing the dense
+// nodes" step is what prepares these structures — the paper times it
+// at roughly ten minutes at crawl scale.
 func runDenseNodes(e *Env, w io.Writer) error {
 	csvDir, _, err := e.Dataset()
 	if err != nil {
@@ -38,7 +38,7 @@ func runDenseNodes(e *Env, w io.Writer) error {
 		}
 		return twitter.NewNeoStore(db), rep.DensePhase, nil
 	}
-	grouped, densePhase, err := build("on", neodb.DefaultDenseThreshold)
+	grouped, densePhase, err := build("on", neodb.Neo4jDenseThreshold)
 	if err != nil {
 		return err
 	}

@@ -24,7 +24,9 @@ func runSemantic(e *Env, w io.Writer) error {
 	}
 
 	build := func(name string, interleaved bool) (*twitter.NeoStore, error) {
-		db, err := neodb.Open(filepath.Join(e.WorkDir, "semantic-"+name), neodb.Config{CachePages: 8192})
+		db, err := neodb.Open(filepath.Join(e.WorkDir, "semantic-"+name), neodb.Config{
+			CachePages: 8192, DenseThreshold: neodb.Neo4jDenseThreshold,
+		})
 		if err != nil {
 			return nil, err
 		}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -93,6 +94,11 @@ func TestGenerateLoadPipeline(t *testing.T) {
 	}
 	if !strings.Contains(out, "indexes") {
 		t.Errorf("twiload missing phase report: %q", out)
+	}
+	for _, f := range []string{"nodes.store", "rels.store", "groups.store", "props.store", "strings.store"} {
+		if !regexp.MustCompile(`(?m)^  ` + regexp.QuoteMeta(f) + ` +\d+ bytes +\d+ pages$`).MatchString(out) {
+			t.Errorf("twiload output lacks a size line for %s: %q", f, out)
+		}
 	}
 	if _, err := os.Stat(filepath.Join(work, "dbs", "neo", "nodes.store")); err != nil {
 		t.Fatalf("neo store missing: %v", err)

@@ -65,7 +65,10 @@ type Config struct {
 	// off by default, as in the paper's import-oriented setup.
 	SyncCommits bool
 	// DenseThreshold is the degree at which a node switches to
-	// relationship groups; 0 means DefaultDenseThreshold.
+	// relationship groups. It belongs to the store: catalog.json records
+	// it when the store is created, and 0 means whatever the store
+	// recorded (DefaultDenseThreshold for a new store). A different
+	// non-zero value on a non-empty store makes Open fail.
 	DenseThreshold int
 	// FS is the filesystem every store file, index snapshot, catalog
 	// write and WAL operation goes through; nil means the operating
@@ -269,7 +272,8 @@ func Open(dir string, cfg Config) (*DB, error) {
 	} {
 		f.Instrument(db.cFetches, cacheIns)
 	}
-	if err = db.loadCatalog(); err != nil {
+	storedThreshold, err := db.loadCatalog()
+	if err != nil {
 		db.closePartial()
 		return nil, err
 	}
@@ -287,6 +291,12 @@ func Open(dir string, cfg Config) (*DB, error) {
 	}
 	db.log.Instrument(db.reg.Counter(CWALAppends), db.reg.Counter(CWALSyncs), db.reg.Counter(CWALSyncFailures))
 	db.log.TraceTo(db.traceBuf)
+	if err = db.settleDenseThreshold(storedThreshold, cfg.DenseThreshold); err != nil {
+		// Not Close: its checkpoint would write the refused threshold.
+		db.log.Close()
+		db.closePartial()
+		return nil, err
+	}
 	if err = db.recover(); err != nil {
 		db.Close()
 		return nil, err
@@ -320,21 +330,26 @@ type catalogFile struct {
 	PropKeys []string          `json:"prop_keys"`
 	Indexes  [][2]uint32       `json:"indexes"` // (label, propKey) pairs
 	RelStats map[string]uint64 `json:"rel_stats"`
+	// DenseThreshold is the store's dense-node cutoff; 0 (absent) means
+	// none was recorded yet.
+	DenseThreshold int `json:"dense_threshold,omitempty"`
 }
 
 func (db *DB) catalogPath() string { return filepath.Join(db.dir, "catalog.json") }
 
-func (db *DB) loadCatalog() error {
+// loadCatalog reads catalog.json, if there is one, and returns the
+// dense threshold it records (0 if none).
+func (db *DB) loadCatalog() (int, error) {
 	data, err := vfs.ReadFile(db.fsys, db.catalogPath())
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil
+			return 0, nil
 		}
-		return err
+		return 0, err
 	}
 	var cf catalogFile
 	if err := json.Unmarshal(data, &cf); err != nil {
-		return fmt.Errorf("neodb: corrupt catalog: %w", err)
+		return 0, fmt.Errorf("neodb: corrupt catalog: %w", err)
 	}
 	for _, n := range cf.Labels {
 		db.labels.idOrCreate(n)
@@ -354,7 +369,31 @@ func (db *DB) loadCatalog() error {
 			db.relStats[graph.TypeID(id)] = n
 		}
 	}
-	return nil
+	return cf.DenseThreshold, nil
+}
+
+// settleDenseThreshold fixes the dense threshold before WAL replay, so
+// that replay and every later write build the layout the store was
+// built with. stored is the catalog's value (0 if none), want the
+// caller's Config value (0 = the store's). A new or empty store records
+// its threshold in the catalog at once.
+func (db *DB) settleDenseThreshold(stored, want int) error {
+	if want <= 0 {
+		want = stored
+	}
+	if want == stored && stored > 0 {
+		db.cfg.DenseThreshold = stored
+		return nil
+	}
+	empty := db.nodes.HighWater() == 0 && db.rels.HighWater() == 0 && db.log.Offset() == 0
+	if stored > 0 && !empty {
+		return fmt.Errorf("neodb: store in %s has dense threshold %d, config asks for %d", db.dir, stored, want)
+	}
+	if want <= 0 {
+		want = DefaultDenseThreshold
+	}
+	db.cfg.DenseThreshold = want
+	return db.saveCatalog()
 }
 
 func (db *DB) saveCatalog() error {
@@ -362,10 +401,11 @@ func (db *DB) saveCatalog() error {
 	db.statsMu.RLock()
 	db.indexMu.RLock()
 	cf := catalogFile{
-		Labels:   append([]string(nil), db.labels.byID...),
-		RelTypes: append([]string(nil), db.relTypes.byID...),
-		PropKeys: append([]string(nil), db.propKeys.byID...),
-		RelStats: make(map[string]uint64, len(db.relStats)),
+		Labels:         append([]string(nil), db.labels.byID...),
+		RelTypes:       append([]string(nil), db.relTypes.byID...),
+		PropKeys:       append([]string(nil), db.propKeys.byID...),
+		RelStats:       make(map[string]uint64, len(db.relStats)),
+		DenseThreshold: db.cfg.DenseThreshold,
 	}
 	for k := range db.indexes {
 		cf.Indexes = append(cf.Indexes, [2]uint32{uint32(k.label), uint32(k.key)})

@@ -20,16 +20,20 @@ import (
 // has Src == node), the incoming chain through Dst-side pointers. A
 // self-loop is a member of both chains, using different slots.
 
-// DefaultDenseThreshold matches Neo4j's dense-node cutoff.
-const DefaultDenseThreshold = 50
+// DefaultDenseThreshold is the cutoff a new store records when its
+// Config leaves DenseThreshold at 0. It is lower than Neo4j's so that
+// the feed's typed walks from ordinary users (Q2.2 reading each
+// followee's posts) skip their follows records instead of faulting
+// them in; the relationship groups this creates are paid for by
+// 48-bit record ids (storage.RelRecordSize).
+const DefaultDenseThreshold = 16
 
-// denseThreshold returns the configured degree cutoff.
-func (db *DB) denseThreshold() uint32 {
-	if db.cfg.DenseThreshold > 0 {
-		return uint32(db.cfg.DenseThreshold)
-	}
-	return DefaultDenseThreshold
-}
+// Neo4jDenseThreshold is Neo4j 2.2's dense-node cutoff. The paper's
+// experiments (internal/bench) build their stores with it.
+const Neo4jDenseThreshold = 50
+
+// denseThreshold returns the store's degree cutoff, settled in Open.
+func (db *DB) denseThreshold() uint32 { return uint32(db.cfg.DenseThreshold) }
 
 // groupCacheKey identifies one (node, relationship-type) group chain
 // head for the import-time cache.
@@ -108,14 +112,14 @@ func (db *DB) setNextSide(id graph.EdgeID, srcSide bool, next graph.EdgeID) erro
 	return db.rels.Put(id, rec)
 }
 
-// linkDenseSide prepends rel id to the (node, type, side) chain of
-// dense node n, mutating newRec's side pointers in place (the caller
-// writes newRec afterwards).
-func (db *DB) linkDenseSide(n graph.NodeID, nodeRec *storage.NodeRecord, id graph.EdgeID, newRec *storage.RelRecord, t graph.TypeID, srcSide bool) error {
-	gid, g, err := db.groupFor(n, nodeRec, t)
-	if err != nil {
-		return err
-	}
+// linkDenseSide prepends rel id to one side's chain in group g (of a
+// dense node), setting newRec's side pointers and the old head's back
+// pointer and pointing g's head at id. The caller stores newRec and
+// then g: readers walk group chains without the write lock, so the
+// record must be in use by the time the chain can reach it. (The
+// sparse path gets this ordering for free — its chain head lives in the
+// node record, written last.)
+func (db *DB) linkDenseSide(g *storage.GroupRecord, id graph.EdgeID, newRec *storage.RelRecord, srcSide bool) error {
 	if srcSide {
 		newRec.SrcPrev = 0
 		newRec.SrcNext = g.FirstOut
@@ -125,25 +129,17 @@ func (db *DB) linkDenseSide(n graph.NodeID, nodeRec *storage.NodeRecord, id grap
 			}
 		}
 		g.FirstOut = id
-	} else {
-		newRec.DstPrev = 0
-		newRec.DstNext = g.FirstIn
-		if g.FirstIn != 0 {
-			if err := db.setPrevSide(g.FirstIn, false, id); err != nil {
-				return err
-			}
+		return nil
+	}
+	newRec.DstPrev = 0
+	newRec.DstNext = g.FirstIn
+	if g.FirstIn != 0 {
+		if err := db.setPrevSide(g.FirstIn, false, id); err != nil {
+			return err
 		}
-		g.FirstIn = id
 	}
-	// Publish the relationship record before the group head points at it:
-	// readers walk group chains without the write lock, so the record
-	// must be in use by the time the chain can reach it. (The sparse path
-	// gets this ordering for free — its chain head lives in the node
-	// record, written last.)
-	if err := db.rels.Put(id, *newRec); err != nil {
-		return err
-	}
-	return db.groups.Put(gid, g)
+	g.FirstIn = id
+	return nil
 }
 
 // linkSparseSide prepends rel id to a sparse node's single chain,
@@ -245,17 +241,24 @@ func (db *DB) convertToDense(n graph.NodeID, nodeRec *storage.NodeRecord) error 
 		if err != nil {
 			return err
 		}
+		gid, g, err := db.groupFor(n, nodeRec, rec.Type)
+		if err != nil {
+			return err
+		}
 		if rec.Src == n {
-			if err := db.linkDenseSide(n, nodeRec, m.id, &rec, rec.Type, true); err != nil {
+			if err := db.linkDenseSide(&g, m.id, &rec, true); err != nil {
 				return err
 			}
 		}
-		if rec.Dst == n {
-			if err := db.linkDenseSide(n, nodeRec, m.id, &rec, rec.Type, false); err != nil {
+		if rec.Dst == n { // both sides for a self-loop, in the same group
+			if err := db.linkDenseSide(&g, m.id, &rec, false); err != nil {
 				return err
 			}
 		}
 		if err := db.rels.Put(m.id, rec); err != nil {
+			return err
+		}
+		if err := db.groups.Put(gid, g); err != nil {
 			return err
 		}
 	}

@@ -1,10 +1,16 @@
 package neodb
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"twigraph/internal/graph"
+	"twigraph/internal/vfs"
 )
 
 func openDense(t *testing.T, threshold int) *DB {
@@ -326,5 +332,174 @@ func TestDensePersistsAcrossReopen(t *testing.T) {
 	}
 	if c != 10 {
 		t.Errorf("rels after reopen = %d", c)
+	}
+}
+
+// TestDenseThresholdBelongsToStore: a store imported at Neo4j's
+// threshold keeps it when reopened with a zero Config — a node's 17th
+// edge (past DefaultDenseThreshold) leaves it sparse — and refuses to
+// open under a different non-zero threshold.
+func TestDenseThresholdBelongsToStore(t *testing.T) {
+	csvDir := t.TempDir()
+	users := "uid,screen_name,followers\n"
+	follows := "src,dst\n"
+	for uid := 1; uid <= 18; uid++ {
+		users += fmt.Sprintf("%d,u%d,0\n", uid, uid)
+		if uid > 1 && uid < 18 {
+			follows += fmt.Sprintf("1,%d\n", uid) // 16 follows out of user 1
+		}
+	}
+	files := map[string]string{
+		"users.csv": users, "follows.csv": follows,
+		"tweets.csv": "tid,text\n", "hashtags.csv": "hid,tag\n",
+		"posts.csv": "uid,tid\n", "mentions.csv": "tid,uid\n", "tags.csv": "tid,hid\n",
+	}
+	for name, content := range files {
+		if err := os.WriteFile(filepath.Join(csvDir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
+	db, err := Open(dir, Config{CachePages: 64, DenseThreshold: Neo4jDenseThreshold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, edges := ImportDirLayout(csvDir)
+	if _, err := db.NewImporter(0, nil).Run(nodes, edges); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = Open(dir, Config{CachePages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	user, uid := db.LabelID("user"), db.PropKeyID("uid")
+	hub, ok := db.FindNode(user, uid, graph.IntValue(1))
+	last, ok2 := db.FindNode(user, uid, graph.IntValue(18))
+	if !ok || !ok2 {
+		t.Fatal("imported users not found")
+	}
+	tx := db.Begin()
+	tx.CreateRel(db.RelTypeID("follows"), hub, last)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := db.nodes.Get(hub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.DegOut != 17 || rec.Dense {
+		t.Errorf("hub after its 17th edge: degree %d, dense %v; want 17, sparse", rec.DegOut, rec.Dense)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := Open(dir, Config{CachePages: 64, DenseThreshold: DefaultDenseThreshold}); err == nil ||
+		!strings.Contains(err.Error(), "dense threshold 50") {
+		t.Fatalf("reopen at threshold %d: %v, want a threshold mismatch", DefaultDenseThreshold, err)
+	}
+	db, err = Open(dir, Config{CachePages: 64, DenseThreshold: Neo4jDenseThreshold})
+	if err != nil {
+		t.Fatalf("reopen at the store's own threshold: %v", err)
+	}
+	if got := db.denseThreshold(); got != Neo4jDenseThreshold {
+		t.Errorf("threshold after reopen = %d", got)
+	}
+	db.Close()
+}
+
+// TestNewStoreRecordsDenseThreshold: a new store writes its threshold
+// to catalog.json at once, and an empty store may still take another.
+func TestNewStoreRecordsDenseThreshold(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, Config{CachePages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "catalog.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf(`"dense_threshold": %d`, DefaultDenseThreshold); !strings.Contains(string(data), want) {
+		t.Errorf("catalog.json lacks %s:\n%s", want, data)
+	}
+	db.Close()
+	db, err = Open(dir, Config{CachePages: 8, DenseThreshold: 4})
+	if err != nil {
+		t.Fatalf("empty store refused a new threshold: %v", err)
+	}
+	defer db.Close()
+	if got := db.denseThreshold(); got != 4 {
+		t.Errorf("threshold = %d, want 4", got)
+	}
+}
+
+// TestReplayRelinksDenseGroups replays, from an empty store, commits
+// that delete the head of a dense node's group chain and then link new
+// relationships into the same group: each link must chain onto the
+// group as the unlink left it, not onto the deleted record.
+func TestReplayRelinksDenseGroups(t *testing.T) {
+	fs := vfs.NewFaultFS()
+	cfg := Config{CachePages: 64, SyncCommits: true, DenseThreshold: 4, FS: fs}
+	db, err := Open("/db", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	user := db.Label("user")
+	follows := db.RelType("follows")
+	if err := db.Sync(); err != nil { // make the names durable
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	hub := tx.CreateNode(user, nil)
+	var spokes []graph.NodeID
+	for i := 0; i < 9; i++ {
+		spokes = append(spokes, tx.CreateNode(user, nil))
+	}
+	var rels []graph.EdgeID
+	for _, s := range spokes[:6] {
+		rels = append(rels, tx.CreateRel(follows, hub, s))
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range spokes[6:] {
+		tx := db.Begin()
+		tx.DeleteRel(rels[len(rels)-1-i]) // the group chain's head
+		tx.CreateRel(follows, hub, s)
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	outOf := func(db *DB) []graph.NodeID {
+		var out []graph.NodeID
+		if err := db.Relationships(hub, follows, graph.Outgoing, func(r Rel) bool {
+			out = append(out, r.Dst)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := outOf(db)
+	if len(want) != 6 {
+		t.Fatalf("before the crash: %d followees, want 6", len(want))
+	}
+
+	fs.Crash() // nothing was checkpointed: reopening replays every commit
+	db2, err := Open("/db", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if r := db2.CheckIntegrity(); !r.OK() {
+		t.Fatalf("integrity after replay:\n%s", r)
+	}
+	if got := outOf(db2); !reflect.DeepEqual(got, want) {
+		t.Errorf("followees after replay = %v, want %v", got, want)
 	}
 }

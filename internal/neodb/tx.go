@@ -250,14 +250,16 @@ func (db *DB) applyCreateNode(id graph.NodeID, label graph.TypeID) error {
 
 func (db *DB) applyCreateRel(id graph.EdgeID, t graph.TypeID, src, dst graph.NodeID) error {
 	if db.recovering {
+		// Only a replayed op can find its id in use: outside replay the
+		// id was just allocated.
 		db.rels.AdoptID(uint64(id))
-	}
-	rec, err := db.rels.Get(id)
-	if err != nil {
-		return err
-	}
-	if rec.InUse {
-		return nil // idempotent replay
+		rec, err := db.rels.Get(id)
+		if err != nil {
+			return err
+		}
+		if rec.InUse {
+			return nil // idempotent replay
+		}
 	}
 	srcRec, err := db.nodes.Get(src)
 	if err != nil {
@@ -290,9 +292,16 @@ func (db *DB) applyCreateRel(id graph.EdgeID, t graph.TypeID, src, dst graph.Nod
 	}
 
 	newRec := storage.RelRecord{InUse: true, Type: t, Src: src, Dst: dst}
+	// A dense side links through its group for t, which is stored after
+	// newRec (see linkDenseSide); gid 0 means no group to store.
+	var srcGID, dstGID uint64
+	var srcG, dstG storage.GroupRecord
 	// Source side (outgoing chain).
 	if srcRec.Dense {
-		if err := db.linkDenseSide(src, &srcRec, id, &newRec, t, true); err != nil {
+		if srcGID, srcG, err = db.groupFor(src, &srcRec, t); err != nil {
+			return err
+		}
+		if err := db.linkDenseSide(&srcG, id, &newRec, true); err != nil {
 			return err
 		}
 	} else {
@@ -301,10 +310,14 @@ func (db *DB) applyCreateRel(id graph.EdgeID, t graph.TypeID, src, dst graph.Nod
 		}
 	}
 	// Target side (incoming chain). A sparse self-loop is linked via
-	// its source slots only; a dense self-loop joins both chains.
+	// its source slots only; a dense self-loop joins both chains of the
+	// same group.
 	switch {
 	case dst != src && dstRec.Dense:
-		if err := db.linkDenseSide(dst, &dstRec, id, &newRec, t, false); err != nil {
+		if dstGID, dstG, err = db.groupFor(dst, &dstRec, t); err != nil {
+			return err
+		}
+		if err := db.linkDenseSide(&dstG, id, &newRec, false); err != nil {
 			return err
 		}
 	case dst != src:
@@ -312,12 +325,22 @@ func (db *DB) applyCreateRel(id graph.EdgeID, t graph.TypeID, src, dst graph.Nod
 			return err
 		}
 	case srcRec.Dense: // dense self-loop
-		if err := db.linkDenseSide(src, &srcRec, id, &newRec, t, false); err != nil {
+		if err := db.linkDenseSide(&srcG, id, &newRec, false); err != nil {
 			return err
 		}
 	}
 	if err := db.rels.Put(id, newRec); err != nil {
 		return err
+	}
+	if srcGID != 0 {
+		if err := db.groups.Put(srcGID, srcG); err != nil {
+			return err
+		}
+	}
+	if dstGID != 0 {
+		if err := db.groups.Put(dstGID, dstG); err != nil {
+			return err
+		}
 	}
 	srcRec.DegOut++
 	if dst == src {

@@ -107,31 +107,36 @@ func TestAttributeColumnClear(t *testing.T) {
 	}
 }
 
-// TestGetAttributesMatchesLoop checks GetAttributes against a
-// GetAttribute loop: the same values in order, the same record_fetches
-// delta, also for OIDs of another type and an unknown attribute.
-func TestGetAttributesMatchesLoop(t *testing.T) {
+// TestGetIntsMatchesLoop checks GetInts against a GetAttribute(...).Int()
+// loop: the same values in order, the same record_fetches delta, also
+// for OIDs of another type and an unknown attribute.
+func TestGetIntsMatchesLoop(t *testing.T) {
 	db, objs := buildTiny(t)
-	uid := db.FindAttribute(db.FindType("user"), "uid")
-	oids := []uint64{objs["u3"], objs["u1"], objs["t1"], objs["u5"], objs["u3"], makeOID(db.FindType("user"), 99)}
-	for _, attr := range []graph.AttrID{uid, graph.AttrID(99)} {
+	user := db.FindType("user")
+	uid := db.FindAttribute(user, "uid")
+	tid := db.FindAttribute(db.FindType("tweet"), "tid")
+	oids := []uint64{objs["u3"], objs["u1"], objs["t1"], objs["u5"], objs["u3"], makeOID(user, 99)}
+	for _, attr := range []graph.AttrID{uid, tid, graph.AttrID(99)} {
 		before := db.RecordFetches()
-		var loop []graph.Value
+		var loop []int64
 		for _, oid := range oids {
-			loop = append(loop, db.GetAttribute(oid, attr))
+			loop = append(loop, db.GetAttribute(oid, attr).Int())
 		}
 		loopFetches := db.RecordFetches() - before
 
 		before = db.RecordFetches()
-		batch := db.GetAttributes(oids, attr, nil)
+		batch := db.GetInts(oids, attr, nil)
 		batchFetches := db.RecordFetches() - before
 
 		if !reflect.DeepEqual(batch, loop) {
-			t.Errorf("attr %d: GetAttributes = %v, loop = %v", attr, batch, loop)
+			t.Errorf("attr %d: GetInts = %v, loop = %v", attr, batch, loop)
 		}
 		if batchFetches != loopFetches {
-			t.Errorf("attr %d: GetAttributes counted %d fetches, loop %d", attr, batchFetches, loopFetches)
+			t.Errorf("attr %d: GetInts counted %d fetches, loop %d", attr, batchFetches, loopFetches)
 		}
+	}
+	if got := db.GetInts(oids[:2], uid, nil); got[0] == 0 || got[1] == 0 {
+		t.Errorf("uids read as %v, want non-zero", got)
 	}
 }
 
@@ -258,23 +263,23 @@ func BenchmarkSelectScan(b *testing.B) {
 	}
 }
 
-func BenchmarkGetAttributes(b *testing.B) {
+func BenchmarkGetInts(b *testing.B) {
 	db, followers, oids := buildScan(b, 30_000)
 	b.Run("per-oid", func(b *testing.B) {
 		b.ReportAllocs()
-		dst := make([]graph.Value, 0, len(oids))
+		dst := make([]int64, 0, len(oids))
 		for i := 0; i < b.N; i++ {
 			dst = dst[:0]
 			for _, oid := range oids {
-				dst = append(dst, db.GetAttribute(oid, followers))
+				dst = append(dst, db.GetAttribute(oid, followers).Int())
 			}
 		}
 	})
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
-		dst := make([]graph.Value, 0, len(oids))
+		dst := make([]int64, 0, len(oids))
 		for i := 0; i < b.N; i++ {
-			dst = db.GetAttributes(oids, followers, dst[:0])
+			dst = db.GetInts(oids, followers, dst[:0])
 		}
 	})
 }

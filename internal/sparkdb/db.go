@@ -554,18 +554,19 @@ func (db *DB) GetAttribute(oid uint64, attr graph.AttrID) graph.Value {
 	return ai.get(oid)
 }
 
-// GetAttributes appends to dst the value of attr on each of oids, in
-// order, and returns the extended slice: GetAttribute over a batch,
-// under one read lock and one record_fetches update of len(oids).
-func (db *DB) GetAttributes(oids []uint64, attr graph.AttrID, dst []graph.Value) []graph.Value {
+// GetInts appends to dst the integer value of attr on each of oids, in
+// order, and returns the extended slice: GetAttribute(...).Int() over a
+// batch, under one read lock and one record_fetches update of
+// len(oids). An unset value, or one of another kind, reads as 0.
+func (db *DB) GetInts(oids []uint64, attr graph.AttrID, dst []int64) []int64 {
 	db.cFetches.Add(uint64(len(oids)))
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	ai := db.attrInfo(attr)
 	for _, oid := range oids {
-		v := graph.NilValue
+		var v int64
 		if ai != nil {
-			v = ai.get(oid)
+			v = ai.get(oid).Int()
 		}
 		dst = append(dst, v)
 	}

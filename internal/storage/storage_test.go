@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/hex"
 	"errors"
 	"path/filepath"
 	"strings"
@@ -161,14 +162,17 @@ func TestNodeRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRelRecordRoundTrip draws ids from the 48-bit domain a
+// relationship record holds; Put rejects anything wider
+// (TestPutRejectsIDsPast48Bits).
 func TestRelRecordRoundTrip(t *testing.T) {
 	rt := func(typ uint32, src, dst, sp, sn, dp, dn, fp uint64) bool {
 		r := RelRecord{
 			InUse: true, Type: graph.TypeID(typ),
-			Src: graph.NodeID(src), Dst: graph.NodeID(dst),
-			SrcPrev: graph.EdgeID(sp), SrcNext: graph.EdgeID(sn),
-			DstPrev: graph.EdgeID(dp), DstNext: graph.EdgeID(dn),
-			FirstProp: fp,
+			Src: graph.NodeID(src & maxID48), Dst: graph.NodeID(dst & maxID48),
+			SrcPrev: graph.EdgeID(sp & maxID48), SrcNext: graph.EdgeID(sn & maxID48),
+			DstPrev: graph.EdgeID(dp & maxID48), DstNext: graph.EdgeID(dn & maxID48),
+			FirstProp: fp & maxID48,
 		}
 		buf := make([]byte, RelRecordSize)
 		encodeRel(buf, r)
@@ -412,16 +416,141 @@ func TestCursorAccounting(t *testing.T) {
 	}
 }
 
+// TestGroupRecordRoundTrip draws ids from the 48-bit domain a group
+// record holds.
 func TestGroupRecordRoundTrip(t *testing.T) {
 	rt := func(typ uint32, next, out, in uint64) bool {
-		r := GroupRecord{InUse: true, Type: graph.TypeID(typ), Next: next,
-			FirstOut: graph.EdgeID(out), FirstIn: graph.EdgeID(in)}
+		r := GroupRecord{InUse: true, Type: graph.TypeID(typ), Next: next & maxID48,
+			FirstOut: graph.EdgeID(out & maxID48), FirstIn: graph.EdgeID(in & maxID48)}
 		buf := make([]byte, GroupRecordSize)
 		encodeGroup(buf, r)
 		return decodeGroup(buf) == r
 	}
 	if err := quick.Check(rt, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRecordsHoldMaxID48: the largest 48-bit id survives a Put/Get
+// round trip through both stores, in every id field.
+func TestRecordsHoldMaxID48(t *testing.T) {
+	dir := t.TempDir()
+	rs, err := OpenRelStore(dir, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	gs, err := OpenGroupStore(dir, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gs.Close()
+	const m = maxID48
+	rel := RelRecord{InUse: true, Type: 1<<32 - 1, Src: m, Dst: m,
+		SrcPrev: m, SrcNext: m, DstPrev: m, DstNext: m, FirstProp: m}
+	rid := graph.EdgeID(rs.Allocate())
+	if err := rs.Put(rid, rel); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := rs.Get(rid); err != nil || got != rel {
+		t.Errorf("rel = %+v, want %+v (%v)", got, rel, err)
+	}
+	grp := GroupRecord{InUse: true, Type: 7, Next: m, FirstOut: m, FirstIn: m}
+	gid := gs.Allocate()
+	if err := gs.Put(gid, grp); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := gs.Get(gid); err != nil || got != grp {
+		t.Errorf("group = %+v, want %+v (%v)", got, grp, err)
+	}
+}
+
+// TestPutRejectsIDsPast48Bits: an id of 2^48 in any field makes Put
+// fail and leaves the stored record as it was.
+func TestPutRejectsIDsPast48Bits(t *testing.T) {
+	dir := t.TempDir()
+	rs, err := OpenRelStore(dir, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	gs, err := OpenGroupStore(dir, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gs.Close()
+	const over = maxID48 + 1
+	rid := graph.EdgeID(rs.Allocate())
+	base := RelRecord{InUse: true, Type: 1, Src: 1, Dst: 2}
+	if err := rs.Put(rid, base); err != nil {
+		t.Fatal(err)
+	}
+	for i, mut := range []func(*RelRecord){
+		func(r *RelRecord) { r.Src = over },
+		func(r *RelRecord) { r.Dst = over },
+		func(r *RelRecord) { r.SrcPrev = over },
+		func(r *RelRecord) { r.SrcNext = over },
+		func(r *RelRecord) { r.DstPrev = over },
+		func(r *RelRecord) { r.DstNext = over },
+		func(r *RelRecord) { r.FirstProp = over },
+	} {
+		r := base
+		mut(&r)
+		if err := rs.Put(rid, r); err == nil || !strings.Contains(err.Error(), "48-bit") {
+			t.Errorf("rel field %d: Put(2^48) = %v, want a 48-bit limit error", i, err)
+		}
+	}
+	if got, _ := rs.Get(rid); got != base {
+		t.Errorf("rejected Puts changed the record: %+v", got)
+	}
+	gid := gs.Allocate()
+	for i, r := range []GroupRecord{
+		{InUse: true, Next: over},
+		{InUse: true, FirstOut: over},
+		{InUse: true, FirstIn: over},
+	} {
+		if err := gs.Put(gid, r); err == nil || !strings.Contains(err.Error(), "48-bit") {
+			t.Errorf("group field %d: Put(2^48) = %v, want a 48-bit limit error", i, err)
+		}
+	}
+}
+
+// TestRelRecordGolden pins the 48-byte relationship record layout:
+// flags, type (u32), then Src, Dst, SrcPrev, SrcNext, DstPrev, DstNext
+// and FirstProp as 48-bit little-endian ids, one byte spare.
+func TestRelRecordGolden(t *testing.T) {
+	r := RelRecord{InUse: true, Type: 3, Src: 0x0102030405, Dst: 6,
+		SrcPrev: 7, SrcNext: 0xA0B0C0D0E0F0, DstPrev: 0, DstNext: 9, FirstProp: 0x1234}
+	buf := make([]byte, RelRecordSize)
+	encodeRel(buf, r)
+	const want = "01" + "03000000" +
+		"050403020100" + "060000000000" + "070000000000" +
+		"f0e0d0c0b0a0" + "000000000000" + "090000000000" +
+		"341200000000" + "00"
+	if got := hex.EncodeToString(buf); got != want {
+		t.Errorf("encoded rel record\n got %s\nwant %s", got, want)
+	}
+	if decodeRel(buf) != r {
+		t.Errorf("golden bytes decode to %+v", decodeRel(buf))
+	}
+}
+
+// TestOldRelStoreRejected: a rels.store written with the former 64-byte
+// records fails to open with the header's record-size mismatch instead
+// of being read as 48-byte records.
+func TestOldRelStoreRejected(t *testing.T) {
+	dir := t.TempDir()
+	f, err := OpenRecordFile(filepath.Join(dir, "rels.store"), 64, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Allocate()
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenRelStore(dir, 8)
+	if err == nil || !strings.Contains(err.Error(), "record size mismatch: file 64, want 48") {
+		t.Fatalf("opening a 64-byte rels.store: %v, want a record size mismatch", err)
 	}
 }
 

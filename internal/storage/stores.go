@@ -10,10 +10,12 @@ import (
 )
 
 // Record sizes, chosen to mirror the compactness of Neo4j's store
-// format while keeping encodings byte-aligned.
+// format while keeping encodings byte-aligned. Relationship and group
+// records store their ids in 48 bits (put48/get48), so a page holds
+// 170 relationship records rather than 128.
 const (
 	NodeRecordSize = 32
-	RelRecordSize  = 64
+	RelRecordSize  = 48
 	PropRecordSize = 24
 	DynRecordSize  = 64
 
@@ -24,6 +26,31 @@ const (
 	flagInUse = 1
 	flagDense = 2
 )
+
+// maxID48 is the largest id a relationship or group record can hold.
+const maxID48 = 1<<48 - 1
+
+// put48 writes the low 48 bits of v to b[0:6], little-endian.
+func put48(b []byte, v uint64) {
+	binary.LittleEndian.PutUint32(b[0:4], uint32(v))
+	binary.LittleEndian.PutUint16(b[4:6], uint16(v>>32))
+}
+
+// get48 reads a 48-bit little-endian id from b[0:6].
+func get48(b []byte) uint64 {
+	return uint64(binary.LittleEndian.Uint32(b[0:4])) | uint64(binary.LittleEndian.Uint16(b[4:6]))<<32
+}
+
+// check48 rejects an id that does not fit in a 48-bit field, so Put
+// fails instead of truncating it.
+func check48(kind string, ids ...uint64) error {
+	for _, v := range ids {
+		if v > maxID48 {
+			return fmt.Errorf("storage: %s record id %d exceeds the 48-bit limit", kind, v)
+		}
+	}
+	return nil
+}
 
 // NodeRecord is the decoded form of a node store record. For sparse
 // nodes FirstRel heads the node's single relationship chain; for dense
@@ -193,26 +220,26 @@ func encodeRel(rec []byte, r RelRecord) {
 		rec[0] = flagInUse
 	}
 	binary.LittleEndian.PutUint32(rec[1:5], uint32(r.Type))
-	binary.LittleEndian.PutUint64(rec[5:13], uint64(r.Src))
-	binary.LittleEndian.PutUint64(rec[13:21], uint64(r.Dst))
-	binary.LittleEndian.PutUint64(rec[21:29], uint64(r.SrcPrev))
-	binary.LittleEndian.PutUint64(rec[29:37], uint64(r.SrcNext))
-	binary.LittleEndian.PutUint64(rec[37:45], uint64(r.DstPrev))
-	binary.LittleEndian.PutUint64(rec[45:53], uint64(r.DstNext))
-	binary.LittleEndian.PutUint64(rec[53:61], r.FirstProp)
+	put48(rec[5:11], uint64(r.Src))
+	put48(rec[11:17], uint64(r.Dst))
+	put48(rec[17:23], uint64(r.SrcPrev))
+	put48(rec[23:29], uint64(r.SrcNext))
+	put48(rec[29:35], uint64(r.DstPrev))
+	put48(rec[35:41], uint64(r.DstNext))
+	put48(rec[41:47], r.FirstProp)
 }
 
 func decodeRel(rec []byte) RelRecord {
 	return RelRecord{
 		InUse:     rec[0]&flagInUse != 0,
 		Type:      graph.TypeID(binary.LittleEndian.Uint32(rec[1:5])),
-		Src:       graph.NodeID(binary.LittleEndian.Uint64(rec[5:13])),
-		Dst:       graph.NodeID(binary.LittleEndian.Uint64(rec[13:21])),
-		SrcPrev:   graph.EdgeID(binary.LittleEndian.Uint64(rec[21:29])),
-		SrcNext:   graph.EdgeID(binary.LittleEndian.Uint64(rec[29:37])),
-		DstPrev:   graph.EdgeID(binary.LittleEndian.Uint64(rec[37:45])),
-		DstNext:   graph.EdgeID(binary.LittleEndian.Uint64(rec[45:53])),
-		FirstProp: binary.LittleEndian.Uint64(rec[53:61]),
+		Src:       graph.NodeID(get48(rec[5:11])),
+		Dst:       graph.NodeID(get48(rec[11:17])),
+		SrcPrev:   graph.EdgeID(get48(rec[17:23])),
+		SrcNext:   graph.EdgeID(get48(rec[23:29])),
+		DstPrev:   graph.EdgeID(get48(rec[29:35])),
+		DstNext:   graph.EdgeID(get48(rec[35:41])),
+		FirstProp: get48(rec[41:47]),
 	}
 }
 
@@ -236,8 +263,13 @@ func (s RelStore) Get(id graph.EdgeID) (RelRecord, error) {
 	return r, err
 }
 
-// Put writes the relationship record with the given id.
+// Put writes the relationship record with the given id. It fails,
+// writing nothing, if any id in r exceeds 2^48-1.
 func (s RelStore) Put(id graph.EdgeID, r RelRecord) error {
+	if err := check48("relationship", uint64(r.Src), uint64(r.Dst), uint64(r.SrcPrev),
+		uint64(r.SrcNext), uint64(r.DstPrev), uint64(r.DstNext), r.FirstProp); err != nil {
+		return err
+	}
 	return s.Update(uint64(id), func(rec []byte) { encodeRel(rec, r) })
 }
 
@@ -390,7 +422,7 @@ func (s DynStore) FreeString(id uint64) error {
 }
 
 // GroupRecordSize is the size of a relationship-group record.
-const GroupRecordSize = 32
+const GroupRecordSize = 24
 
 // GroupRecord is the decoded form of a relationship-group record — the
 // dense-node structure of Neo4j's store format. A node whose degree
@@ -426,18 +458,18 @@ func encodeGroup(rec []byte, r GroupRecord) {
 		rec[0] = flagInUse
 	}
 	binary.LittleEndian.PutUint32(rec[1:5], uint32(r.Type))
-	binary.LittleEndian.PutUint64(rec[5:13], r.Next)
-	binary.LittleEndian.PutUint64(rec[13:21], uint64(r.FirstOut))
-	binary.LittleEndian.PutUint64(rec[21:29], uint64(r.FirstIn))
+	put48(rec[5:11], r.Next)
+	put48(rec[11:17], uint64(r.FirstOut))
+	put48(rec[17:23], uint64(r.FirstIn))
 }
 
 func decodeGroup(rec []byte) GroupRecord {
 	return GroupRecord{
 		InUse:    rec[0]&flagInUse != 0,
 		Type:     graph.TypeID(binary.LittleEndian.Uint32(rec[1:5])),
-		Next:     binary.LittleEndian.Uint64(rec[5:13]),
-		FirstOut: graph.EdgeID(binary.LittleEndian.Uint64(rec[13:21])),
-		FirstIn:  graph.EdgeID(binary.LittleEndian.Uint64(rec[21:29])),
+		Next:     get48(rec[5:11]),
+		FirstOut: graph.EdgeID(get48(rec[11:17])),
+		FirstIn:  graph.EdgeID(get48(rec[17:23])),
 	}
 }
 
@@ -462,7 +494,11 @@ func (s GroupStore) Get(id uint64) (GroupRecord, error) {
 	return r, err
 }
 
-// Put writes the group record with the given id.
+// Put writes the group record with the given id. It fails, writing
+// nothing, if any id in r exceeds 2^48-1.
 func (s GroupStore) Put(id uint64, r GroupRecord) error {
+	if err := check48("group", r.Next, uint64(r.FirstOut), uint64(r.FirstIn)); err != nil {
+		return err
+	}
 	return s.Update(id, func(rec []byte) { encodeGroup(rec, r) })
 }

@@ -167,11 +167,7 @@ func (s *SparkStore) intsOf(objs *sparkdb.Objects, attr graph.AttrID) []int64 {
 		oids = append(oids, oid)
 		return true
 	})
-	vals := s.db.GetAttributes(oids, attr, make([]graph.Value, 0, len(oids)))
-	out := make([]int64, len(vals))
-	for i, v := range vals {
-		out[i] = v.Int()
-	}
+	out := s.db.GetInts(oids, attr, make([]int64, 0, len(oids)))
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
