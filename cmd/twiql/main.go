@@ -314,6 +314,9 @@ func (sh *shell) runQuery(w io.Writer, query string) time.Duration {
 			fmt.Fprintf(w, "  %-22s %8d %10d %12v %12v\n", st.Name, st.Rows, st.DBHits, st.Elapsed, st.Self)
 			for _, op := range st.Ops {
 				fmt.Fprintf(w, "    -> %-19s %8d %10d %12v\n", op.Name, op.Rows, op.DBHits, op.Elapsed)
+				if op.Index != "" {
+					fmt.Fprintf(w, "       pruned by index %s to %d candidates\n", op.Index, op.Candidates)
+				}
 			}
 		}
 	}

@@ -199,6 +199,26 @@ func TestRunQueryProfileOutput(t *testing.T) {
 	if !strings.Contains(out, "NodeIndexSeek") {
 		t.Errorf("missing operator list: %q", out)
 	}
+	// A range over a property indexed with few distinct values: the
+	// label scan names the index that pruned its candidates.
+	db := e.DB()
+	user, followers := db.Label("user"), db.PropKey("followers")
+	tx := db.Begin()
+	for id := graph.NodeID(1); id <= 60; id++ {
+		tx.SetNodeProp(id, followers, graph.IntValue(int64(id%6)))
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateIndex(user, followers); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	(&shell{db: db, engine: e}).runQuery(&buf, `PROFILE MATCH (u:user) WHERE u.followers > 3 RETURN u.uid`)
+	if out := buf.String(); !strings.Contains(out, "NodeByLabelScan") ||
+		!strings.Contains(out, "pruned by index :user(followers) to 20 candidates") {
+		t.Errorf("scan not reported as pruned: %q", out)
+	}
 }
 
 func TestQueryTimeoutAbortsAndCounts(t *testing.T) {

@@ -26,7 +26,8 @@ type Engine struct {
 	cacheHits   uint64
 	cacheMisses uint64
 	matrix      matrixMode
-	workers     int // goroutines a label scan or projection may fork
+	workers     int  // goroutines a label scan or projection may fork
+	prune       bool // label scans prune their candidates with schema indexes
 
 	spm  *spmat.Metrics
 	parm par.Metrics
@@ -44,17 +45,19 @@ func NewEngine(db *neodb.DB) *Engine {
 
 // SetProfile selects how a plan executes. Tuned gates each eligible
 // var-length expansion on its frontier density, running dense ones as
-// the algebraic row-gather of internal/spmat, and splits large label
-// scans and projections into morsels run on GOMAXPROCS workers.
-// Faithful always runs the DFS enumeration, on one goroutine. Plans
-// are unaffected — the choice is per-execution state, so cached plans
-// honour the current setting.
+// the algebraic row-gather of internal/spmat, splits large label scans
+// and projections into morsels run on GOMAXPROCS workers, and lets a
+// label scan with a comparison on an indexed property scan only the
+// nodes the schema index holds under passing values. Faithful always
+// runs the DFS enumeration and the full label scan, on one goroutine,
+// as Neo4j 2.2 (no range seek) did. Plans are unaffected — the choice
+// is per-execution state, so cached plans honour the current setting.
 func (e *Engine) SetProfile(p spmat.Profile) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.matrix, e.workers = matrixGated, par.Workers(0)
+	e.matrix, e.workers, e.prune = matrixGated, par.Workers(0), true
 	if p == spmat.Faithful {
-		e.matrix, e.workers = matrixOff, 1
+		e.matrix, e.workers, e.prune = matrixOff, 1, false
 	}
 }
 
@@ -64,10 +67,10 @@ func (e *Engine) setMatrixMode(m matrixMode) {
 	e.matrix = m
 }
 
-func (e *Engine) mode() (matrixMode, int) {
+func (e *Engine) mode() (matrixMode, int, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.matrix, e.workers
+	return e.matrix, e.workers, e.prune
 }
 
 // DB returns the underlying database.
@@ -136,6 +139,11 @@ type OperatorProfile struct {
 	Rows    int
 	DBHits  uint64
 	Elapsed time.Duration
+	// Index names the schema index, as ":label(key)", that pruned a
+	// NodeByLabelScan's candidates to Candidates nodes; it is empty
+	// when the scan read every node of the label.
+	Index      string
+	Candidates int
 }
 
 // Query parses (or reuses) and executes a query.
@@ -210,7 +218,7 @@ func (e *Engine) prepare(query string) (*Prepared, bool, time.Duration, error) {
 func (e *Engine) execute(ctx context.Context, prep *Prepared, params map[string]graph.Value, cached bool, compileTime time.Duration) (*Result, error) {
 	ec := &execCtx{db: e.db, rd: e.db.Reader(), ctx: ctx, params: params, profileOps: prep.profiled,
 		spm: e.spm, parm: e.parm, buf: batchPool.Get().(*batchBufs)}
-	ec.matrix, ec.workers = e.mode()
+	ec.matrix, ec.workers, ec.prune = e.mode()
 	e.db.HoldReader()
 	defer e.db.ReleaseReader()
 	defer ec.rd.Close()
@@ -293,6 +301,7 @@ func (e *Engine) execute(ctx context.Context, prep *Prepared, params map[string]
 			for _, op := range ec.ops {
 				sp.Ops = append(sp.Ops, OperatorProfile{
 					Name: op.name, Rows: op.rows, DBHits: op.dbHits, Elapsed: op.elapsed,
+					Index: op.index, Candidates: op.cands,
 				})
 				sp.Self -= op.elapsed
 			}

@@ -55,6 +55,10 @@ type execCtx struct {
 	parm    par.Metrics
 	worker  bool
 
+	// prune lets a label scan narrow its candidates with a schema index
+	// on a batched conjunct's property (Tuned; see stepLabelScan).
+	prune bool
+
 	// PROFILE per-operator accounting: when profileOps is set, a match
 	// stage fills ops with one accumulator per step, summed across every
 	// input row. The engine reads (and resets) ops after each stage;
@@ -67,12 +71,16 @@ type execCtx struct {
 }
 
 // opAcc accumulates one operator's PROFILE measurements: wall time,
-// db-hit delta and rows produced, across all input rows of its stage.
+// db-hit delta and rows produced, across all input rows of its stage,
+// and, for a label scan an index pruned, the index and the candidates
+// it left.
 type opAcc struct {
 	name    string
 	rows    int
 	dbHits  uint64
 	elapsed time.Duration
+	index   string
+	cands   int
 }
 
 type propKeyID struct {
@@ -459,15 +467,48 @@ func (c *propCmp) filter(ec *execCtx, ids []graph.NodeID) ([]graph.NodeID, error
 	}
 	kept := ids[:0]
 	for i, v := range vals {
-		a, b := v, operand
-		if !c.propLeft {
-			a, b = b, a
-		}
-		if ok, _ := compareScalars(c.op, a, b); ok {
+		if c.holds(v, operand) {
 			kept = append(kept, ids[i])
 		}
 	}
 	return kept, nil
+}
+
+// holds reports whether the comparison holds for a node whose property
+// is v. A null or unset v never passes (compareScalars).
+func (c *propCmp) holds(v, operand graph.Value) bool {
+	if !c.propLeft {
+		v, operand = operand, v
+	}
+	ok, _ := compareScalars(c.op, v, operand)
+	return ok
+}
+
+// minNodesPerIndexValue is how many nodes of the label a schema index
+// must hold per distinct value for a scan to prune with it. Selecting
+// tests every distinct value, at about the cost of scanning one node
+// (4.1 ms for a 30 000-value uid index; 3.3 ms to scan its 30 000 users
+// with a rejecting conjunct), so at one value per 8 nodes a selection
+// that prunes nothing costs about a sixth of the scan, while Q1.1's
+// 151-value follower index at 30 000 users costs about 20 µs.
+const minNodesPerIndexValue = 8
+
+// indexed returns the nodes of label that a schema index on c's
+// property posts under a value for which c holds, or nil when no index
+// covers the property, the index has too many distinct values for the
+// label's size, or the operand cannot be read (the scan then reports
+// the error).
+func (c *propCmp) indexed(ec *execCtx, label graph.TypeID) *bitmap.Bitmap {
+	key := ec.propKey(c.key)
+	if key == graph.NilAttr {
+		return nil
+	}
+	operand, _, err := scalar(ec, nil, c.operand, nil)
+	if err != nil {
+		return nil
+	}
+	maxValues := ec.db.LabelCount(label) / minNodesPerIndexValue
+	return ec.db.SelectNodes(label, key, maxValues, func(v graph.Value) bool { return c.holds(v, operand) })
 }
 
 type stepIndexSeek struct {
@@ -515,7 +556,7 @@ func (s *stepLabelScan) binds() []int     { return []int{s.slot} }
 func (s *stepLabelScan) apply(ec *execCtx, in []row) ([]row, error) {
 	var out []row
 	for _, r := range in {
-		nodes := ec.db.NodesByLabel(s.label)
+		nodes := s.candidates(ec)
 		if nodes == nil {
 			continue
 		}
@@ -525,6 +566,29 @@ func (s *stepLabelScan) apply(ec *execCtx, in []row) ([]row, error) {
 		}
 	}
 	return out, nil
+}
+
+// candidates returns the nodes the scan tests: the label's, or, when
+// the execution prunes, those that the index of the first batched
+// conjunct with a coarse enough index holds under a value that passes
+// the conjunct. A node of the label missing from that set has the
+// property unset or null, or holds a value that fails the conjunct, so
+// the full scan would reject it too. Every conjunct still runs on each
+// candidate, so the rows, and their order, are the full scan's.
+func (s *stepLabelScan) candidates(ec *execCtx) *bitmap.Bitmap {
+	if ec.prune {
+		for i := range s.cmps {
+			if ids := s.cmps[i].indexed(ec, s.label); ids != nil {
+				if ec.profileOps {
+					acc := &ec.ops[ec.curStep]
+					acc.index = fmt.Sprintf(":%s(%s)", ec.db.LabelName(s.label), s.cmps[i].key)
+					acc.cands += ids.Cardinality()
+				}
+				return ids
+			}
+		}
+	}
+	return ec.db.NodesByLabel(s.label)
 }
 
 type stepAllNodes struct {

@@ -1,11 +1,9 @@
 package cypher
 
 import (
-	"fmt"
 	"testing"
 
 	"twigraph/internal/graph"
-	"twigraph/internal/neodb"
 	"twigraph/internal/spmat"
 )
 
@@ -14,32 +12,27 @@ import (
 // projection of the first — over 30 000 nodes on a cache larger than
 // the store. About a fifth of the nodes pass. The faithful sub-benchmark
 // runs the plan on one goroutine, the tuned one splits the scan and the
-// projection into morsels on GOMAXPROCS workers.
+// projection into morsels on GOMAXPROCS workers, and tuned-indexed
+// adds a :user(followers) index, which the tuned scan prunes its
+// candidates with.
 func BenchmarkLabelScanWhere(b *testing.B) {
 	const n = 30000
-	db, err := neodb.Open(b.TempDir(), neodb.Config{CachePages: 4096})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	user := db.Label("user")
-	tx := db.Begin()
-	for i := 1; i <= n; i++ {
-		tx.CreateNode(user, graph.Properties{
-			"uid":         graph.IntValue(int64(i)),
-			"screen_name": graph.StringValue(fmt.Sprintf("user%d", i)),
-			"followers":   graph.IntValue(int64(i % 100)),
-		})
-	}
-	if err := tx.Commit(); err != nil {
-		b.Fatal(err)
-	}
-	e := NewEngine(db)
+	e := newUserEngine(b, n)
 	q := `MATCH (u:user) WHERE u.followers > $th RETURN u.uid AS uid ORDER BY uid`
 	params := map[string]graph.Value{"th": graph.IntValue(79)}
-	for _, p := range []spmat.Profile{spmat.Faithful, spmat.Tuned} {
-		b.Run(p.String(), func(b *testing.B) {
-			e.SetProfile(p)
+	for _, c := range []struct {
+		name    string
+		p       spmat.Profile
+		indexed bool
+	}{{"faithful", spmat.Faithful, false}, {"tuned", spmat.Tuned, false}, {"tuned-indexed", spmat.Tuned, true}} {
+		if c.indexed {
+			db := e.DB()
+			if err := db.CreateIndex(db.LabelID("user"), db.PropKeyID("followers")); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(c.name, func(b *testing.B) {
+			e.SetProfile(c.p)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := e.Query(q, params)

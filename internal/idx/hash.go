@@ -1,8 +1,8 @@
 // Package idx implements the index structures used by the Neo4j-analog
-// engine: an equality hash index (the schema indexes the paper creates
-// on "all unique node identifiers" after import), an in-memory B-tree
-// for ordered and range scans, and a label scan store mapping each node
-// label to the set of its nodes.
+// engine: a hash index (the schema indexes the paper creates on "all
+// unique node identifiers" after import), which serves equality lookups
+// and, through Select, any predicate over its distinct values, and a
+// label scan store mapping each node label to the set of its nodes.
 //
 // Indexes are held in memory and snapshot to disk on Sync/Close; on open
 // the snapshot is loaded if present. This mirrors the operational shape
@@ -112,6 +112,26 @@ func (ix *HashIndex) Lookup(v graph.Value) *bitmap.Bitmap {
 		return b.Clone()
 	}
 	return nil
+}
+
+// Select returns the union of the posting sets of every distinct value
+// for which keep holds, as a new bitmap the caller owns, or nil when
+// the index holds more than maxValues distinct values. One read lock
+// covers the whole selection, so the union is a snapshot. keep runs
+// under that lock and must not call into the index.
+func (ix *HashIndex) Select(maxValues int, keep func(graph.Value) bool) *bitmap.Bitmap {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	if len(ix.postings) > maxValues {
+		return nil
+	}
+	var sets []*bitmap.Bitmap
+	for k, b := range ix.postings {
+		if keep(ix.vals[k]) {
+			sets = append(sets, b)
+		}
+	}
+	return bitmap.OrMany(sets...)
 }
 
 // LookupOne returns an arbitrary (lowest) id indexed under v, for unique

@@ -1,11 +1,9 @@
 package idx
 
 import (
-	"math/rand"
 	"path/filepath"
-	"sort"
+	"sync"
 	"testing"
-	"testing/quick"
 
 	"twigraph/internal/bitmap"
 	"twigraph/internal/graph"
@@ -104,175 +102,92 @@ func TestHashIndexForEach(t *testing.T) {
 	}
 }
 
+func TestHashIndexSelect(t *testing.T) {
+	ix := NewHashIndex("")
+	for id := uint64(1); id <= 20; id++ {
+		ix.Add(graph.IntValue(int64(id%5)), id)
+	}
+	ix.Add(graph.StringValue("x"), 21)
+	ix.Add(graph.FloatValue(3.5), 22)
+	over2 := ix.Select(ix.Len(), func(v graph.Value) bool {
+		return v.Kind() != graph.KindString && v.Compare(graph.IntValue(2)) > 0
+	})
+	want := bitmap.New()
+	for id := uint64(1); id <= 20; id++ {
+		if id%5 > 2 {
+			want.Add(id)
+		}
+	}
+	want.Add(22)
+	if !over2.Equal(want) {
+		t.Errorf("Select(> 2) = %v, want %v", over2, want)
+	}
+	// The result is the caller's: mutating it leaves the postings alone.
+	over2.Add(99)
+	if got := ix.Lookup(graph.IntValue(3)); got.Contains(99) {
+		t.Error("Select result aliases a posting set")
+	}
+	if got := ix.Select(ix.Len(), func(graph.Value) bool { return false }); got == nil || !got.IsEmpty() {
+		t.Errorf("Select(none) = %v, want an empty bitmap", got)
+	}
+	// An index with more distinct values than the caller allows selects
+	// nothing.
+	if got := ix.Select(ix.Len()-1, func(graph.Value) bool { return true }); got != nil {
+		t.Errorf("Select over the value limit = %v, want nil", got)
+	}
+}
+
+// TestHashIndexSelectConcurrent runs Select against writers that move
+// ids between values, adding each id under its new value before
+// removing it from the old one: every snapshot then holds every id.
+func TestHashIndexSelectConcurrent(t *testing.T) {
+	const ids, moves = 200, 2000
+	ix := NewHashIndex("")
+	for id := uint64(0); id < ids; id++ {
+		ix.Add(graph.IntValue(0), id)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			cur := make(map[uint64]int64) // this writer's ids: id%2 == w
+			for i := 0; i < moves; i++ {
+				id := uint64((i*2 + w) % ids)
+				v := int64(i%10 + 1)
+				ix.Add(graph.IntValue(v), id)
+				if cur[id] != v {
+					ix.Remove(graph.IntValue(cur[id]), id)
+				}
+				cur[id] = v
+			}
+		}(w)
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < moves/10; i++ {
+				all := ix.Select(ids, func(graph.Value) bool { return true })
+				if n := all.Cardinality(); n != ids {
+					t.Errorf("Select(all) saw %d ids, want %d", n, ids)
+					return
+				}
+				some := ix.Select(ids, func(v graph.Value) bool { return v.Int() > 5 })
+				if !bitmap.AndNot(some, all).IsEmpty() {
+					t.Error("Select(> 5) holds an id outside Select(all)")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestOpenHashIndexMissingFile(t *testing.T) {
 	ix, err := OpenHashIndex(filepath.Join(t.TempDir(), "nope.idx"))
 	if err != nil || ix.Len() != 0 {
 		t.Errorf("ix=%v err=%v", ix, err)
-	}
-}
-
-func TestBTreeInsertAscend(t *testing.T) {
-	tr := NewBTree()
-	rng := rand.New(rand.NewSource(5))
-	vals := rng.Perm(2000)
-	for _, v := range vals {
-		tr.Insert(Entry{Value: graph.IntValue(int64(v)), ID: uint64(v)})
-	}
-	if tr.Len() != 2000 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	prev := int64(-1)
-	n := 0
-	tr.Ascend(func(e Entry) bool {
-		if e.Value.Int() <= prev {
-			t.Fatalf("out of order: %d after %d", e.Value.Int(), prev)
-		}
-		prev = e.Value.Int()
-		n++
-		return true
-	})
-	if n != 2000 {
-		t.Errorf("visited %d", n)
-	}
-}
-
-func TestBTreeDuplicateInsertIgnored(t *testing.T) {
-	tr := NewBTree()
-	e := Entry{Value: graph.IntValue(5), ID: 9}
-	tr.Insert(e)
-	tr.Insert(e)
-	if tr.Len() != 1 {
-		t.Errorf("Len = %d", tr.Len())
-	}
-	// Same value, different id is kept.
-	tr.Insert(Entry{Value: graph.IntValue(5), ID: 10})
-	if tr.Len() != 2 {
-		t.Errorf("Len with dup value = %d", tr.Len())
-	}
-}
-
-func TestBTreeAscendRange(t *testing.T) {
-	tr := NewBTree()
-	for i := 0; i < 100; i++ {
-		tr.Insert(Entry{Value: graph.IntValue(int64(i)), ID: uint64(i)})
-	}
-	from, to := graph.IntValue(10), graph.IntValue(20)
-	var got []int64
-	tr.AscendRange(&from, &to, func(e Entry) bool {
-		got = append(got, e.Value.Int())
-		return true
-	})
-	if len(got) != 10 || got[0] != 10 || got[9] != 19 {
-		t.Errorf("range = %v", got)
-	}
-	// Open-ended from.
-	var got2 []int64
-	tr.AscendRange(nil, &from, func(e Entry) bool {
-		got2 = append(got2, e.Value.Int())
-		return true
-	})
-	if len(got2) != 10 {
-		t.Errorf("open range = %v", got2)
-	}
-	// Open-ended to.
-	n := 0
-	tr.AscendRange(&to, nil, func(Entry) bool { n++; return true })
-	if n != 80 {
-		t.Errorf("to-open counted %d", n)
-	}
-}
-
-func TestBTreeDescend(t *testing.T) {
-	tr := NewBTree()
-	for i := 0; i < 500; i++ {
-		tr.Insert(Entry{Value: graph.IntValue(int64(i)), ID: uint64(i)})
-	}
-	prev := int64(500)
-	n := 0
-	tr.Descend(func(e Entry) bool {
-		if e.Value.Int() >= prev {
-			t.Fatalf("descend out of order: %d then %d", prev, e.Value.Int())
-		}
-		prev = e.Value.Int()
-		n++
-		return n < 100 // early stop
-	})
-	if n != 100 {
-		t.Errorf("visited %d", n)
-	}
-}
-
-func TestBTreeDelete(t *testing.T) {
-	tr := NewBTree()
-	for i := 0; i < 1000; i++ {
-		tr.Insert(Entry{Value: graph.IntValue(int64(i)), ID: uint64(i)})
-	}
-	rng := rand.New(rand.NewSource(11))
-	deleted := map[int]bool{}
-	for _, i := range rng.Perm(1000)[:600] {
-		if !tr.Delete(Entry{Value: graph.IntValue(int64(i)), ID: uint64(i)}) {
-			t.Fatalf("Delete(%d) = false", i)
-		}
-		deleted[i] = true
-	}
-	if tr.Delete(Entry{Value: graph.IntValue(99999), ID: 1}) {
-		t.Error("deleted a missing entry")
-	}
-	if tr.Len() != 400 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	prev := int64(-1)
-	tr.Ascend(func(e Entry) bool {
-		if deleted[int(e.Value.Int())] {
-			t.Fatalf("deleted entry %d still present", e.Value.Int())
-		}
-		if e.Value.Int() <= prev {
-			t.Fatalf("order violated after deletes")
-		}
-		prev = e.Value.Int()
-		return true
-	})
-}
-
-func TestBTreeAgainstModel(t *testing.T) {
-	check := func(ops []int16) bool {
-		tr := NewBTree()
-		model := map[int64]bool{}
-		for _, op := range ops {
-			v := int64(op) % 64
-			if v < 0 {
-				v = -v
-			}
-			if op%2 == 0 {
-				tr.Insert(Entry{Value: graph.IntValue(v), ID: uint64(v)})
-				model[v] = true
-			} else {
-				tr.Delete(Entry{Value: graph.IntValue(v), ID: uint64(v)})
-				delete(model, v)
-			}
-		}
-		var want []int64
-		for v := range model {
-			want = append(want, v)
-		}
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		var got []int64
-		tr.Ascend(func(e Entry) bool {
-			got = append(got, e.Value.Int())
-			return true
-		})
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
 	}
 }
 

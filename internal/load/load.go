@@ -40,10 +40,18 @@ func BuildNeo(csvDir, dbDir string, cfg neodb.Config, batchRows int) (*NeoResult
 		return nil, fmt.Errorf("load: neodb import: %w", err)
 	}
 	// The hashtag text is a unique identifier too; both engines index
-	// it so Q3.2 anchors symmetrically.
-	if err := db.CreateIndex(db.LabelID(twitter.LabelHashtag), db.PropKey(twitter.PropTag)); err != nil {
-		db.Close()
-		return nil, err
+	// it so Q3.2 anchors symmetrically. The follower count is indexed
+	// for the Tuned profile, whose label scans prune Q1.1's candidates
+	// with it; Faithful scans every user, as Neo4j 2.2 (no range seek)
+	// did, and sparkdb's Select has no index to use for it.
+	for _, ix := range [][2]string{
+		{twitter.LabelHashtag, twitter.PropTag},
+		{twitter.LabelUser, twitter.PropFollowers},
+	} {
+		if err := db.CreateIndex(db.LabelID(ix[0]), db.PropKey(ix[1])); err != nil {
+			db.Close()
+			return nil, err
+		}
 	}
 	res.Store = twitter.NewNeoStore(db)
 	return res, nil

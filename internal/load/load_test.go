@@ -10,6 +10,7 @@ import (
 	"twigraph/internal/gen"
 	"twigraph/internal/neodb"
 	"twigraph/internal/sparkdb"
+	"twigraph/internal/twitter"
 )
 
 func generate(t *testing.T, cfg gen.Config) (string, gen.Summary) {
@@ -54,6 +55,11 @@ func TestBuildNeoEndToEnd(t *testing.T) {
 	// Q3.2 anchors through the post-hoc tag index.
 	if _, err := res.Store.CoOccurringHashtags("topic1", 5); err != nil {
 		t.Fatal(err)
+	}
+	// Q1.1's scan under Tuned prunes with the follower-count index.
+	db := res.Store.DB()
+	if !db.HasIndex(db.LabelID(twitter.LabelUser), db.PropKeyID(twitter.PropFollowers)) {
+		t.Error("no :user(followers) index")
 	}
 }
 

@@ -62,8 +62,9 @@ func (r *IntegrityReport) String() string {
 //   - property chains terminate, hold decodable values, and string
 //     payloads resolve in the dynamic store;
 //   - the label scan store and node records agree in both directions,
-//     and schema index postings point at live nodes holding the
-//     indexed value;
+//     and so do schema indexes: postings point at live nodes holding
+//     the indexed value, and every live node of the label with the
+//     property set is posted under its value;
 //   - the allocators cover every in-use record (no id both free and in
 //     use, none in use beyond the high-water mark).
 //
@@ -244,7 +245,9 @@ func (db *DB) CheckIntegrity() *IntegrityReport {
 	}
 
 	// Schema indexes: every posting must be a live node of the indexed
-	// label whose stored property equals the indexed value.
+	// label whose stored property equals the indexed value, and every
+	// live node of the label whose property is set must be posted under
+	// its value — a label scan pruned by the index would miss it.
 	db.indexMu.RLock()
 	keys := make([]indexKey, 0, len(db.indexes))
 	for k := range db.indexes {
@@ -256,8 +259,14 @@ func (db *DB) CheckIntegrity() *IntegrityReport {
 		if ix == nil {
 			continue
 		}
+		type posting struct {
+			id  uint64
+			key string // graph.Value.Key of the value
+		}
+		posted := make(map[posting]bool)
 		ix.ForEach(func(v graph.Value, ids *bitmap.Bitmap) bool {
 			ids.ForEach(func(id uint64) bool {
+				posted[posting{id, v.Key()}] = true
 				if !labelLive[k.label][id] {
 					r.addf("index (%s,%s): entry %v -> dead or mislabelled node %d",
 						db.LabelName(k.label), db.PropKeyName(k.key), v, id)
@@ -275,6 +284,16 @@ func (db *DB) CheckIntegrity() *IntegrityReport {
 			})
 			return true
 		})
+		for id := range labelLive[k.label] {
+			got, err := db.NodeProp(graph.NodeID(id), k.key)
+			if err != nil || got.IsNil() {
+				continue // an unreadable chain is reported with the node
+			}
+			if !posted[posting{id, got.Key()}] {
+				r.addf("index (%s,%s): node %d stores %v but is not posted under it",
+					db.LabelName(k.label), db.PropKeyName(k.key), id, got)
+			}
+		}
 	}
 
 	// Allocator invariants.

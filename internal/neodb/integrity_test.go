@@ -1,6 +1,7 @@
 package neodb
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -163,6 +164,23 @@ func TestIntegrityDetectsStaleIndexEntry(t *testing.T) {
 	r := db.CheckIntegrity()
 	if r.OK() {
 		t.Fatal("stale index entry passed integrity check")
+	}
+}
+
+// A live node missing from its index is a row that a label scan pruned
+// by the index would silently drop.
+func TestIntegrityDetectsMissingIndexEntry(t *testing.T) {
+	db := openTemp(t)
+	ids := seedSocial(t, db)
+	ix := db.index(db.Label("user"), db.PropKey("uid"))
+	ix.Remove(graph.IntValue(3), uint64(ids[3]))
+	r := db.CheckIntegrity()
+	if r.Total != 1 {
+		t.Fatalf("want exactly one violation, got:\n%s", r)
+	}
+	want := fmt.Sprintf("index (user,uid): node %d stores 3 but is not posted under it", ids[3])
+	if r.Violations[0] != want {
+		t.Errorf("violation = %q, want %q", r.Violations[0], want)
 	}
 }
 

@@ -445,6 +445,20 @@ func (db *DB) FindNodes(label graph.TypeID, key graph.AttrID, v graph.Value) *bi
 	return bitmap.New()
 }
 
+// SelectNodes returns a snapshot of the node ids the schema index on
+// (label, key) posts under a value keep accepts: the nodes of the label
+// whose key is set, not null, and accepted. It returns nil when no
+// index exists or the index holds more than maxValues distinct values —
+// callers fall back to a label scan. keep must not call into the
+// database.
+func (db *DB) SelectNodes(label graph.TypeID, key graph.AttrID, maxValues int, keep func(graph.Value) bool) *bitmap.Bitmap {
+	ix := db.index(label, key)
+	if ix == nil {
+		return nil
+	}
+	return ix.Select(maxValues, keep)
+}
+
 // FindNode returns the single node where the indexed (label, key)
 // equals v, for unique keys like uid.
 func (db *DB) FindNode(label graph.TypeID, key graph.AttrID, v graph.Value) (graph.NodeID, bool) {
