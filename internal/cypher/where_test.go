@@ -405,14 +405,13 @@ func TestReaderPinsReleased(t *testing.T) {
 	followUp("a mid-scan deadline")
 }
 
-// TestConcurrentScansOnStripedCache runs concurrent scans on a 64-page
-// cache, which the page cache splits into 8 stripes of 8 pages, over
-// stores larger than the cache. A page can only be evicted from its own
-// stripe, and each executing query keeps at most one page of each store
-// file pinned, so up to 8 concurrent queries can never find a stripe
-// fully pinned. Under Tuned a scan forks workers, with a Reader each,
-// only while the database's open Readers fit in a stripe.
-func TestConcurrentScansOnStripedCache(t *testing.T) {
+// TestConcurrentScansOnSmallCache runs concurrent scans on a 64-page
+// cache over stores larger than the cache. Each executing query keeps at
+// most one page of each store file pinned, so 8 concurrent queries
+// leave most frames to evict. Under Tuned a scan forks workers, with a
+// Reader each, only while the database's open Readers fit the cache's
+// frames.
+func TestConcurrentScansOnSmallCache(t *testing.T) {
 	const n = 20000 // node records span 79 pages, property records 59
 	e := newScanEngine(t, t.TempDir(), n, 64)
 	const workers = 8

@@ -31,9 +31,14 @@ type HashIndex struct {
 	mu       sync.RWMutex
 	fsys     vfs.FS
 	path     string
-	postings map[string]*bitmap.Bitmap // Value.Key() -> ids
-	vals     map[string]graph.Value    // Value.Key() -> value (for iteration)
+	postings map[string]posting // Value.Key() -> the value and its ids
 	lookups  atomic.Uint64
+}
+
+// posting is one distinct indexed value and the ids indexed under it.
+type posting struct {
+	val graph.Value
+	ids *bitmap.Bitmap
 }
 
 // NewHashIndex creates an index that snapshots to path (empty path means
@@ -47,8 +52,7 @@ func NewHashIndexFS(fsys vfs.FS, path string) *HashIndex {
 	return &HashIndex{
 		fsys:     fsys,
 		path:     path,
-		postings: make(map[string]*bitmap.Bitmap),
-		vals:     make(map[string]graph.Value),
+		postings: make(map[string]posting),
 	}
 }
 
@@ -79,13 +83,12 @@ func (ix *HashIndex) Add(v graph.Value, id uint64) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	k := v.Key()
-	b, ok := ix.postings[k]
+	p, ok := ix.postings[k]
 	if !ok {
-		b = bitmap.New()
-		ix.postings[k] = b
-		ix.vals[k] = v
+		p = posting{val: v, ids: bitmap.New()}
+		ix.postings[k] = p
 	}
-	b.Add(id)
+	p.ids.Add(id)
 }
 
 // Remove drops id from v's posting set.
@@ -93,11 +96,10 @@ func (ix *HashIndex) Remove(v graph.Value, id uint64) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	k := v.Key()
-	if b, ok := ix.postings[k]; ok {
-		b.Remove(id)
-		if b.IsEmpty() {
+	if p, ok := ix.postings[k]; ok {
+		p.ids.Remove(id)
+		if p.ids.IsEmpty() {
 			delete(ix.postings, k)
-			delete(ix.vals, k)
 		}
 	}
 }
@@ -108,8 +110,8 @@ func (ix *HashIndex) Lookup(v graph.Value) *bitmap.Bitmap {
 	ix.lookups.Add(1)
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if b, ok := ix.postings[v.Key()]; ok {
-		return b.Clone()
+	if p, ok := ix.postings[v.Key()]; ok {
+		return p.ids.Clone()
 	}
 	return nil
 }
@@ -126,9 +128,9 @@ func (ix *HashIndex) Select(maxValues int, keep func(graph.Value) bool) *bitmap.
 		return nil
 	}
 	var sets []*bitmap.Bitmap
-	for k, b := range ix.postings {
-		if keep(ix.vals[k]) {
-			sets = append(sets, b)
+	for _, p := range ix.postings {
+		if keep(p.val) {
+			sets = append(sets, p.ids)
 		}
 	}
 	return bitmap.OrMany(sets...)
@@ -159,8 +161,8 @@ func (ix *HashIndex) Lookups() uint64 { return ix.lookups.Load() }
 func (ix *HashIndex) ForEach(fn func(v graph.Value, ids *bitmap.Bitmap) bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	for k, b := range ix.postings {
-		if !fn(ix.vals[k], b) {
+	for _, p := range ix.postings {
+		if !fn(p.val, p.ids) {
 			return
 		}
 	}
@@ -203,11 +205,11 @@ func (ix *HashIndex) save(w io.Writer) error {
 	if err := binary.Write(w, binary.LittleEndian, uint64(len(ix.postings))); err != nil {
 		return err
 	}
-	for k, b := range ix.postings {
-		if err := graph.WriteValue(w, ix.vals[k]); err != nil {
+	for _, p := range ix.postings {
+		if err := graph.WriteValue(w, p.val); err != nil {
 			return err
 		}
-		if _, err := b.WriteTo(w); err != nil {
+		if _, err := p.ids.WriteTo(w); err != nil {
 			return err
 		}
 	}
@@ -228,9 +230,7 @@ func (ix *HashIndex) load(r io.Reader) error {
 		if _, err := b.ReadFrom(r); err != nil {
 			return err
 		}
-		k := v.Key()
-		ix.postings[k] = b
-		ix.vals[k] = v
+		ix.postings[v.Key()] = posting{val: v, ids: b}
 	}
 	return nil
 }

@@ -498,18 +498,18 @@ func TestCoolCaches(t *testing.T) {
 }
 
 // TestBorrowedReaders: borrowed Readers and the Readers executions
-// hold stay within a cache stripe's frames; an execution that starts
+// hold stay within a file cache's frames; an execution that starts
 // while borrowed Readers crowd the frames waits until one is returned;
 // and a Reader that keeps a page pinned shows in PinnedPages until it
 // closes.
 func TestBorrowedReaders(t *testing.T) {
-	for _, c := range []struct{ pages, limit int }{{1, 1}, {2, 2}, {63, 63}, {64, 8}, {4096, 512}} {
+	for _, c := range []struct{ pages, limit int }{{1, 1}, {2, 2}, {63, 63}, {64, 64}, {4096, 4096}} {
 		db, err := Open(t.TempDir(), Config{CachePages: c.pages})
 		if err != nil {
 			t.Fatal(err)
 		}
 		db.HoldReader()
-		if got := db.BorrowReaders(1000); got != c.limit-1 {
+		if got := db.BorrowReaders(1 << 20); got != c.limit-1 {
 			t.Errorf("%d pages, one Reader held: %d borrowed, want %d", c.pages, got, c.limit-1)
 		}
 		if db.ReadersCrowded() {

@@ -1,15 +1,11 @@
 package neodb
 
-import (
-	"time"
-
-	"twigraph/internal/pagecache"
-)
+import "time"
 
 // Readers and page frames. A Reader pins at most one page per store
-// file, so as many Readers as a file cache's smallest stripe has frames
-// can be open at once with every read still finding a frame, however
-// their pins fall. A query execution always holds one Reader. A
+// file, and unpins it before it pins another, so as many Readers as a
+// file cache has frames can be open at once with every read still
+// finding a frame. A query execution always holds one Reader. A
 // parallel read borrows more only while the count stays within that
 // many frames, and gives each back at its next morsel boundary once an
 // execution that starts needs the frame; the execution waits for that.
@@ -21,7 +17,7 @@ import (
 const borrowed = 1 << 32
 
 // maxReaders is how many Readers fit the page caches' frames.
-func (db *DB) maxReaders() int64 { return int64(pagecache.StripeCapacity(db.cfg.CachePages)) }
+func (db *DB) maxReaders() int64 { return int64(db.cfg.CachePages) }
 
 // crowded reports whether the Readers counted in v do not all fit.
 func (db *DB) crowded(v int64) bool {

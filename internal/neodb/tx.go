@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"twigraph/internal/graph"
 	"twigraph/internal/storage"
@@ -46,15 +47,22 @@ func (db *DB) Begin() *Tx {
 }
 
 // CreateNode buffers the creation of a node with the given label and
-// properties, returning its id immediately.
+// properties, returning its id immediately. Properties are written in
+// key order, so the node's property chain, and the ids of keys first
+// used here, do not depend on map iteration order.
 func (tx *Tx) CreateNode(label graph.TypeID, props graph.Properties) graph.NodeID {
 	id := graph.NodeID(tx.db.nodes.Allocate())
 	var buf bytes.Buffer
 	binary.Write(&buf, binary.LittleEndian, uint64(id))
 	binary.Write(&buf, binary.LittleEndian, uint32(label))
 	tx.ops = append(tx.ops, txOp{opCreateNode, buf.Bytes()})
-	for k, v := range props {
-		tx.SetNodeProp(id, tx.db.PropKey(k), v)
+	keys := make([]string, 0, len(props))
+	for k := range props {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		tx.SetNodeProp(id, tx.db.PropKey(k), props[k])
 	}
 	return id
 }

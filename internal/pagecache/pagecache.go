@@ -11,13 +11,18 @@
 // statistics plus an explicit Cool operation used by the cold-cache
 // experiments.
 //
-// Frames are reused, as in a buffer pool: a fault on a full stripe
-// evicts an unpinned page and reads the new page into that page's
-// frame, so faults allocate nothing once the cache has filled. Page
-// bytes — Data and the slices Read and Write pass to their callbacks —
-// are therefore valid only while the caller holds the pin; after Unpin
-// the same memory may hold another page. Keep a copy, never a
-// sub-slice.
+// As in Neo4j's own page cache (2.2 and later), a hit takes no lock: Get
+// finds the frame in a page table indexed by page id and pins it with
+// one compare-and-swap on the frame's state word, which packs the page
+// the frame holds, its pin count and its reference bit. Faults evict by
+// CLOCK (second chance) over all frames, under the one cache mutex.
+//
+// Frames are reused, as in a buffer pool: a fault on a full cache evicts
+// an unpinned page and reads the new page into that page's frame, so
+// faults allocate nothing once the cache has filled. Page bytes — Data
+// and the slices Read and Write pass to their callbacks — are therefore
+// valid only while the caller holds the pin; after Unpin the same memory
+// may hold another page. Keep a copy, never a sub-slice.
 package pagecache
 
 import (
@@ -36,16 +41,6 @@ import (
 // cache unit.
 const PageSize = 8192
 
-// Striping: at bench capacities (thousands of pages) a single mutex
-// serialises the whole read path of the parallel query executor, so the
-// cache shards its residency state into independent stripes keyed by
-// page id. Small caches keep one stripe — eviction then considers every
-// resident page globally, which the exact-count eviction tests rely on.
-const (
-	stripeCount        = 8
-	stripedMinCapacity = 64
-)
-
 // Stats aggregates cache activity counters. All counters are cumulative
 // since the cache was opened.
 type Stats struct {
@@ -55,43 +50,27 @@ type Stats struct {
 	Flushes   uint64 // dirty pages written back
 }
 
-func (s *Stats) add(o Stats) {
-	s.Hits += o.Hits
-	s.Faults += o.Faults
-	s.Evictions += o.Evictions
-	s.Flushes += o.Flushes
-}
-
-// Cache is a pinned-page LRU cache over one backing file. It is safe for
-// concurrent use: residency state (pages, LRU, pins, stats) lives in
-// per-stripe shards each guarded by their own mu, while page *contents*
-// are guarded by the stripe's dataMu — readers and the write-back path
-// share it, mutators take it exclusively. Lock order within a stripe is
-// always mu before dataMu; no operation holds two stripes at once except
-// the whole-cache walks (FlushAll, Cool, ...), which visit stripes one
-// at a time.
+// Cache is a pinned-page cache over one backing file. It is safe for
+// concurrent use. A hit reads the page table and writes only the state
+// word of the frame it pins. mu serialises faults, eviction, MarkDirty
+// and the whole-cache walks (FlushAll, Cool, Stats, ...): the page
+// table, the frame list, the clock hand, the dirty flags and the fault,
+// eviction and flush counters change only under it. Page contents are
+// guarded by each frame's latch: readers and the write-back path share
+// it, mutators take it exclusively. Lock order is mu before a latch.
 type Cache struct {
 	file     vfs.File
-	capacity int // max resident pages, summed over stripes
-	stripes  []*stripe
+	capacity int                                    // max resident pages
+	table    atomic.Pointer[[]atomic.Pointer[page]] // page id -> frame
 	ins      atomic.Pointer[Instruments]
 	size     atomic.Int64 // logical file size in bytes
 	closed   atomic.Bool
-}
 
-// stripe owns the residency state for the page ids hashed to it. Each
-// stripe runs the same LRU protocol the cache used to run globally, over
-// its share of the capacity.
-type stripe struct {
-	c        *Cache
-	mu       sync.Mutex
-	dataMu   sync.RWMutex
-	capacity int
-	pages    map[int64]*page
-	lruHead  *page // most recently used
-	lruTail  *page // least recently used
-	stats    Stats
-	rehits   atomic.Uint64 // counted by Hit; added to stats.Hits on read
+	mu     sync.Mutex
+	frames []*page // every frame allocated, at most capacity
+	free   []*page // frames that hold no page
+	hand   int     // the frame the clock sweep visits next
+	stats  Stats   // Hits are counted per frame
 }
 
 // Instruments binds a cache to the shared observability registry: each
@@ -116,15 +95,49 @@ func (c *Cache) Instrument(ins Instruments) {
 	c.ins.Store(&ins)
 }
 
-// page is one frame: a PageSize buffer and the residency state of the
-// page it currently holds. An evicted frame is reused for the fault
-// that evicted it.
+// A frame's state word packs, from the top: one more than the id of the
+// page it holds (0 when it holds none), the CLOCK reference bit, and the
+// pin count. Because the page id and the pins share one word, the CAS
+// that pins a frame succeeds only while the frame still holds the page
+// the table pointed at: a lookup that races with eviction never pins
+// another page's frame. A pin count of claimed means the fault path owns
+// the frame; it takes a frame only by CAS from an unpinned state, so a
+// pinned frame is never reused.
+const (
+	pinBits = 20
+	pinMask = 1<<pinBits - 1
+	claimed = pinMask
+	refBit  = 1 << pinBits
+	idShift = pinBits + 1
+	maxPage = 1<<(64-idShift) - 2
+)
+
+// idOf returns the id of the page a frame in state s holds, or -1.
+func idOf(s uint64) int64 { return int64(s>>idShift) - 1 }
+
+// page is one frame: a PageSize buffer and the state of the page it
+// currently holds. An evicted frame is reused for the fault that
+// evicted it.
 type page struct {
-	id         int64
-	buf        []byte
-	dirty      bool
-	pins       int
-	prev, next *page // LRU list
+	state atomic.Uint64
+	hits  atomic.Uint64 // hits reported by Unpin, summed by Stats
+	latch sync.RWMutex  // guards buf against concurrent Write
+	dirty bool          // c.mu
+	buf   []byte
+}
+
+// pin adds a pin if the frame holds page id and the fault path does not
+// own it, and sets the reference bit.
+func (p *page) pin(id int64) bool {
+	for {
+		s := p.state.Load()
+		if s>>idShift != uint64(id+1) || s&pinMask >= claimed-1 {
+			return false
+		}
+		if p.state.CompareAndSwap(s, (s|refBit)+1) {
+			return true
+		}
+	}
 }
 
 // Open creates a cache of the given capacity (in pages) over path. The
@@ -148,47 +161,20 @@ func OpenFS(fsys vfs.FS, path string, capacity int) (*Cache, error) {
 		f.Close()
 		return nil, err
 	}
-	n := stripes(capacity)
 	c := &Cache{file: f, capacity: capacity}
 	c.size.Store(size)
 	c.ins.Store(&Instruments{})
-	c.stripes = make([]*stripe, n)
-	for i := range c.stripes {
-		share := capacity / n
-		if i < capacity%n {
-			share++
-		}
-		c.stripes[i] = &stripe{
-			c:        c,
-			capacity: share,
-			pages:    make(map[int64]*page, share),
-		}
-	}
+	c.table.Store(new([]atomic.Pointer[page]))
 	return c, nil
-}
-
-func stripes(capacity int) int {
-	if capacity >= stripedMinCapacity {
-		return stripeCount
-	}
-	return 1
-}
-
-// StripeCapacity is the capacity of the smallest stripe of a cache of
-// the given capacity: how many goroutines can each keep one page of the
-// cache pinned with every Get still finding a frame, whichever stripes
-// their pages hash to.
-func StripeCapacity(capacity int) int { return capacity / stripes(capacity) }
-
-func (c *Cache) stripeFor(id int64) *stripe {
-	return c.stripes[uint64(id)%uint64(len(c.stripes))]
 }
 
 // Page is a pinned reference to a resident page. The caller must Unpin
 // it when done; writes must go through MarkDirty.
 type Page struct {
-	s *stripe
-	p *page
+	c    *Cache
+	p    *page
+	id   int64
+	hits uint64 // reported to the cache's counters on Unpin
 }
 
 // Data returns the page's byte slice (always PageSize long). The slice
@@ -196,81 +182,98 @@ type Page struct {
 // using Data directly must serialise against concurrent mutators
 // themselves; prefer Read/Write, which synchronise with the write-back
 // path.
-func (pg Page) Data() []byte { return pg.p.buf }
+func (pg *Page) Data() []byte { return pg.p.buf }
 
-// Read invokes fn with the page bytes under the shared data lock, so it
-// is safe against concurrent Write and write-back. fn must not keep the
-// slice or a sub-slice of it.
-func (pg Page) Read(fn func(buf []byte)) {
-	pg.s.dataMu.RLock()
+// Read invokes fn with the page bytes under the frame's shared latch, so
+// it is safe against concurrent Write and write-back. fn must not keep
+// the slice or a sub-slice of it.
+func (pg *Page) Read(fn func(buf []byte)) {
+	pg.p.latch.RLock()
 	fn(pg.p.buf)
-	pg.s.dataMu.RUnlock()
+	pg.p.latch.RUnlock()
 }
 
-// Write invokes fn with the page bytes under the exclusive data lock
+// Write invokes fn with the page bytes under the frame's exclusive latch
 // and marks the page dirty. Like Read, fn must not keep the slice.
-func (pg Page) Write(fn func(buf []byte)) {
-	pg.s.dataMu.Lock()
+func (pg *Page) Write(fn func(buf []byte)) {
+	pg.p.latch.Lock()
 	fn(pg.p.buf)
-	pg.s.dataMu.Unlock()
+	pg.p.latch.Unlock()
 	pg.MarkDirty()
 }
 
 // MarkDirty records that the page was modified and must be written back
 // before eviction.
-func (pg Page) MarkDirty() {
-	pg.s.mu.Lock()
+func (pg *Page) MarkDirty() {
+	pg.c.mu.Lock()
 	pg.p.dirty = true
-	pg.s.mu.Unlock()
+	pg.c.mu.Unlock()
 }
 
-// Unpin releases the pin taken by Get. Unpinning a page more times
-// than it was pinned panics: the frame may already hold another page,
-// whose pin a stale Unpin would drop.
-func (pg Page) Unpin() {
-	pg.s.mu.Lock()
-	defer pg.s.mu.Unlock()
-	if pg.p.pins == 0 {
-		panic(fmt.Sprintf("pagecache: Unpin of page %d, which is not pinned", pg.p.id))
+// Unpin releases the pin taken by Get and reports the pin's hits.
+// Unpinning a page more times than it was pinned panics, as does an
+// Unpin after the frame was reused for another page: a stale Unpin
+// would drop another holder's pin.
+func (pg *Page) Unpin() {
+	p := pg.p
+	for {
+		s := p.state.Load()
+		if s>>idShift != uint64(pg.id+1) || s&pinMask == 0 {
+			panic(fmt.Sprintf("pagecache: Unpin of page %d, which is not pinned", pg.id))
+		}
+		if p.state.CompareAndSwap(s, s-1) {
+			break
+		}
 	}
-	pg.p.pins--
+	if n := pg.hits; n > 0 {
+		pg.hits = 0
+		p.hits.Add(n)
+		if h := pg.c.ins.Load().Hits; h != nil {
+			h.Add(n)
+		}
+	}
 }
 
 // Hit counts n hits on a page the caller holds pinned: a reader that
 // keeps its page pinned across records reports the Gets it skipped, so
-// the hit ratio keeps its meaning. It takes no lock and leaves the LRU
-// order alone.
-func (pg Page) Hit(n uint64) {
-	pg.s.rehits.Add(n)
-	if h := pg.s.c.ins.Load().Hits; h != nil {
-		h.Add(n)
-	}
-}
+// the hit ratio keeps its meaning. They are counted with the pin's own
+// hit when the page is unpinned, and leave the reference bit alone.
+func (pg *Page) Hit(n uint64) { pg.hits += n }
 
 // Get pins the page with the given id, faulting it in if necessary. Page
 // ids map to byte offset id*PageSize; reading past the current file size
-// yields zero bytes (the file grows lazily on flush).
+// yields zero bytes (the file grows lazily on flush). A hit is counted
+// when its page is unpinned.
 func (c *Cache) Get(id int64) (Page, error) {
-	return c.stripeFor(id).get(id)
+	if t := *c.table.Load(); uint64(id) < uint64(len(t)) {
+		if p := t[id].Load(); p != nil && p.pin(id) {
+			return Page{c: c, p: p, id: id, hits: 1}, nil
+		}
+	}
+	return c.fault(id)
 }
 
-func (s *stripe) get(id int64) (Page, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.pages == nil {
+// fault is Get's slow path, under mu: the page may have been faulted in
+// since the lock-free lookup missed; otherwise a frame is claimed and
+// the page read into it.
+func (c *Cache) fault(id int64) (Page, error) {
+	if id < 0 || id > maxPage {
+		return Page{}, fmt.Errorf("pagecache: page id %d out of range", id)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed.Load() {
 		return Page{}, fmt.Errorf("pagecache: closed")
 	}
-	ins := s.c.ins.Load()
-	if p, ok := s.pages[id]; ok {
-		s.stats.Hits++
-		if ins.Hits != nil {
-			ins.Hits.Inc()
+	t := c.tableFor(id)
+	if p := t[id].Load(); p != nil {
+		if !p.pin(id) {
+			return Page{}, fmt.Errorf("pagecache: page %d pinned %d times", id, claimed-1)
 		}
-		p.pins++
-		s.touch(p)
-		return Page{s: s, p: p}, nil
+		return Page{c: c, p: p, id: id, hits: 1}, nil
 	}
-	s.stats.Faults++
+	ins := c.ins.Load()
+	c.stats.Faults++
 	if ins.Faults != nil {
 		ins.Faults.Inc()
 	}
@@ -280,20 +283,34 @@ func (s *stripe) get(id int64) (Page, error) {
 	if ins.Trace.Enabled() {
 		ins.Trace.Instant("pagecache", "page_fault", 1, map[string]any{"page": id})
 	}
-	p, err := s.evictIfFullLocked(ins)
+	p, err := c.claim(ins)
 	if err != nil {
 		return Page{}, err
 	}
-	if p == nil {
-		p = &page{buf: make([]byte, PageSize)}
-	}
-	if err := s.c.readPage(p.buf, id*PageSize); err != nil {
+	if err := c.readPage(p.buf, id*PageSize); err != nil {
+		c.free = append(c.free, p)
+		p.state.Store(0)
 		return Page{}, err
 	}
-	p.id, p.pins, p.dirty = id, 1, false
-	s.pages[id] = p
-	s.pushFront(p)
-	return Page{s: s, p: p}, nil
+	t[id].Store(p)
+	p.state.Store(uint64(id+1)<<idShift | refBit | 1)
+	return Page{c: c, p: p, id: id}, nil
+}
+
+// tableFor returns the page table, first republishing it grown to hold
+// id if it is too short (c.mu held). Lookups still reading the old table
+// find frames that may have moved on; their pin fails and they fault.
+func (c *Cache) tableFor(id int64) []atomic.Pointer[page] {
+	t := *c.table.Load()
+	if id < int64(len(t)) {
+		return t
+	}
+	g := make([]atomic.Pointer[page], max(2*len(t), int(id)+1))
+	for i := range t {
+		g[i].Store(t[i].Load())
+	}
+	c.table.Store(&g)
+	return g
 }
 
 // readPage fills buf with the page at byte offset off. Bytes the file
@@ -314,74 +331,104 @@ func (c *Cache) readPage(buf []byte, off int64) error {
 	return nil
 }
 
-// evictIfFullLocked evicts the least-recently-used unpinned page when
-// the stripe is at capacity and hands back its frame for the caller to
-// reuse; below capacity it returns nil. It fails if every resident page
-// is pinned.
-func (s *stripe) evictIfFullLocked(ins *Instruments) (*page, error) {
-	if len(s.pages) < s.capacity {
-		return nil, nil
+// claim returns a frame for a fault, owned by the caller (state claimed,
+// in no table slot): a free frame, a new one while the cache holds fewer
+// than capacity frames, or else the first frame the clock hand reaches
+// that is unpinned with its reference bit clear. The hand clears the
+// bits it passes, so a page hit since the hand last passed survives one
+// more turn. The victim is written back first if dirty. Every frame
+// outside the free list holds a page. claim fails if four turns find
+// every frame pinned: two clear every reference bit, and pins move
+// while the hand sweeps, so a frame found pinned may be free a turn on.
+func (c *Cache) claim(ins *Instruments) (*page, error) {
+	if n := len(c.free); n > 0 {
+		p := c.free[n-1]
+		c.free = c.free[:n-1]
+		p.state.Store(claimed) // no pin can take a frame that holds no page
+		return p, nil
 	}
-	victim := s.lruTail
-	for victim != nil && victim.pins > 0 {
-		victim = victim.prev
+	if len(c.frames) < c.capacity {
+		p := &page{buf: make([]byte, PageSize)}
+		p.state.Store(claimed)
+		c.frames = append(c.frames, p)
+		return p, nil
 	}
-	if victim == nil {
-		return nil, fmt.Errorf("pagecache: all %d pages pinned", len(s.pages))
-	}
-	if victim.dirty {
-		if err := s.writeBackLocked(victim, ins); err != nil {
-			return nil, err
+	for range 4 * len(c.frames) {
+		p := c.frames[c.hand]
+		c.hand = (c.hand + 1) % len(c.frames)
+		s := p.state.Load()
+		if s&refBit != 0 {
+			for !p.state.CompareAndSwap(s, s&^refBit) {
+				s = p.state.Load()
+			}
+			continue
 		}
+		if s&pinMask != 0 || !p.state.CompareAndSwap(s, claimed) {
+			continue
+		}
+		if p.dirty {
+			if err := c.writeBack(p, idOf(s), ins); err != nil {
+				p.state.Store(s)
+				return nil, err
+			}
+		}
+		c.unmap(idOf(s), ins)
+		return p, nil
 	}
-	s.unlink(victim)
-	delete(s.pages, victim.id)
-	s.stats.Evictions++
+	return nil, fmt.Errorf("pagecache: all %d pages pinned", len(c.frames))
+}
+
+// unmap removes an evicted page from the page table (c.mu held).
+func (c *Cache) unmap(id int64, ins *Instruments) {
+	(*c.table.Load())[id].Store(nil)
+	c.stats.Evictions++
 	if ins.Evictions != nil {
 		ins.Evictions.Inc()
 	}
-	return victim, nil
 }
 
-func (s *stripe) writeBackLocked(p *page, ins *Instruments) error {
-	off := p.id * PageSize
-	s.dataMu.RLock()
-	_, err := s.c.file.WriteAt(p.buf, off)
-	s.dataMu.RUnlock()
+// writeBack writes frame p, holding page id, to the file (c.mu held).
+func (c *Cache) writeBack(p *page, id int64, ins *Instruments) error {
+	off := id * PageSize
+	p.latch.RLock()
+	_, err := c.file.WriteAt(p.buf, off)
+	p.latch.RUnlock()
 	if err != nil {
 		return err
 	}
 	end := off + PageSize
 	for {
-		size := s.c.size.Load()
-		if end <= size || s.c.size.CompareAndSwap(size, end) {
+		size := c.size.Load()
+		if end <= size || c.size.CompareAndSwap(size, end) {
 			break
 		}
 	}
 	p.dirty = false
-	s.stats.Flushes++
+	c.stats.Flushes++
 	if ins.Flushes != nil {
 		ins.Flushes.Inc()
 	}
 	return nil
 }
 
-// FlushAll writes back every dirty page without evicting.
-func (c *Cache) FlushAll() error {
-	ins := c.ins.Load()
-	for _, s := range c.stripes {
-		s.mu.Lock()
-		for _, p := range s.pages {
-			if p.dirty {
-				if err := s.writeBackLocked(p, ins); err != nil {
-					s.mu.Unlock()
-					return err
-				}
+// flushDirty writes back every dirty frame (c.mu held), stopping at the
+// first error.
+func (c *Cache) flushDirty(ins *Instruments) error {
+	for _, p := range c.frames {
+		if p.dirty {
+			if err := c.writeBack(p, idOf(p.state.Load()), ins); err != nil {
+				return err
 			}
 		}
-		s.mu.Unlock()
 	}
 	return nil
+}
+
+// FlushAll writes back every dirty page without evicting.
+func (c *Cache) FlushAll() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.flushDirty(c.ins.Load())
 }
 
 // Sync flushes all dirty pages and fsyncs the backing file.
@@ -395,74 +442,65 @@ func (c *Cache) Sync() error {
 // Cool flushes and evicts every resident page, simulating a cold cache.
 // Pinned pages are flushed but stay resident.
 func (c *Cache) Cool() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	ins := c.ins.Load()
-	for _, s := range c.stripes {
-		s.mu.Lock()
-		for id, p := range s.pages {
-			if p.dirty {
-				if err := s.writeBackLocked(p, ins); err != nil {
-					s.mu.Unlock()
-					return err
-				}
+	if err := c.flushDirty(ins); err != nil {
+		return err
+	}
+	for _, p := range c.frames {
+		for {
+			s := p.state.Load()
+			if idOf(s) < 0 || s&pinMask != 0 {
+				break
 			}
-			if p.pins == 0 {
-				s.unlink(p)
-				delete(s.pages, id)
-				s.stats.Evictions++
-				if ins.Evictions != nil {
-					ins.Evictions.Inc()
-				}
+			if p.state.CompareAndSwap(s, 0) {
+				c.unmap(idOf(s), ins)
+				c.free = append(c.free, p)
+				break
 			}
 		}
-		s.mu.Unlock()
 	}
 	return nil
 }
 
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() Stats {
-	var out Stats
-	for _, s := range c.stripes {
-		s.mu.Lock()
-		out.add(s.stats)
-		s.mu.Unlock()
-		out.Hits += s.rehits.Load()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := c.stats
+	for _, p := range c.frames {
+		out.Hits += p.hits.Load()
 	}
 	return out
 }
 
 // ResetStats zeroes the counters (used between experiment phases).
 func (c *Cache) ResetStats() {
-	for _, s := range c.stripes {
-		s.mu.Lock()
-		s.stats = Stats{}
-		s.mu.Unlock()
-		s.rehits.Store(0)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.stats = Stats{}
+	for _, p := range c.frames {
+		p.hits.Store(0)
 	}
 }
 
 // Resident returns the number of pages currently cached.
 func (c *Cache) Resident() int {
-	n := 0
-	for _, s := range c.stripes {
-		s.mu.Lock()
-		n += len(s.pages)
-		s.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.frames) - len(c.free)
 }
 
 // Pinned returns the number of resident pages some caller holds pinned.
 func (c *Cache) Pinned() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	n := 0
-	for _, s := range c.stripes {
-		s.mu.Lock()
-		for _, p := range s.pages {
-			if p.pins > 0 {
-				n++
-			}
+	for _, p := range c.frames {
+		if p.state.Load()&pinMask != 0 {
+			n++
 		}
-		s.mu.Unlock()
 	}
 	return n
 }
@@ -470,15 +508,13 @@ func (c *Cache) Pinned() int {
 // Size returns the logical size of the backing file in bytes, including
 // pages not yet flushed.
 func (c *Cache) Size() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	sz := c.size.Load()
-	for _, s := range c.stripes {
-		s.mu.Lock()
-		for _, p := range s.pages {
-			if end := (p.id + 1) * PageSize; p.dirty && end > sz {
-				sz = end
-			}
+	for _, p := range c.frames {
+		if end := (idOf(p.state.Load()) + 1) * PageSize; p.dirty && end > sz {
+			sz = end
 		}
-		s.mu.Unlock()
 	}
 	return sz
 }
@@ -490,59 +526,20 @@ func (c *Cache) Close() error {
 	if c.closed.Swap(true) {
 		return nil
 	}
+	c.mu.Lock()
 	var firstErr error
 	ins := c.ins.Load()
-	for _, s := range c.stripes {
-		s.mu.Lock()
-		for _, p := range s.pages {
-			if p.dirty {
-				if err := s.writeBackLocked(p, ins); err != nil && firstErr == nil {
-					firstErr = err
-				}
+	for _, p := range c.frames {
+		if p.dirty {
+			if err := c.writeBack(p, idOf(p.state.Load()), ins); err != nil && firstErr == nil {
+				firstErr = err
 			}
 		}
-		s.pages = nil
-		s.lruHead, s.lruTail = nil, nil
-		s.mu.Unlock()
 	}
+	c.table.Store(new([]atomic.Pointer[page]))
+	c.mu.Unlock()
 	if err := c.file.Close(); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return firstErr
-}
-
-// ---------- LRU list maintenance (s.mu held) ----------
-
-func (s *stripe) pushFront(p *page) {
-	p.prev = nil
-	p.next = s.lruHead
-	if s.lruHead != nil {
-		s.lruHead.prev = p
-	}
-	s.lruHead = p
-	if s.lruTail == nil {
-		s.lruTail = p
-	}
-}
-
-func (s *stripe) unlink(p *page) {
-	if p.prev != nil {
-		p.prev.next = p.next
-	} else {
-		s.lruHead = p.next
-	}
-	if p.next != nil {
-		p.next.prev = p.prev
-	} else {
-		s.lruTail = p.prev
-	}
-	p.prev, p.next = nil, nil
-}
-
-func (s *stripe) touch(p *page) {
-	if s.lruHead == p {
-		return
-	}
-	s.unlink(p)
-	s.pushFront(p)
 }

@@ -1,6 +1,8 @@
 package pagecache
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -8,7 +10,9 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"twigraph/internal/vfs"
 )
@@ -94,27 +98,65 @@ func TestHitAndFaultAccounting(t *testing.T) {
 	}
 }
 
-func TestEvictionLRUOrder(t *testing.T) {
-	c := openTemp(t, 2)
-	get := func(id int64) {
-		pg, err := c.Get(id)
-		if err != nil {
-			t.Fatal(err)
+// TestEvictionClockOrder walks a 3-frame cache through CLOCK (second
+// chance) replacement: a fault takes the first unpinned frame the hand
+// reaches with its reference bit clear, clearing the bits it passes.
+// Faults and hits set the bit, so a page hit since the hand last
+// cleared it survives one more turn, and a pinned page is skipped
+// whatever its bit.
+func TestEvictionClockOrder(t *testing.T) {
+	c := openTemp(t, 3)
+	var held Page
+	steps := []struct {
+		id       int64 // page to Get; -1 unpins the held page
+		hit      bool
+		hold     bool    // keep the page pinned until the unpin step
+		resident []int64 // pages resident after the step
+	}{
+		{id: 0, resident: []int64{0}},
+		{id: 1, resident: []int64{0, 1}},
+		{id: 2, resident: []int64{0, 1, 2}},
+		{id: 3, resident: []int64{1, 2, 3}},            // one turn clears every bit, evicts 0
+		{id: 1, hit: true, resident: []int64{1, 2, 3}}, // sets 1's bit again
+		{id: 4, resident: []int64{1, 3, 4}},            // clears 1's bit, evicts 2
+		{id: 0, resident: []int64{0, 3, 4}},            // clears 3's bit, evicts 1
+		{id: 3, hit: true, hold: true, resident: []int64{0, 3, 4}},
+		{id: 5, resident: []int64{0, 3, 5}}, // clears 4's, 3's and 0's bits, evicts 4
+		{id: 6, resident: []int64{3, 5, 6}}, // skips pinned 3, evicts 0
+		{id: 7, resident: []int64{3, 6, 7}}, // clears 5's and 6's bits, skips 3, evicts 5
+		{id: -1, resident: []int64{3, 6, 7}},
+		{id: 8, resident: []int64{6, 7, 8}}, // 3, unpinned with its bit clear
+	}
+	for i, st := range steps {
+		faults := c.Stats().Faults
+		if st.id < 0 {
+			held.Unpin()
+		} else {
+			pg, err := c.Get(st.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hit := c.Stats().Faults == faults; hit != st.hit {
+				t.Errorf("step %d: Get(%d) hit = %v, want %v", i, st.id, hit, st.hit)
+			}
+			if st.hold {
+				held = pg
+			} else {
+				pg.Unpin()
+			}
 		}
-		pg.Unpin()
+		var resident []int64
+		for id := int64(0); id < 16; id++ {
+			if tbl := *c.table.Load(); id < int64(len(tbl)) && tbl[id].Load() != nil {
+				resident = append(resident, id)
+			}
+		}
+		if fmt.Sprint(resident) != fmt.Sprint(st.resident) {
+			t.Fatalf("step %d (page %d): resident %v, want %v", i, st.id, resident, st.resident)
+		}
 	}
-	get(0)
-	get(1)
-	get(0) // 0 is now MRU
-	get(2) // must evict 1
-	get(0) // should still hit
-	s := c.Stats()
-	if s.Evictions != 1 {
-		t.Errorf("evictions = %d, want 1", s.Evictions)
-	}
-	// 0 was touched twice after its fault, so faults: 0,1,2 = 3.
-	if s.Faults != 3 {
-		t.Errorf("faults = %d, want 3", s.Faults)
+	if s := c.Stats(); s.Faults != 10 || s.Evictions != 7 || s.Hits != 2 {
+		t.Errorf("stats = %+v, want 10 faults, 7 evictions, 2 hits", s)
 	}
 }
 
@@ -258,7 +300,7 @@ func TestCloseIsIdempotentAndFlushes(t *testing.T) {
 // byte a recycled frame leaked from its previous page shows up as a
 // mismatch.
 func TestRandomizedReadWrite(t *testing.T) {
-	for _, tc := range []struct{ capacity, ids int }{{8, 64}, {stripedMinCapacity, 512}} {
+	for _, tc := range []struct{ capacity, ids int }{{8, 64}, {64, 512}} {
 		t.Run(fmt.Sprintf("capacity=%d", tc.capacity), func(t *testing.T) {
 			c := openTemp(t, tc.capacity)
 			rng := rand.New(rand.NewSource(3))
@@ -342,7 +384,7 @@ func TestFaultReusesEvictedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	frames := map[*byte]bool{}
-	for _, p := range c.stripes[0].pages {
+	for _, p := range c.frames {
 		frames[&p.buf[0]] = true
 	}
 	faults := c.Stats().Faults
@@ -434,11 +476,11 @@ func TestRecycledFrameZeroFill(t *testing.T) {
 	}
 }
 
-// TestPinnedPageSurvivesChurn pins one page and churns its stripe with
-// dirty faults: the pinned frame must never be chosen as a victim.
+// TestPinnedPageSurvivesChurn pins one page and churns the rest of the
+// cache with dirty faults: the pinned frame must never be chosen as a
+// victim.
 func TestPinnedPageSurvivesChurn(t *testing.T) {
-	c := openTemp(t, stripedMinCapacity)
-	n := int64(len(c.stripes)) // ids that are multiples of n share stripe 0
+	c := openTemp(t, 8)
 	pinned, err := c.Get(0)
 	if err != nil {
 		t.Fatal(err)
@@ -449,7 +491,7 @@ func TestPinnedPageSurvivesChurn(t *testing.T) {
 		}
 	})
 	for i := int64(1); i < 2000; i++ {
-		pg, err := c.Get(n * (1 + i%50))
+		pg, err := c.Get(1 + i%50)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -568,32 +610,47 @@ func BenchmarkGetFault(b *testing.B) {
 	}
 }
 
-func TestStripedModeActivates(t *testing.T) {
-	small := openTemp(t, stripedMinCapacity-1)
-	if got := len(small.stripes); got != 1 {
-		t.Fatalf("capacity %d: want 1 stripe, got %d", stripedMinCapacity-1, got)
+// TestStaleReferencesToReusedFrame reuses page 0's frame for page 1,
+// then acts as a lookup that read the page table before the eviction
+// and as a second Unpin of page 0: neither may pin or unpin page 1.
+func TestStaleReferencesToReusedFrame(t *testing.T) {
+	c := openTemp(t, 1)
+	stale, err := c.Get(0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	big := openTemp(t, stripedMinCapacity)
-	if got := len(big.stripes); got != stripeCount {
-		t.Fatalf("capacity %d: want %d stripes, got %d", stripedMinCapacity, stripeCount, got)
+	stale.Unpin()
+	frame := (*c.table.Load())[0].Load()
+	pg, err := c.Get(1) // reuses page 0's frame
+	if err != nil {
+		t.Fatal(err)
 	}
-	total := 0
-	for _, s := range big.stripes {
-		total += s.capacity
+	if frame != pg.p {
+		t.Fatal("page 1 did not reuse page 0's frame")
 	}
-	if total != stripedMinCapacity {
-		t.Fatalf("stripe capacities sum to %d, want %d", total, stripedMinCapacity)
+	if frame.pin(0) {
+		t.Fatal("a stale lookup of page 0 pinned the frame holding page 1")
 	}
+	func() {
+		defer func() {
+			if r := recover(); r == nil {
+				t.Fatal("stale Unpin did not panic")
+			}
+		}()
+		stale.Unpin()
+	}()
+	if n := c.Pinned(); n != 1 {
+		t.Fatalf("%d pages pinned after the stale Unpin, want page 1's", n)
+	}
+	pg.Unpin()
 }
 
-// TestConcurrentStripedAccess hammers a striped cache from many
-// goroutines mixing hits, faults, evictions and write-backs; run under
-// -race it checks the striped read path is actually concurrency-safe.
-func TestConcurrentStripedAccess(t *testing.T) {
+// TestConcurrentAccess hammers a cache from many goroutines mixing
+// hits, faults, evictions and write-backs; run under -race it checks
+// the lock-free hit path against the fault path. Every Get counts as
+// exactly one hit or one fault.
+func TestConcurrentAccess(t *testing.T) {
 	c := openTemp(t, 128)
-	if len(c.stripes) != stripeCount {
-		t.Fatalf("want striped mode, got %d stripes", len(c.stripes))
-	}
 	const (
 		goroutines = 8
 		iters      = 400
@@ -635,7 +692,131 @@ func TestConcurrentStripedAccess(t *testing.T) {
 	if st.Faults == 0 || st.Evictions == 0 {
 		t.Fatalf("expected faults and evictions, got %+v", st)
 	}
+	if st.Hits+st.Faults != goroutines*iters {
+		t.Fatalf("%d hits + %d faults over %d Gets", st.Hits, st.Faults, goroutines*iters)
+	}
 	if err := c.Sync(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// stamp is the content of page id in the stress test: every 8-byte word
+// holds the id, so a read of any other page's bytes shows.
+func stamp(id int64) []byte {
+	b := make([]byte, PageSize)
+	for i := 0; i < PageSize; i += 8 {
+		binary.LittleEndian.PutUint64(b[i:], uint64(id))
+	}
+	return b
+}
+
+// TestConcurrentStampedPages stresses a 4-frame cache over 64 pages,
+// each stamped with its id. Two readers pin random pages and check the
+// stamp, a writer rewrites pages (dirtying them, so evictions write
+// back) and Cool runs concurrently. At most three pages are pinned at
+// once, so every Get must find a frame. No read may see another page's
+// bytes, every Get is one hit or one fault, and no pin may be left.
+func TestConcurrentStampedPages(t *testing.T) {
+	const pages, readers, iters = 64, 2, 3000
+	c := openTemp(t, 4)
+	stamps := make([][]byte, pages)
+	for id := range stamps {
+		stamps[id] = stamp(int64(id))
+		pg, err := c.Get(int64(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg.Write(func(buf []byte) { copy(buf, stamps[id]) })
+		pg.Unpin()
+	}
+	c.ResetStats()
+	var gets atomic.Uint64
+	var workers, cooler sync.WaitGroup
+	errs := make(chan error, readers+2)
+	work := func(seed int64, write bool) {
+		defer workers.Done()
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < iters; i++ {
+			id := rng.Int63n(pages)
+			pg, err := c.Get(id)
+			gets.Add(1)
+			if err != nil {
+				errs <- err
+				return
+			}
+			var bad bool
+			pg.Read(func(buf []byte) { bad = !bytes.Equal(buf, stamps[id]) })
+			if !bad && write {
+				pg.Write(func(buf []byte) { copy(buf, stamps[id]) })
+			}
+			pg.Unpin()
+			if bad {
+				errs <- fmt.Errorf("page %d read another page's bytes", id)
+				return
+			}
+		}
+	}
+	workers.Add(readers + 1)
+	for r := 0; r < readers; r++ {
+		go work(int64(r), false)
+	}
+	go work(readers, true)
+	done := make(chan struct{})
+	cooler.Add(1)
+	go func() {
+		defer cooler.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := c.Cool(); err != nil {
+				errs <- err
+				return
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+	workers.Wait()
+	close(done)
+	cooler.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if n := c.Pinned(); n != 0 {
+		t.Fatalf("%d pages pinned after every Unpin", n)
+	}
+	st := c.Stats()
+	if st.Hits+st.Faults != gets.Load() || st.Evictions == 0 || st.Flushes == 0 {
+		t.Fatalf("stats %+v over %d Gets", st, gets.Load())
+	}
+}
+
+func BenchmarkGetHitParallel(b *testing.B) {
+	const ids = 64
+	c, err := Open(filepath.Join(b.TempDir(), "s.db"), ids)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	for id := int64(0); id < ids; id++ {
+		pg, _ := c.Get(id)
+		pg.Unpin()
+	}
+	var seed atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		id := seed.Add(7)
+		for pb.Next() {
+			pg, err := c.Get(id % ids)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			pg.Unpin()
+			id++
+		}
+	})
 }

@@ -24,10 +24,7 @@ import (
 // the gate only has to separate hub frontiers (hundreds of rows) from
 // sparse ones (a handful), and those differ by orders of magnitude.
 func (s *NeoStore) neoGate(candLabel string) spmat.Gate {
-	cand := 0
-	if b := s.db.NodesByLabel(s.db.LabelID(candLabel)); b != nil {
-		cand = b.Cardinality()
-	}
+	cand := s.db.LabelCount(s.db.LabelID(candLabel))
 	return spmat.NewGate(cand, int(s.db.NodeCount()), int(s.db.RelCount()))
 }
 
