@@ -274,6 +274,9 @@ type where struct {
 	// scan binds with a literal or parameter; the scan evaluates them a
 	// batch of candidates at a time, and admit runs only the rest.
 	cmps []propCmp
+	// decided is the one of cmps that the index pruning a label scan
+	// decided, which the scan does not test again; nil when none.
+	decided *propCmp
 }
 
 func (w *where) placed() *where { return w }
@@ -367,9 +370,11 @@ func (w *where) scanBatch(ec *execCtx, r row, slot int, batch []graph.NodeID, ou
 		return out, err
 	}
 	for i := range w.cmps {
-		var err error
-		if batch, err = w.cmps[i].filter(ec, batch); err != nil {
-			return out, err
+		if c := &w.cmps[i]; c != w.decided {
+			var err error
+			if batch, err = c.filter(ec, batch); err != nil {
+				return out, err
+			}
 		}
 	}
 	if len(batch) == 0 {
@@ -556,12 +561,13 @@ func (s *stepLabelScan) binds() []int     { return []int{s.slot} }
 func (s *stepLabelScan) apply(ec *execCtx, in []row) ([]row, error) {
 	var out []row
 	for _, r := range in {
-		nodes := s.candidates(ec)
+		w := s.where
+		nodes := s.candidates(ec, &w)
 		if nodes == nil {
 			continue
 		}
 		var err error
-		if out, err = s.scan(ec, r, s.slot, nodes, out); err != nil {
+		if out, err = w.scan(ec, r, s.slot, nodes, out); err != nil {
 			return nil, err
 		}
 	}
@@ -573,12 +579,16 @@ func (s *stepLabelScan) apply(ec *execCtx, in []row) ([]row, error) {
 // conjunct with a coarse enough index holds under a value that passes
 // the conjunct. A node of the label missing from that set has the
 // property unset or null, or holds a value that fails the conjunct, so
-// the full scan would reject it too. Every conjunct still runs on each
-// candidate, so the rows, and their order, are the full scan's.
-func (s *stepLabelScan) candidates(ec *execCtx) *bitmap.Bitmap {
+// the full scan would reject it too; a node in it holds a passing
+// value (HashIndex.Select ran the conjunct's holds on each value), so
+// candidates marks that conjunct decided in w, the scan's copy of its
+// conjuncts. Every other conjunct still runs on each candidate, so the
+// rows, and their order, are the full scan's.
+func (s *stepLabelScan) candidates(ec *execCtx, w *where) *bitmap.Bitmap {
 	if ec.prune {
 		for i := range s.cmps {
 			if ids := s.cmps[i].indexed(ec, s.label); ids != nil {
+				w.decided = &w.cmps[i]
 				if ec.profileOps {
 					acc := &ec.ops[ec.curStep]
 					acc.index = fmt.Sprintf(":%s(%s)", ec.db.LabelName(s.label), s.cmps[i].key)

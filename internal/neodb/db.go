@@ -546,15 +546,21 @@ func (db *DB) CreateIndex(label graph.TypeID, key graph.AttrID) error {
 	if nodes == nil {
 		return nil
 	}
-	var scanErr error
+	ids := make([]graph.NodeID, 0, nodes.Cardinality())
 	nodes.ForEach(func(id uint64) bool {
-		v, err := db.NodeProp(graph.NodeID(id), key)
+		ids = append(ids, graph.NodeID(id))
+		return true
+	})
+	rd := db.Reader()
+	defer rd.Close()
+	var scanErr error
+	rd.eachNodeProp(ids, key, func(id graph.NodeID, v graph.Value, err error) bool {
 		if err != nil {
 			scanErr = err
 			return false
 		}
 		if !v.IsNil() {
-			ix.Add(v, id)
+			ix.Add(v, uint64(id))
 		}
 		return true
 	})

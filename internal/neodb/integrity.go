@@ -2,6 +2,7 @@ package neodb
 
 import (
 	"fmt"
+	"slices"
 
 	"twigraph/internal/bitmap"
 	"twigraph/internal/graph"
@@ -254,6 +255,7 @@ func (db *DB) CheckIntegrity() *IntegrityReport {
 		keys = append(keys, k)
 	}
 	db.indexMu.RUnlock()
+	rd := db.Reader()
 	for _, k := range keys {
 		ix := db.index(k.label, k.key)
 		if ix == nil {
@@ -265,14 +267,18 @@ func (db *DB) CheckIntegrity() *IntegrityReport {
 		}
 		posted := make(map[posting]bool)
 		ix.ForEach(func(v graph.Value, ids *bitmap.Bitmap) bool {
+			var live []graph.NodeID
 			ids.ForEach(func(id uint64) bool {
 				posted[posting{id, v.Key()}] = true
 				if !labelLive[k.label][id] {
 					r.addf("index (%s,%s): entry %v -> dead or mislabelled node %d",
 						db.LabelName(k.label), db.PropKeyName(k.key), v, id)
-					return true
+				} else {
+					live = append(live, graph.NodeID(id))
 				}
-				got, err := db.NodeProp(graph.NodeID(id), k.key)
+				return true
+			})
+			rd.eachNodeProp(live, k.key, func(id graph.NodeID, got graph.Value, err error) bool {
 				if err != nil {
 					r.addf("index (%s,%s): node %d property unreadable: %v",
 						db.LabelName(k.label), db.PropKeyName(k.key), id, err)
@@ -284,17 +290,21 @@ func (db *DB) CheckIntegrity() *IntegrityReport {
 			})
 			return true
 		})
+		live := make([]graph.NodeID, 0, len(labelLive[k.label]))
 		for id := range labelLive[k.label] {
-			got, err := db.NodeProp(graph.NodeID(id), k.key)
-			if err != nil || got.IsNil() {
-				continue // an unreadable chain is reported with the node
-			}
-			if !posted[posting{id, got.Key()}] {
+			live = append(live, graph.NodeID(id))
+		}
+		slices.Sort(live)
+		rd.eachNodeProp(live, k.key, func(id graph.NodeID, got graph.Value, err error) bool {
+			// An unreadable chain is reported with the node.
+			if err == nil && !got.IsNil() && !posted[posting{uint64(id), got.Key()}] {
 				r.addf("index (%s,%s): node %d stores %v but is not posted under it",
 					db.LabelName(k.label), db.PropKeyName(k.key), id, got)
 			}
-		}
+			return true
+		})
 	}
+	rd.Close()
 
 	// Allocator invariants.
 	db.checkAllocator(r, "nodes", db.nodes.RecordFile, func(id uint64) (bool, error) {

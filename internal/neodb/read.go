@@ -134,6 +134,28 @@ func (r *Reader) NodePropRun(ids []graph.NodeID, key graph.AttrID, out []graph.V
 	return nil
 }
 
+// eachNodeProp calls fn with each node of ids, in order, and the value
+// of property key on it, read propChunk nodes at a time with
+// NodePropRun; until fn returns false. A run that fails is read again
+// node by node, so fn sees each node's own error, as NodeProp reports
+// it.
+func (r *Reader) eachNodeProp(ids []graph.NodeID, key graph.AttrID, fn func(id graph.NodeID, v graph.Value, err error) bool) {
+	var vals [propChunk]graph.Value
+	for lo := 0; lo < len(ids); lo += propChunk {
+		run := ids[lo:min(lo+propChunk, len(ids))]
+		runErr := r.NodePropRun(run, key, vals[:len(run)])
+		for i, id := range run {
+			v, err := vals[i], error(nil)
+			if runErr != nil {
+				v, err = r.NodeProp(id, key)
+			}
+			if !fn(id, v, err) {
+				return
+			}
+		}
+	}
+}
+
 // propRun is the one property-chain walk. pids and at are scratch of
 // len(ids): pids holds the record each pending chain reads next, at the
 // out index it resolves (complemented while it waits for a string).

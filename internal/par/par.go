@@ -255,27 +255,28 @@ func Do(workers, n int, m Metrics, fn func(i int)) {
 // queries rely on (ranking ties are broken downstream on the key, never
 // on map order).
 func CountSharded[T any, K comparable](workers int, m Metrics, items []T, visit func(item T, acc map[K]int64)) map[K]int64 {
-	partials := RunRanges(workers, len(items), m, func(lo, hi int) map[K]int64 {
+	return SumCounts(m, RunRanges(workers, len(items), m, func(lo, hi int) map[K]int64 {
 		acc := make(map[K]int64)
 		for _, item := range items[lo:hi] {
 			visit(item, acc)
 		}
 		return acc
-	})
+	}))
+}
+
+// SumCounts sums shard-local counting maps in shard order, charging the
+// merge to m; a single map is returned as it is.
+func SumCounts[K comparable](m Metrics, partials []map[K]int64) map[K]int64 {
 	if len(partials) == 1 {
 		return partials[0]
 	}
-	var total map[K]int64
+	total := make(map[K]int64)
 	m.TimeMerge(func() {
-		total = make(map[K]int64)
 		for _, p := range partials {
 			for k, v := range p {
 				total[k] += v
 			}
 		}
 	})
-	if total == nil {
-		total = make(map[K]int64)
-	}
 	return total
 }

@@ -160,11 +160,7 @@ func (s *SparkStore) TopTweetsWithTag(tag string, n int) ([]Counted, error) {
 		out = append(out, Counted{ID: s.db.GetAttribute(t, s.tidAttr).Int(), Count: rts})
 		return true
 	})
-	sortCounted(out)
-	if n < len(out) {
-		out = out[:n]
-	}
-	return out, nil
+	return firstN(out, n, byCountThenID), nil
 }
 
 // PosterOf implements TweetRanker.

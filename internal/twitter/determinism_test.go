@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"twigraph/internal/gen"
@@ -217,6 +218,95 @@ func TestWorkerCountDeterminism(t *testing.T) {
 	neo, spark, _ := buildBoth(t, smallCfg())
 	for _, s := range []profileStore{neo, spark} {
 		checkProfiles(t, s)
+	}
+	requireTieAtCut(t, neo)
+}
+
+// requireTieAtCut requires some Q4.2 probe to anchor a hub with more
+// than 10 candidates tied at the count of the 10th, so the sweeps'
+// LIMIT 10 cuts through a tie that every column must break on uid
+// alike.
+func requireTieAtCut(t *testing.T, s twitter.Store) {
+	t.Helper()
+	for _, uid := range probeUIDs {
+		all, err := s.RecommendFollowersOfFollowees(uid, 1<<30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tied := 0
+		for _, c := range all {
+			if len(all) > 10 && c.Count == all[9].Count {
+				tied++
+			}
+		}
+		if tied > 10 {
+			return
+		}
+	}
+	t.Errorf("no Q4.2 probe of %v has more than 10 candidates tied at the 10th count", probeUIDs)
+}
+
+// TestReadersOnFourPages runs Tuned Q3.2, Q4.1 and Q4.2 with 4 workers
+// on a 4-page cache per store file, on both gated paths and from three
+// stores at once, and requires Faithful's rows and every Reader given
+// back: afterwards exactly the 4 frames can be borrowed again.
+func TestReadersOnFourPages(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a database")
+	}
+	dir := t.TempDir()
+	csvDir := filepath.Join(dir, "csv")
+	if _, err := gen.GenerateStream(smallCfg(), csvDir); err != nil {
+		t.Fatal(err)
+	}
+	res, err := load.BuildNeo(csvDir, filepath.Join(dir, "neo"), neodb.Config{CachePages: 4}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { res.Store.Close() })
+	db := res.Store.DB()
+	queries := []probeQuery{multiHopQueries[1], multiHopQueries[2], multiHopQueries[3]}
+	want := make([]any, len(queries))
+	res.Store.SetProfile(spmat.Faithful)
+	for i, q := range queries {
+		if want[i], err = q.run(res.Store); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, cfg := range []struct {
+		name string
+		set  func(s *twitter.NeoStore)
+	}{
+		{"tuned", func(s *twitter.NeoStore) { s.SetProfile(spmat.Tuned) }},
+		{"matrix", func(s *twitter.NeoStore) { s.ForcePath(true) }},
+		{"nav", func(s *twitter.NeoStore) { s.ForcePath(false) }},
+	} {
+		var wg sync.WaitGroup
+		for g := 0; g < 3; g++ {
+			s := twitter.NewNeoStore(db)
+			cfg.set(s)
+			s.SetWorkers(4)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i, q := range queries {
+					got, err := q.run(s)
+					if err != nil {
+						t.Errorf("%s %s: %v", cfg.name, q.name, err)
+					} else if !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("%s %s diverges from faithful:\n faithful: %v\n got: %v", cfg.name, q.name, want[i], got)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if n := db.BorrowReaders(5); n != 4 {
+			t.Errorf("%s: after the queries %d of 4 Readers can be borrowed", cfg.name, n)
+		} else {
+			for range n {
+				db.ReturnReader()
+			}
+		}
 	}
 }
 

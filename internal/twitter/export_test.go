@@ -13,3 +13,7 @@ func (s *SparkStore) ForcePath(matrix bool) { s.mode = forcedMode(matrix) }
 func forcedMode(matrix bool) execMode {
 	return execMode{gate: matrix, forceMatrix: matrix, workers: 8, minPerShard: 1}
 }
+
+// SetWorkers gives the store's mode n workers in place of GOMAXPROCS
+// (or ForcePath's 8).
+func (s *NeoStore) SetWorkers(n int) { s.mode.workers = n }

@@ -3,7 +3,6 @@ package twitter
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"twigraph/internal/cypher"
@@ -381,23 +380,9 @@ func (s *NeoStore) RecommendFolloweesTraversal(uid int64, n int) (out []Counted,
 	}); err != nil {
 		return nil, err
 	}
-	return s.topNByNode(counts, uidKey, n)
-}
-
-func (s *NeoStore) topNByNode(counts map[graph.NodeID]int64, uidKey graph.AttrID, n int) ([]Counted, error) {
-	out := make([]Counted, 0, len(counts))
-	for node, c := range counts {
-		v, err := s.db.NodeProp(node, uidKey)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Counted{ID: v.Int(), Count: c})
-	}
-	sortCounted(out)
-	if n < len(out) {
-		out = out[:n]
-	}
-	return out, nil
+	rd, done := s.reader()
+	defer done()
+	return rankNodes(rd, countsOf(counts), uidKey, n, countedUID, byCountThenID)
 }
 
 // RecommendFollowersOfFollowees implements Q4.2.
@@ -570,24 +555,4 @@ func (s *NeoStore) twoUsers(a, b int64) (graph.NodeID, graph.NodeID, error) {
 		return 0, 0, fmt.Errorf("twitter: unknown user %d", b)
 	}
 	return src, dst, nil
-}
-
-// sortCounted orders by count descending then id ascending — the
-// normalised ranking shared by both engines.
-func sortCounted(cs []Counted) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Count != cs[j].Count {
-			return cs[i].Count > cs[j].Count
-		}
-		return cs[i].ID < cs[j].ID
-	})
-}
-
-func sortCountedTags(cs []CountedTag) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Count != cs[j].Count {
-			return cs[i].Count > cs[j].Count
-		}
-		return cs[i].Tag < cs[j].Tag
-	})
 }

@@ -3,7 +3,6 @@ package twitter
 import (
 	"twigraph/internal/graph"
 	"twigraph/internal/neodb"
-	"twigraph/internal/par"
 	"twigraph/internal/spmat"
 )
 
@@ -61,47 +60,18 @@ func (s *NeoStore) gatherSecondHop(q *runningQuery, frontier []spmat.WeightedID,
 	return acc, true, nil
 }
 
-// topNAccumNode ranks an accumulator's columns like topNByNode ranks a
-// counting map: resolve each node's key property, sort count
-// descending then id ascending, trim to n. Property resolution is one
-// record fetch per touched column — the matrix path's only per-result
-// serial cost — so it shards across the worker pool; the shard-order
-// concatenation feeds the same total-order sort at every worker count.
-// The accumulator is recycled.
-func (s *NeoStore) topNAccumNode(acc *spmat.Accum, key graph.AttrID, n int, skip func(col uint64) bool) ([]Counted, error) {
-	cols := acc.Touched()
-	type shard struct {
-		out []Counted
-		err error
-	}
-	shards := par.RunRanges(s.mode.shards(len(cols)), len(cols), s.parm, func(lo, hi int) shard {
-		part := make([]Counted, 0, hi-lo)
-		for _, col := range cols[lo:hi] {
-			if skip != nil && skip(col) {
-				continue
-			}
-			v, err := s.db.NodeProp(graph.NodeID(col), key)
-			if err != nil {
-				return shard{nil, err}
-			}
-			part = append(part, Counted{ID: v.Int(), Count: acc.Count(col)})
+// rankAccum is rankNodes over the columns of acc that skip keeps, and
+// recycles acc. The matrix paths open rd after the gather, whose row
+// reads open Readers of their own.
+func rankAccum[T any](s *NeoStore, rd *neodb.Reader, acc *spmat.Accum, skip func(col uint64) bool, key graph.AttrID, n int, mk func(graph.Value, int64) T, by func(a, b T) int) ([]T, error) {
+	cs := make([]nodeCount, 0, acc.Len())
+	acc.ForEach(func(col uint64, c int64) {
+		if !skip(col) {
+			cs = append(cs, nodeCount{graph.NodeID(col), c})
 		}
-		return shard{part, nil}
 	})
-	out := make([]Counted, 0, len(cols))
-	for _, sh := range shards {
-		if sh.err != nil {
-			s.accPool.Put(acc)
-			return nil, sh.err
-		}
-		out = append(out, sh.out...)
-	}
 	s.accPool.Put(acc)
-	sortCounted(out)
-	if n < len(out) {
-		out = out[:n]
-	}
-	return out, nil
+	return rankNodes(rd, cs, key, n, mk, by)
 }
 
 // coMentionedMatrix is Q3.1 algebraically: frontier = the tweets
@@ -126,7 +96,9 @@ func (s *NeoStore) coMentionedMatrix(q *runningQuery, uid int64, n int) ([]Count
 	if !used || err != nil {
 		return nil, used, err
 	}
-	out, err := s.topNAccumNode(acc, uidKey, n, func(col uint64) bool { return col == uint64(a) })
+	rd, done := s.reader()
+	defer done()
+	out, err := rankAccum(s, rd, acc, func(col uint64) bool { return col == uint64(a) }, uidKey, n, countedUID, byCountThenID)
 	return out, true, err
 }
 
@@ -151,27 +123,10 @@ func (s *NeoStore) coOccurringTagsMatrix(q *runningQuery, tag string, n int) ([]
 	if !used || err != nil {
 		return nil, used, err
 	}
-	out := make([]CountedTag, 0, acc.Len())
-	acc.ForEach(func(col uint64, c int64) {
-		if err != nil || col == uint64(h) {
-			return
-		}
-		v, perr := s.db.NodeProp(graph.NodeID(col), tagKey)
-		if perr != nil {
-			err = perr
-			return
-		}
-		out = append(out, CountedTag{Tag: v.Str(), Count: c})
-	})
-	s.accPool.Put(acc)
-	if err != nil {
-		return nil, true, err
-	}
-	sortCountedTags(out)
-	if n < len(out) {
-		out = out[:n]
-	}
-	return out, true, nil
+	rd, done := s.reader()
+	defer done()
+	out, err := rankAccum(s, rd, acc, func(col uint64) bool { return col == uint64(h) }, tagKey, n, countedTag, byCountThenTag)
+	return out, true, err
 }
 
 // recommendMatrix is Q4.1 (dir=Outgoing) / Q4.2 (dir=Incoming)
@@ -204,7 +159,9 @@ func (s *NeoStore) recommendMatrix(q *runningQuery, uid int64, n int, dir graph.
 	for _, f := range frontier {
 		direct[f.ID] = true
 	}
-	out, err := s.topNAccumNode(acc, uidKey, n, func(col uint64) bool { return col == uint64(a) || direct[col] })
+	rd, done := s.reader()
+	defer done()
+	out, err := rankAccum(s, rd, acc, func(col uint64) bool { return col == uint64(a) || direct[col] }, uidKey, n, countedUID, byCountThenID)
 	return out, true, err
 }
 
@@ -233,17 +190,19 @@ func (s *NeoStore) influenceMatrix(q *runningQuery, uid int64, n int, keepFollow
 	if !used || err != nil {
 		return nil, used, err
 	}
+	rd, done := s.reader()
+	defer done()
 	followers := map[uint64]bool{}
-	if err := s.db.Relationships(a, follows, graph.Incoming, func(r neodb.Rel) bool {
+	if err := rd.Relationships(a, follows, graph.Incoming, func(r neodb.Rel) bool {
 		followers[uint64(r.Src)] = true
 		return true
 	}); err != nil {
 		s.accPool.Put(acc)
 		return nil, true, err
 	}
-	out, err := s.topNAccumNode(acc, uidKey, n, func(col uint64) bool {
+	out, err := rankAccum(s, rd, acc, func(col uint64) bool {
 		return col == uint64(a) || followers[col] != keepFollowers
-	})
+	}, uidKey, n, countedUID, byCountThenID)
 	return out, true, err
 }
 

@@ -1,9 +1,6 @@
 package twitter
 
 import (
-	"context"
-	"sync"
-
 	"twigraph/internal/graph"
 	"twigraph/internal/neodb"
 	"twigraph/internal/par"
@@ -13,10 +10,9 @@ import (
 // NeoStore for sparse anchors when it has more than one worker. The
 // declarative engine executes one plan on one goroutine; parallelising
 // *inside* it would mean a concurrent operator tree, so instead each
-// query's semantics are restated imperatively over the concurrent-safe
-// read path (FindNode / Relationships / NodeProp) and the first hop's
-// result list is sharded with internal/par, exactly like the
-// SparkStore. Every implementation mirrors its Cypher text row-for-row:
+// query's semantics are restated imperatively over neodb Readers (the
+// query's own, and one borrowed per extra shard) and the first hop's
+// result list is sharded with internal/par, like the SparkStore's. Every implementation mirrors its Cypher text row-for-row:
 // per-edge path counting, the same WHERE filters, and the same ORDER BY
 // c DESC, id LIMIT n ranking — so Faithful (Cypher) and Tuned return
 // byte-identical results, which the determinism tests pin.
@@ -27,67 +23,86 @@ import (
 // nodes is cheaper than forking goroutines for them.
 const minItemsPerShard = 32
 
-// errOnce captures the first error seen across worker shards.
-type errOnce struct {
-	once sync.Once
-	err  error
-}
-
-func (e *errOnce) set(err error) {
-	if err != nil {
-		e.once.Do(func() { e.err = err })
+// reader opens the query's Reader on the store and counts it as
+// neodb/readers.go asks an execution's Reader to be; done closes it.
+func (s *NeoStore) reader() (rd *neodb.Reader, done func()) {
+	r := s.db.Reader()
+	s.db.HoldReader()
+	return &r, func() {
+		r.Close()
+		s.db.ReleaseReader()
 	}
-}
-
-// countSharded is par.CountSharded over items, sized by mode and
-// bounded by the query context: the context is checked before the
-// fan-out, and each shard skips its remaining items once the context is
-// done. check (the engine's CheckCtx) runs again after the shards
-// return, so an abort counts into queries_timed_out or
-// queries_cancelled exactly once.
-func countSharded[T any, K comparable](q *runningQuery, check func(context.Context) error, mode execMode, pm par.Metrics, items []T, visit func(item T, acc map[K]int64)) (map[K]int64, error) {
-	if err := check(q.ctx); err != nil {
-		return nil, err
-	}
-	counts := par.CountSharded(mode.shards(len(items)), pm, items, func(item T, acc map[K]int64) {
-		if q.ctx.Err() == nil {
-			visit(item, acc)
-		}
-	})
-	if err := check(q.ctx); err != nil {
-		return nil, err
-	}
-	return counts, nil
 }
 
 // countNeighbors walks rel in dir from every node of items across the
 // store's workers, counting each neighbor that keep admits once per
-// edge.
-func (s *NeoStore) countNeighbors(q *runningQuery, items []graph.NodeID, rel graph.TypeID, dir graph.Direction, keep func(graph.NodeID) bool) (map[graph.NodeID]int64, error) {
-	var eo errOnce
-	counts, err := countSharded(q, s.db.CheckCtx, s.mode, s.parm, items, func(n graph.NodeID, acc map[graph.NodeID]int64) {
-		eo.set(s.db.Relationships(n, rel, dir, func(r neodb.Rel) bool {
-			m := r.Dst
-			if dir == graph.Incoming {
-				m = r.Src
-			}
-			if keep(m) {
-				acc[m]++
-			}
-			return true
-		}))
-	})
-	if err != nil {
+// edge. The first shard reads through rd, the query's Reader, and each
+// other shard through a Reader it borrows (neodb.DB.BorrowReaders), so
+// there are fewer shards when the page caches have few frames to spare.
+// The context is polled as SparkStore.countSharded polls it.
+func (s *NeoStore) countNeighbors(q *runningQuery, rd *neodb.Reader, items []graph.NodeID, rel graph.TypeID, dir graph.Direction, keep func(graph.NodeID) bool) (map[graph.NodeID]int64, error) {
+	if err := s.db.CheckCtx(q.ctx); err != nil {
 		return nil, err
 	}
-	return counts, eo.err
+	shards := s.mode.shards(len(items))
+	if shards > 1 {
+		shards = 1 + s.db.BorrowReaders(shards-1)
+		defer func() {
+			for range shards - 1 {
+				s.db.ReturnReader()
+			}
+		}()
+	}
+	type part struct {
+		counts map[graph.NodeID]int64
+		err    error
+	}
+	parts := par.RunRanges(shards, len(items), s.parm, func(lo, hi int) part {
+		r := rd
+		if lo > 0 {
+			own := s.db.Reader()
+			defer own.Close()
+			r = &own
+		}
+		acc := make(map[graph.NodeID]int64)
+		for _, n := range items[lo:hi] {
+			if q.ctx.Err() != nil {
+				break
+			}
+			err := r.Relationships(n, rel, dir, func(e neodb.Rel) bool {
+				m := e.Dst
+				if dir == graph.Incoming {
+					m = e.Src
+				}
+				if keep(m) {
+					acc[m]++
+				}
+				return true
+			})
+			if err != nil {
+				return part{err: err}
+			}
+		}
+		return part{counts: acc}
+	})
+	counts := make([]map[graph.NodeID]int64, len(parts))
+	for i, p := range parts {
+		if p.err != nil {
+			return nil, p.err
+		}
+		counts[i] = p.counts
+	}
+	if err := s.db.CheckCtx(q.ctx); err != nil {
+		return nil, err
+	}
+	return par.SumCounts(s.parm, counts), nil
 }
 
 // neighborEdges returns the far end of each of n's rel edges in dir,
 // one entry per edge (path semantics).
-func (s *NeoStore) neighborEdges(n graph.NodeID, rel graph.TypeID, dir graph.Direction) ([]graph.NodeID, error) {
+func neighborEdges(rd *neodb.Reader, n graph.NodeID, rel graph.TypeID, dir graph.Direction) ([]graph.NodeID, error) {
 	var out []graph.NodeID
-	err := s.db.Relationships(n, rel, dir, func(r neodb.Rel) bool {
+	err := rd.Relationships(n, rel, dir, func(r neodb.Rel) bool {
 		if dir == graph.Incoming {
 			out = append(out, r.Src)
 		} else {
@@ -107,15 +122,17 @@ func (s *NeoStore) coMentionedParallel(q *runningQuery, uid int64, n int) ([]Cou
 	if !ok {
 		return []Counted{}, nil
 	}
-	tweets, err := s.neighborEdges(a, mentions, graph.Incoming)
+	rd, done := s.reader()
+	defer done()
+	tweets, err := neighborEdges(rd, a, mentions, graph.Incoming)
 	if err != nil {
 		return nil, err
 	}
-	counts, err := s.countNeighbors(q, tweets, mentions, graph.Outgoing, func(o graph.NodeID) bool { return o != a })
+	counts, err := s.countNeighbors(q, rd, tweets, mentions, graph.Outgoing, func(o graph.NodeID) bool { return o != a })
 	if err != nil {
 		return nil, err
 	}
-	return s.topNByNode(counts, uidKey, n)
+	return rankNodes(rd, countsOf(counts), uidKey, n, countedUID, byCountThenID)
 }
 
 // coOccurringTagsParallel is Q3.2: same shape as Q3.1 over the tags
@@ -127,27 +144,17 @@ func (s *NeoStore) coOccurringTagsParallel(q *runningQuery, tag string, n int) (
 	if !ok {
 		return []CountedTag{}, nil
 	}
-	tweets, err := s.neighborEdges(h, tags, graph.Incoming)
+	rd, done := s.reader()
+	defer done()
+	tweets, err := neighborEdges(rd, h, tags, graph.Incoming)
 	if err != nil {
 		return nil, err
 	}
-	counts, err := s.countNeighbors(q, tweets, tags, graph.Outgoing, func(o graph.NodeID) bool { return o != h })
+	counts, err := s.countNeighbors(q, rd, tweets, tags, graph.Outgoing, func(o graph.NodeID) bool { return o != h })
 	if err != nil {
 		return nil, err
 	}
-	out := make([]CountedTag, 0, len(counts))
-	for node, c := range counts {
-		v, err := s.db.NodeProp(node, tagKey)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, CountedTag{Tag: v.Str(), Count: c})
-	}
-	sortCountedTags(out)
-	if n < len(out) {
-		out = out[:n]
-	}
-	return out, nil
+	return rankNodes(rd, countsOf(counts), tagKey, n, countedTag, byCountThenTag)
 }
 
 // recommendParallel is Q4.1 (dir=Outgoing: method b, depth-2 followee
@@ -161,7 +168,9 @@ func (s *NeoStore) recommendParallel(q *runningQuery, uid int64, n int, dir grap
 	if !ok {
 		return []Counted{}, nil
 	}
-	followees, err := s.neighborEdges(a, follows, graph.Outgoing)
+	rd, done := s.reader()
+	defer done()
+	followees, err := neighborEdges(rd, a, follows, graph.Outgoing)
 	if err != nil {
 		return nil, err
 	}
@@ -169,11 +178,11 @@ func (s *NeoStore) recommendParallel(q *runningQuery, uid int64, n int, dir grap
 	for _, f := range followees {
 		direct[f] = true
 	}
-	counts, err := s.countNeighbors(q, followees, follows, dir, func(x graph.NodeID) bool { return x != a && !direct[x] })
+	counts, err := s.countNeighbors(q, rd, followees, follows, dir, func(x graph.NodeID) bool { return x != a && !direct[x] })
 	if err != nil {
 		return nil, err
 	}
-	return s.topNByNode(counts, uidKey, n)
+	return rankNodes(rd, countsOf(counts), uidKey, n, countedUID, byCountThenID)
 }
 
 // influenceParallel serves Q5.1 (keepFollowers=true) and Q5.2
@@ -187,16 +196,18 @@ func (s *NeoStore) influenceParallel(q *runningQuery, uid int64, n int, keepFoll
 	if !ok {
 		return []Counted{}, nil
 	}
-	tweets, err := s.neighborEdges(a, s.db.RelTypeID(RelMentions), graph.Incoming)
+	rd, done := s.reader()
+	defer done()
+	tweets, err := neighborEdges(rd, a, s.db.RelTypeID(RelMentions), graph.Incoming)
 	if err != nil {
 		return nil, err
 	}
-	counts, err := s.countNeighbors(q, tweets, s.db.RelTypeID(RelPosts), graph.Incoming, func(m graph.NodeID) bool { return m != a })
+	counts, err := s.countNeighbors(q, rd, tweets, s.db.RelTypeID(RelPosts), graph.Incoming, func(m graph.NodeID) bool { return m != a })
 	if err != nil {
 		return nil, err
 	}
 	followers := map[graph.NodeID]bool{}
-	if err := s.db.Relationships(a, s.db.RelTypeID(RelFollows), graph.Incoming, func(r neodb.Rel) bool {
+	if err := rd.Relationships(a, s.db.RelTypeID(RelFollows), graph.Incoming, func(r neodb.Rel) bool {
 		followers[r.Src] = true
 		return true
 	}); err != nil {
@@ -207,5 +218,5 @@ func (s *NeoStore) influenceParallel(q *runningQuery, uid int64, n int, keepFoll
 			delete(counts, m)
 		}
 	}
-	return s.topNByNode(counts, uidKey, n)
+	return rankNodes(rd, countsOf(counts), uidKey, n, countedUID, byCountThenID)
 }

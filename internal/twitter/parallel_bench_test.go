@@ -43,6 +43,19 @@ func benchWorkloads(b *testing.B, sweep func(s twitter.Store) error) {
 	}
 }
 
+// BenchmarkQ11UsersOver runs Q1.1, which Tuned prunes with the
+// :user(followers) index load.BuildNeo creates, at a few thresholds.
+func BenchmarkQ11UsersOver(b *testing.B) {
+	benchWorkloads(b, func(s twitter.Store) error {
+		for _, th := range []int64{0, 5, 20, 50} {
+			if _, err := s.UsersWithFollowersOver(th); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
 func BenchmarkQ31CoMentioned(b *testing.B) {
 	benchWorkloads(b, func(s twitter.Store) error {
 		for _, uid := range benchProbes {

@@ -287,11 +287,7 @@ func (s *SparkStore) CoOccurringHashtags(tag string, n int) (out []CountedTag, e
 	for oid, c := range counts {
 		out = append(out, CountedTag{Tag: s.db.GetAttribute(oid, s.tagAttr).Str(), Count: c})
 	}
-	sortCountedTags(out)
-	if n < len(out) {
-		out = out[:n]
-	}
-	return out, nil
+	return firstN(out, n, byCountThenTag), nil
 }
 
 // RecommendFollowees implements Q4.1. As the paper notes, "a separate
@@ -488,24 +484,35 @@ func (s *SparkStore) ShortestPathLength(fromUID, toUID int64, maxHops int) (leng
 	return len(path) - 1, true, nil
 }
 
-// countSharded fans items out across the store's workers, bounded by
-// the query context (see the generic countSharded).
+// countSharded is par.CountSharded over items, sized by the store's
+// mode and bounded by the query context: the context is checked before
+// the fan-out, and each shard skips its remaining items once the
+// context is done. CheckCtx runs again after the shards return, so an
+// abort counts into queries_timed_out or queries_cancelled exactly
+// once.
 func (s *SparkStore) countSharded(q *runningQuery, items []uint64, visit func(item uint64, acc map[uint64]int64)) (map[uint64]int64, error) {
-	return countSharded(q, s.db.CheckCtx, s.mode, s.parm, items, visit)
+	if err := s.db.CheckCtx(q.ctx); err != nil {
+		return nil, err
+	}
+	counts := par.CountSharded(s.mode.shards(len(items)), s.parm, items, func(item uint64, acc map[uint64]int64) {
+		if q.ctx.Err() == nil {
+			visit(item, acc)
+		}
+	})
+	if err := s.db.CheckCtx(q.ctx); err != nil {
+		return nil, err
+	}
+	return counts, nil
 }
 
-// topN materialises the counting map, sorts it, and trims to n — the
-// client-side ranking Sparksee forces on its users.
+// topN materialises the counting map and ranks it — the client-side
+// ranking Sparksee forces on its users.
 func (s *SparkStore) topN(counts map[uint64]int64, n int) []Counted {
 	out := make([]Counted, 0, len(counts))
 	for oid, c := range counts {
 		out = append(out, Counted{ID: s.uidOf(oid), Count: c})
 	}
-	sortCounted(out)
-	if n < len(out) {
-		out = out[:n]
-	}
-	return out
+	return firstN(out, n, byCountThenID)
 }
 
 // ---------- update workload ----------

@@ -77,11 +77,7 @@ func (s *SparkStore) topNAccum(acc *spmat.Accum, n int, skip func(col uint64) bo
 		out = append(out, Counted{ID: s.uidOf(col), Count: c})
 	})
 	s.accPool.Put(acc)
-	sortCounted(out)
-	if n < len(out) {
-		out = out[:n]
-	}
-	return out
+	return firstN(out, n, byCountThenID)
 }
 
 // coMentionedMatrix is Q3.1 algebraically: frontier = the tweets
@@ -117,11 +113,7 @@ func (s *SparkStore) coOccurringTagsMatrix(q *runningQuery, h uint64, n int) ([]
 		out = append(out, CountedTag{Tag: s.db.GetAttribute(col, s.tagAttr).Str(), Count: c})
 	})
 	s.accPool.Put(acc)
-	sortCountedTags(out)
-	if n < len(out) {
-		out = out[:n]
-	}
-	return out, true, nil
+	return firstN(out, n, byCountThenTag), true, nil
 }
 
 // recommendMatrix is Q4.1/Q4.2 algebraically: frontier = A's followees
