@@ -78,45 +78,21 @@ func BenchmarkTable1DatasetCharacteristics(b *testing.B) {
 	}
 }
 
-// BenchmarkTable2QueryWorkload runs the full Table 2 catalogue once per
+// BenchmarkTable2QueryWorkload runs every twitter.Queries read once per
 // iteration on each engine.
 func BenchmarkTable2QueryWorkload(b *testing.B) {
 	neo, spark := setup(b)
+	p := twitter.Params{"uid": int64(1), "uid2": int64(42), "tag": "topic1", "threshold": int64(10)}
 	run := func(b *testing.B, s twitter.Store) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.UsersWithFollowersOver(10); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.Followees(1); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.TweetsOfFollowees(1); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.HashtagsOfFollowees(1); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.CoMentionedUsers(1, 10); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.CoOccurringHashtags("topic1", 10); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.RecommendFollowees(1, 10); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.RecommendFollowersOfFollowees(1, 10); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.CurrentInfluence(1, 10); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.PotentialInfluence(1, 10); err != nil {
-				b.Fatal(err)
-			}
-			if _, _, err := s.ShortestPathLength(1, 42, 3); err != nil {
-				b.Fatal(err)
+			for _, q := range twitter.Queries {
+				if !q.Idempotent {
+					continue
+				}
+				if _, err := q.Run(s, p); err != nil {
+					b.Fatalf("%s: %v", q.ID, err)
+				}
 			}
 		}
 	}

@@ -3,8 +3,9 @@ package bench
 import (
 	"fmt"
 	"io"
+	"reflect"
 
-	"twigraph/internal/core"
+	"twigraph/internal/twitter"
 )
 
 // paperTable1 holds the counts the paper reports so the scaled run can
@@ -76,29 +77,32 @@ func runTable2(e *Env, w io.Writer) error {
 			}
 		}
 	}
-	p := core.Params{UID: probe, UID2: uid2, Tag: "topic1", Threshold: 10, TopN: 10, MaxHops: 3}
+	p := twitter.Params{"uid": probe, "uid2": uid2, "tag": "topic1", "threshold": int64(10)}
 
 	t := newTable(w, "Query", "Category", "Starred", "neo rows", "sparksee rows", "agree")
-	for _, spec := range core.Workload() {
-		nRows, err := spec.Run(neo, p)
-		if err != nil {
-			return fmt.Errorf("%s on neo: %w", spec.ID, err)
+	for _, q := range twitter.Queries {
+		if !q.Idempotent {
+			continue
 		}
-		sRows, err := spec.Run(spark, p)
+		nRows, err := q.Run(neo, p)
 		if err != nil {
-			return fmt.Errorf("%s on sparksee: %w", spec.ID, err)
+			return fmt.Errorf("%s on neo: %w", q.ID, err)
+		}
+		sRows, err := q.Run(spark, p)
+		if err != nil {
+			return fmt.Errorf("%s on sparksee: %w", q.ID, err)
 		}
 		star := ""
-		if spec.Starred {
+		if q.Starred {
 			star = "*"
 		}
 		agree := "yes"
-		if nRows != sRows {
+		if !reflect.DeepEqual(nRows, sRows) {
 			agree = "NO"
 		}
-		t.rowf(string(spec.ID), spec.Category, star, nRows, sRows, agree)
+		t.rowf(q.ID, q.Category, star, len(nRows), len(sRows), agree)
 	}
 	fmt.Fprintf(w, "\nProbe user: uid=%d (mentioned %d times); hashtag %q; threshold %d.\n",
-		probe, deg[probe], p.Tag, p.Threshold)
+		probe, deg[probe], p["tag"], p["threshold"])
 	return nil
 }

@@ -254,7 +254,13 @@ func newScanEngine(t *testing.T, dir string, n, cachePages int) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { db.Close() })
+	// Close fails on a Reader not given back: every scan, forked into
+	// morsels or aborted, must release what it held and borrowed.
+	t.Cleanup(func() {
+		if err := db.Close(); err != nil {
+			t.Error(err)
+		}
+	})
 	if n > 0 {
 		u := db.Label("u")
 		tx := db.Begin()

@@ -27,6 +27,7 @@ import (
 
 	"twigraph/internal/obs"
 	"twigraph/internal/serve"
+	"twigraph/internal/twitter"
 )
 
 // Config tunes the driver; the zero value works against a local server.
@@ -301,9 +302,10 @@ func (c *Client) dial(ctx context.Context) (*poolConn, error) {
 	}
 }
 
-// Query runs one catalogue query with retries. Retries happen only when
-// Retryable says the error class is safe for this query — see the
-// package comment for the taxonomy.
+// Query runs one catalogue query, a twitter.Queries wire name, with
+// retries. Retries happen only when Retryable says the error class is
+// safe for this query (its entry's Idempotent) — see the package
+// comment for the taxonomy.
 //
 // Every call gets a client-assigned query ID. It rides the RUN frame to
 // servers that negotiated the trace extension — every retried attempt
@@ -338,7 +340,8 @@ func (c *Client) Query(ctx context.Context, engine, query string, p map[string]a
 		}
 	}()
 
-	idempotent := serve.QueryIdempotent(query)
+	q, ok := twitter.LookupQuery(query)
+	idempotent := ok && q.Idempotent
 	backoff := c.cfg.BaseBackoff
 	var lastErr error
 	for attempt := 0; ; attempt++ {

@@ -720,6 +720,8 @@ func (db *DB) Sync() error {
 
 // Close checkpoints and closes the database. Every store and the log
 // are closed even when earlier steps fail; the first error is returned.
+// A Reader not given back — HoldReader without ReleaseReader, or
+// BorrowReaders without ReturnReader — is reported as such an error.
 func (db *DB) Close() error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
@@ -727,7 +729,13 @@ func (db *DB) Close() error {
 		return nil
 	}
 	db.closed = true
-	firstErr := db.Sync()
+	var firstErr error
+	if v := db.readers.Load(); v != 0 {
+		firstErr = fmt.Errorf("neodb: closed with %d held and %d borrowed Readers not given back", v%borrowed, v/borrowed)
+	}
+	if err := db.Sync(); err != nil && firstErr == nil {
+		firstErr = err
+	}
 	for _, f := range []interface{ Close() error }{db.nodes, db.rels, db.props, db.strs, db.groups} {
 		if err := f.Close(); err != nil && firstErr == nil {
 			firstErr = err

@@ -3,6 +3,7 @@ package neodb
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -563,6 +564,40 @@ func TestBorrowedReaders(t *testing.T) {
 	rd.Close()
 	if n := db.PinnedPages(); n != 0 {
 		t.Errorf("%d pages pinned after Close, want 0", n)
+	}
+}
+
+// TestCloseReportsLeakedReaders: Close fails, naming the counts, when a
+// borrowed Reader was not given back, and succeeds once every held and
+// borrowed Reader is.
+func TestCloseReportsLeakedReaders(t *testing.T) {
+	db, err := Open(t.TempDir(), Config{CachePages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.HoldReader()
+	if n := db.BorrowReaders(3); n != 3 {
+		t.Fatalf("borrowed %d, want 3", n)
+	}
+	db.ReturnReader()
+	db.ReturnReader()
+	db.ReleaseReader()
+	err = db.Close()
+	if err == nil || !strings.Contains(err.Error(), "0 held and 1 borrowed") {
+		t.Fatalf("Close with one borrowed Reader unreturned: %v", err)
+	}
+
+	db, err = Open(t.TempDir(), Config{CachePages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.HoldReader()
+	for range db.BorrowReaders(2) {
+		db.ReturnReader()
+	}
+	db.ReleaseReader()
+	if err := db.Close(); err != nil {
+		t.Fatalf("Close with every Reader given back: %v", err)
 	}
 }
 

@@ -1,289 +1,10 @@
 package serve
 
-import (
-	"fmt"
-	"sort"
-
-	"twigraph/internal/twitter"
-)
-
-// The query catalogue is the serving layer's statement namespace: every
-// RUN names one catalogue entry, the paper's Table 2 workload plus the
-// update workload. A fixed catalogue (instead of shipping query text)
-// keeps the wire values a closed set and gives the driver a static
-// idempotence map for retry classification — reads retry on transport
-// faults, writes never do.
-type querySpec struct {
-	fields     []string
-	idempotent bool
-	run        func(st twitter.Store, p params) ([][]any, error)
-}
-
-// params wraps the decoded RUN parameter map with typed, validating
-// accessors. Missing or mistyped parameters fail the query with a
-// CodeQuery failure, never a panic.
-type params map[string]any
-
-func (p params) int(name string) (int64, error) {
-	v, ok := p[name].(int64)
-	if !ok {
-		return 0, fmt.Errorf("serve: parameter %q missing or not an int", name)
-	}
-	return v, nil
-}
-
-func (p params) str(name string) (string, error) {
-	v, ok := p[name].(string)
-	if !ok {
-		return "", fmt.Errorf("serve: parameter %q missing or not a string", name)
-	}
-	return v, nil
-}
-
-// topN reads the optional result budget (default 10, like the paper's
-// top-n queries).
-func (p params) topN() int {
-	if v, ok := p["n"].(int64); ok && v > 0 {
-		return int(v)
-	}
-	return 10
-}
-
-func (p params) ints(name string) []int64 {
-	v, _ := p[name].([]int64)
-	return v
-}
-
-func (p params) strs(name string) []string {
-	v, _ := p[name].([]string)
-	return v
-}
-
-func idRows(ids []int64, err error) ([][]any, error) {
-	if err != nil {
-		return nil, err
-	}
-	rows := make([][]any, len(ids))
-	for i, id := range ids {
-		rows[i] = []any{id}
-	}
-	return rows, nil
-}
-
-func strRows(ss []string, err error) ([][]any, error) {
-	if err != nil {
-		return nil, err
-	}
-	rows := make([][]any, len(ss))
-	for i, s := range ss {
-		rows[i] = []any{s}
-	}
-	return rows, nil
-}
-
-func countedRows(cs []twitter.Counted, err error) ([][]any, error) {
-	if err != nil {
-		return nil, err
-	}
-	rows := make([][]any, len(cs))
-	for i, c := range cs {
-		rows[i] = []any{c.ID, c.Count}
-	}
-	return rows, nil
-}
-
-func countedTagRows(cs []twitter.CountedTag, err error) ([][]any, error) {
-	if err != nil {
-		return nil, err
-	}
-	rows := make([][]any, len(cs))
-	for i, c := range cs {
-		rows[i] = []any{c.Tag, c.Count}
-	}
-	return rows, nil
-}
-
-func uidQuery(f func(twitter.Store, int64) ([]int64, error)) func(twitter.Store, params) ([][]any, error) {
-	return func(st twitter.Store, p params) ([][]any, error) {
-		uid, err := p.int("uid")
-		if err != nil {
-			return nil, err
-		}
-		return idRows(f(st, uid))
-	}
-}
-
-func topNQuery(f func(twitter.Store, int64, int) ([]twitter.Counted, error)) func(twitter.Store, params) ([][]any, error) {
-	return func(st twitter.Store, p params) ([][]any, error) {
-		uid, err := p.int("uid")
-		if err != nil {
-			return nil, err
-		}
-		return countedRows(f(st, uid, p.topN()))
-	}
-}
-
-func updateStore(st twitter.Store) (twitter.UpdateStore, error) {
-	us, ok := st.(twitter.UpdateStore)
-	if !ok {
-		return nil, fmt.Errorf("serve: engine %q does not accept updates", st.Name())
-	}
-	return us, nil
-}
-
-// catalog maps wire query names to their specs. Names mirror the Store
-// interface; the Table 2 id is noted per entry.
-var catalog = map[string]querySpec{
-	"users_over": { // Q1.1
-		fields: []string{"uid"}, idempotent: true,
-		run: func(st twitter.Store, p params) ([][]any, error) {
-			th, err := p.int("threshold")
-			if err != nil {
-				return nil, err
-			}
-			return idRows(st.UsersWithFollowersOver(th))
-		},
-	},
-	"followees": { // Q2.1
-		fields: []string{"uid"}, idempotent: true,
-		run: uidQuery(twitter.Store.Followees),
-	},
-	"tweets_of_followees": { // Q2.2
-		fields: []string{"tid"}, idempotent: true,
-		run: uidQuery(twitter.Store.TweetsOfFollowees),
-	},
-	"hashtags_of_followees": { // Q2.3
-		fields: []string{"tag"}, idempotent: true,
-		run: func(st twitter.Store, p params) ([][]any, error) {
-			uid, err := p.int("uid")
-			if err != nil {
-				return nil, err
-			}
-			return strRows(st.HashtagsOfFollowees(uid))
-		},
-	},
-	"co_mentioned": { // Q3.1
-		fields: []string{"uid", "count"}, idempotent: true,
-		run: topNQuery(twitter.Store.CoMentionedUsers),
-	},
-	"co_tags": { // Q3.2
-		fields: []string{"tag", "count"}, idempotent: true,
-		run: func(st twitter.Store, p params) ([][]any, error) {
-			tag, err := p.str("tag")
-			if err != nil {
-				return nil, err
-			}
-			return countedTagRows(st.CoOccurringHashtags(tag, p.topN()))
-		},
-	},
-	"recommend_followees": { // Q4.1
-		fields: []string{"uid", "count"}, idempotent: true,
-		run: topNQuery(twitter.Store.RecommendFollowees),
-	},
-	"recommend_followers": { // Q4.2
-		fields: []string{"uid", "count"}, idempotent: true,
-		run: topNQuery(twitter.Store.RecommendFollowersOfFollowees),
-	},
-	"influence_current": { // Q5.1
-		fields: []string{"uid", "count"}, idempotent: true,
-		run: topNQuery(twitter.Store.CurrentInfluence),
-	},
-	"influence_potential": { // Q5.2
-		fields: []string{"uid", "count"}, idempotent: true,
-		run: topNQuery(twitter.Store.PotentialInfluence),
-	},
-	"shortest_path": { // Q6.1; one row on a hit, none on a miss
-		fields: []string{"length"}, idempotent: true,
-		run: func(st twitter.Store, p params) ([][]any, error) {
-			a, err := p.int("uid")
-			if err != nil {
-				return nil, err
-			}
-			b, err := p.int("uid2")
-			if err != nil {
-				return nil, err
-			}
-			maxHops := 3
-			if v, ok := p["max_hops"].(int64); ok && v > 0 {
-				maxHops = int(v)
-			}
-			length, found, err := st.ShortestPathLength(a, b, maxHops)
-			if err != nil || !found {
-				return nil, err
-			}
-			return [][]any{{int64(length)}}, nil
-		},
-	},
-	"add_user": {
-		fields: []string{}, idempotent: false,
-		run: func(st twitter.Store, p params) ([][]any, error) {
-			us, err := updateStore(st)
-			if err != nil {
-				return nil, err
-			}
-			uid, err := p.int("uid")
-			if err != nil {
-				return nil, err
-			}
-			name, err := p.str("screen_name")
-			if err != nil {
-				return nil, err
-			}
-			return nil, us.AddUser(uid, name)
-		},
-	},
-	"add_follow": {
-		fields: []string{}, idempotent: false,
-		run: func(st twitter.Store, p params) ([][]any, error) {
-			us, err := updateStore(st)
-			if err != nil {
-				return nil, err
-			}
-			src, err := p.int("uid")
-			if err != nil {
-				return nil, err
-			}
-			dst, err := p.int("uid2")
-			if err != nil {
-				return nil, err
-			}
-			return nil, us.AddFollow(src, dst)
-		},
-	},
-	"add_tweet": {
-		fields: []string{}, idempotent: false,
-		run: func(st twitter.Store, p params) ([][]any, error) {
-			us, err := updateStore(st)
-			if err != nil {
-				return nil, err
-			}
-			uid, err := p.int("uid")
-			if err != nil {
-				return nil, err
-			}
-			tid, err := p.int("tid")
-			if err != nil {
-				return nil, err
-			}
-			text, _ := p["text"].(string)
-			return nil, us.AddTweet(uid, tid, text, p.ints("mentions"), p.strs("tags"))
-		},
-	},
-}
-
-// QueryFields returns the result columns of a catalogue query.
-func QueryFields(name string) ([]string, bool) {
-	spec, ok := catalog[name]
-	return spec.fields, ok
-}
-
-// QueryIdempotent reports whether a catalogue query is a pure read —
-// the driver's retry gate: only idempotent queries are retried on
-// transport faults.
-func QueryIdempotent(name string) bool {
-	spec, ok := catalog[name]
-	return ok && spec.idempotent
-}
+// Every RUN names one twitter.Queries entry by its wire name: the
+// paper's Table 2 workload plus the update workload. A fixed catalogue
+// (instead of shipping query text) keeps the wire values a closed set
+// and gives the driver a static idempotence map for retry
+// classification — reads retry on transport faults, writes never do.
 
 // QueryStatement is the canonical serve-level statement text for one
 // engine/query pair — the fingerprint key of the server's per-statement
@@ -291,14 +12,4 @@ func QueryIdempotent(name string) bool {
 // report overload under the same label.
 func QueryStatement(engine, query string) string {
 	return engine + "/" + query
-}
-
-// QueryNames returns the catalogue names, sorted.
-func QueryNames() []string {
-	names := make([]string, 0, len(catalog))
-	for name := range catalog {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -13,6 +13,7 @@ import (
 
 	"twigraph/internal/obs"
 	"twigraph/internal/qstats"
+	"twigraph/internal/twitter"
 )
 
 // Config tunes the server; the zero value serves with the documented
@@ -765,7 +766,7 @@ func (ss *session) handleRun(run Run) bool {
 	if !ok {
 		return ss.fail(CodeQuery, fmt.Sprintf("serve: unknown engine %q", run.Engine)) == nil
 	}
-	spec, ok := catalog[run.Query]
+	spec, ok := twitter.LookupQuery(run.Query)
 	if !ok {
 		return ss.fail(CodeQuery, fmt.Sprintf("serve: unknown query %q", run.Query)) == nil
 	}
@@ -824,7 +825,7 @@ func (ss *session) handleRun(run Run) bool {
 	// with the accounted mark set, so the engine executes it silently and
 	// its qstats, slow ring and histograms still show exactly one
 	// execution for that query ID.
-	if clientAssigned && spec.idempotent && !srv.accounted.firstRun(qid) {
+	if clientAssigned && spec.Idempotent && !srv.accounted.firstRun(qid) {
 		runCtx = qstats.MarkAccounted(runCtx)
 	}
 	st.SetBaseContext(runCtx)
@@ -842,11 +843,11 @@ func (ss *session) handleRun(run Run) bool {
 					execStart: execStart, execDur: time.Since(execStart)}
 			}
 		}()
-		if !spec.idempotent {
+		if !spec.Idempotent {
 			eng.writeMu.Lock()
 			defer eng.writeMu.Unlock()
 		}
-		rows, err := spec.run(st, run.Params)
+		rows, err := spec.Run(st, run.Params)
 		done <- queryResult{rows: rows, err: err, execStart: execStart, execDur: time.Since(execStart)}
 	}()
 
@@ -862,7 +863,7 @@ func (ss *session) handleRun(run Run) bool {
 	// query computes — answer RUN immediately so the client can send its
 	// first PULL while the producer works.
 	if ss.send(EncodeSuccess(Success{Meta: map[string]any{
-		"fields": append([]string{}, spec.fields...),
+		"fields": append([]string{}, spec.Fields...),
 	}})) != nil {
 		sq.setStatus(obs.StatusCancelled)
 		ss.abort(eng, runCtx, runCancel, done, sq)

@@ -249,7 +249,8 @@ func requireTieAtCut(t *testing.T, s twitter.Store) {
 // TestReadersOnFourPages runs Tuned Q3.2, Q4.1 and Q4.2 with 4 workers
 // on a 4-page cache per store file, on both gated paths and from three
 // stores at once, and requires Faithful's rows and every Reader given
-// back: afterwards exactly the 4 frames can be borrowed again.
+// back: afterwards exactly the 4 frames can be borrowed again, and the
+// database closes without a Reader outstanding.
 func TestReadersOnFourPages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a database")
@@ -263,7 +264,11 @@ func TestReadersOnFourPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { res.Store.Close() })
+	t.Cleanup(func() {
+		if err := res.Store.Close(); err != nil {
+			t.Error(err)
+		}
+	})
 	db := res.Store.DB()
 	queries := []probeQuery{multiHopQueries[1], multiHopQueries[2], multiHopQueries[3]}
 	want := make([]any, len(queries))

@@ -79,7 +79,7 @@ func TestRandomGraphEquivalence(t *testing.T) {
 
 			// The full workload agrees.
 			for u := int64(1); u <= nUsers; u += 3 {
-				compareAll(t, neo, spark, u, nUsers)
+				compareAll(t, neo, spark, u, nUsers, tags[u%int64(len(tags))])
 			}
 			for _, tag := range tags {
 				a, err := neo.CoOccurringHashtags(tag, 10)
@@ -174,66 +174,30 @@ func emptyPair(t *testing.T) (*twitter.NeoStore, *twitter.SparkStore) {
 	return neo, spark
 }
 
-func compareAll(t *testing.T, neo, spark twitter.Store, uid, nUsers int64) {
+// compareAll runs every Table 2 read for uid on both engines and
+// requires identical rows: top-n budget 100, threshold uid mod 4 for
+// Q1.1, tag for Q3.2, and Q6.1 to three targets.
+func compareAll(t *testing.T, neo, spark twitter.Store, uid, nUsers int64, tag string) {
 	t.Helper()
-	checkInts := func(name string, a []int64, aerr error, b []int64, berr error) {
-		if aerr != nil || berr != nil {
-			t.Fatalf("%s(%d): %v / %v", name, uid, aerr, berr)
+	p := twitter.Params{"uid": uid, "n": int64(100), "threshold": uid % 4, "tag": tag}
+	for _, q := range twitter.Queries {
+		if !q.Idempotent {
+			continue
 		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("%s(%d): %v vs %v", name, uid, a, b)
+		targets := []int64{0}
+		if q.ID == "Q6.1" {
+			targets = []int64{(uid+7)%nUsers + 1, (uid+14)%nUsers + 1, (uid+21)%nUsers + 1}
 		}
-	}
-	a1, e1 := neo.Followees(uid)
-	b1, e2 := spark.Followees(uid)
-	checkInts("Followees", a1, e1, b1, e2)
-	a2, e1 := neo.TweetsOfFollowees(uid)
-	b2, e2 := spark.TweetsOfFollowees(uid)
-	checkInts("TweetsOfFollowees", a2, e1, b2, e2)
-
-	at, e1 := neo.HashtagsOfFollowees(uid)
-	bt, e2 := spark.HashtagsOfFollowees(uid)
-	if e1 != nil || e2 != nil || !reflect.DeepEqual(at, bt) {
-		t.Fatalf("HashtagsOfFollowees(%d): %v (%v) vs %v (%v)", uid, at, e1, bt, e2)
-	}
-
-	checkCounted := func(name string, a []twitter.Counted, aerr error, b []twitter.Counted, berr error) {
-		if aerr != nil || berr != nil {
-			t.Fatalf("%s(%d): %v / %v", name, uid, aerr, berr)
-		}
-		if !countedEqual(a, b) {
-			t.Fatalf("%s(%d): %v vs %v", name, uid, a, b)
-		}
-	}
-	c1, e1 := neo.CoMentionedUsers(uid, 100)
-	d1, e2 := spark.CoMentionedUsers(uid, 100)
-	checkCounted("CoMentionedUsers", c1, e1, d1, e2)
-	c2, e1 := neo.RecommendFollowees(uid, 100)
-	d2, e2 := spark.RecommendFollowees(uid, 100)
-	checkCounted("RecommendFollowees", c2, e1, d2, e2)
-	c3, e1 := neo.RecommendFollowersOfFollowees(uid, 100)
-	d3, e2 := spark.RecommendFollowersOfFollowees(uid, 100)
-	checkCounted("RecommendFollowersOfFollowees", c3, e1, d3, e2)
-	c4, e1 := neo.CurrentInfluence(uid, 100)
-	d4, e2 := spark.CurrentInfluence(uid, 100)
-	checkCounted("CurrentInfluence", c4, e1, d4, e2)
-	c5, e1 := neo.PotentialInfluence(uid, 100)
-	d5, e2 := spark.PotentialInfluence(uid, 100)
-	checkCounted("PotentialInfluence", c5, e1, d5, e2)
-
-	// Shortest paths to a few targets.
-	for d := int64(1); d <= 3; d++ {
-		target := (uid+d*7)%nUsers + 1
-		la, oka, err := neo.ShortestPathLength(uid, target, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lb, okb, err := spark.ShortestPathLength(uid, target, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if oka != okb || (oka && la != lb) {
-			t.Fatalf("path %d->%d: (%d,%v) vs (%d,%v)", uid, target, la, oka, lb, okb)
+		for _, target := range targets {
+			p["uid2"] = target
+			a, aerr := q.Run(neo, p)
+			b, berr := q.Run(spark, p)
+			if aerr != nil || berr != nil {
+				t.Fatalf("%s %s(%d): %v / %v", q.ID, q.Wire, uid, aerr, berr)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s %s(%d, uid2 %d): %v vs %v", q.ID, q.Wire, uid, target, a, b)
+			}
 		}
 	}
 }
