@@ -14,9 +14,11 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"twigraph/internal/gen"
 	"twigraph/internal/load"
@@ -318,41 +320,42 @@ func (e *Env) sampleUsers(n int, byDegree map[int64]int) []int64 {
 	return out
 }
 
-// tableWriter renders fixed-width rows.
+// tableWriter collects a table's rows and renders them on flush, each
+// column as wide as its widest cell and at least 12 characters.
 type tableWriter struct {
-	w      io.Writer
-	widths []int
+	w    io.Writer
+	rows [][]string // the header first
 }
 
 func newTable(w io.Writer, headers ...string) *tableWriter {
-	t := &tableWriter{w: w}
-	for _, h := range headers {
-		width := len(h)
-		if width < 12 {
-			width = 12
-		}
-		t.widths = append(t.widths, width)
-	}
-	t.row(headers...)
-	sep := make([]string, len(headers))
-	for i, wd := range t.widths {
-		for j := 0; j < wd; j++ {
-			sep[i] += "-"
-		}
-	}
-	t.row(sep...)
-	return t
+	return &tableWriter{w: w, rows: [][]string{headers}}
 }
 
-func (t *tableWriter) row(cells ...string) {
-	for i, c := range cells {
-		if i < len(t.widths) {
-			fmt.Fprintf(t.w, "%-*s  ", t.widths[i], c)
-		} else {
-			fmt.Fprintf(t.w, "%s  ", c)
+func (t *tableWriter) row(cells ...string) { t.rows = append(t.rows, cells) }
+
+// flush writes the header, a rule under it and the rows. A cell beyond
+// the header's columns is written unpadded.
+func (t *tableWriter) flush() {
+	widths := make([]int, len(t.rows[0]))
+	for _, r := range t.rows {
+		for i, c := range r[:min(len(r), len(widths))] {
+			widths[i] = max(widths[i], 12, utf8.RuneCountInString(c))
 		}
 	}
-	fmt.Fprintln(t.w)
+	rule := make([]string, len(widths))
+	for i, wd := range widths {
+		rule[i] = strings.Repeat("-", wd)
+	}
+	for _, r := range append([][]string{t.rows[0], rule}, t.rows[1:]...) {
+		for i, c := range r {
+			if i < len(widths) {
+				fmt.Fprintf(t.w, "%-*s  ", widths[i], c)
+			} else {
+				fmt.Fprintf(t.w, "%s  ", c)
+			}
+		}
+		fmt.Fprintln(t.w)
+	}
 }
 
 func (t *tableWriter) rowf(cells ...any) {

@@ -87,6 +87,7 @@ func runPhrasings(e *Env, w io.Writer) error {
 			fmt.Sprintf("%.2f", float64(total.Microseconds())/1000),
 			fmt.Sprintf("%.3f", float64(total.Microseconds())/float64(len(users))/1000))
 	}
+	t.flush()
 	fmt.Fprintln(w, "\nPaper finding: method (b) performed best; (c) failed to return in")
 	fmt.Fprintln(w, "reasonable time. All three return identical results (tested).")
 	return nil
@@ -137,6 +138,7 @@ func runPlanCache(e *Env, w io.Writer) error {
 	t := newTable(w, "plan cache", "median round (200 queries)", "per query")
 	t.rowf("enabled (parameterised)", on, on/itersPerRound)
 	t.rowf("disabled (re-plan each run)", off, off/itersPerRound)
+	t.flush()
 	fmt.Fprintf(w, "\nSpeedup from caching: %.2fx (avg re-plan cost %v per query);\n",
 		float64(off)/float64(on), (off-on)/itersPerRound)
 	fmt.Fprintf(w, "session cache stats: %d hits / %d misses.\n", hits, misses)
@@ -214,6 +216,7 @@ func runTopN(e *Env, w io.Writer) error {
 	t.rowf("neo: count + ORDER BY + LIMIT", fullT, avg(fullT))
 	t.rowf("neo: count only (no order/limit)", bareT, avg(bareT))
 	t.rowf("sparksee: always full sort client-side", sparkT, avg(sparkT))
+	t.flush()
 	fmt.Fprintf(w, "\nOrdering/limiting overhead on the declarative engine: %.1f%%.\n",
 		100*(float64(fullT)-float64(bareT))/float64(bareT))
 	return nil
@@ -294,6 +297,7 @@ func runColdCache(e *Env, w io.Writer) error {
 		}
 		t.rowf(fmt.Sprintf("%d tweets loaded", len(rows)), cold, warm, ratio, coldFaults, warmFaults)
 	}
+	t.flush()
 	fmt.Fprintln(w, "\nPaper shape: first runs pay page faults even for small neighbourhoods;")
 	fmt.Fprintln(w, "the absolute warm-up cost grows with how much of the graph the source's")
 	fmt.Fprintln(w, "neighbourhood spans.")
@@ -354,6 +358,7 @@ func runNavVsTraversal(e *Env, w io.Writer) error {
 		}
 		t.rowf(v.name, total, fmt.Sprintf("%.3f", float64(total.Microseconds())/float64(len(users))/1000))
 	}
+	t.flush()
 	return nil
 }
 
@@ -380,6 +385,7 @@ func runDerived(e *Env, w io.Writer) error {
 		}
 		t.rowf(s.Name(), len(experts), top, dist, fmt.Sprintf("%.3f", float64(elapsed.Microseconds())/1000))
 	}
+	t.flush()
 	fmt.Fprintln(w, "\nSteps: co-occurring hashtags (Q3.2) -> most retweeted tweets -> posters")
 	fmt.Fprintln(w, "-> ordered by follows-distance from the asking user (Q6.1). The paper")
 	fmt.Fprintln(w, "could not run this (no retweets in the crawl); the generator provides them.")
@@ -435,6 +441,7 @@ func runUpdates(e *Env, w io.Writer) error {
 		rate := float64(3*updates) / elapsed.Seconds()
 		t.rowf(s.Name(), 3*updates, elapsed, fmt.Sprintf("%.0f", rate))
 	}
+	t.flush()
 	fmt.Fprintln(w, "\nEach update batch: one user, one follow edge, one tweet with a mention")
 	fmt.Fprintln(w, "and a hashtag. The paper noted neither system supported incremental")
 	fmt.Fprintln(w, "loading in 2015; both engines here accept transactional updates.")

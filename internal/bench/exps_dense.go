@@ -126,6 +126,7 @@ func runDenseNodes(e *Env, w io.Writer) error {
 			t.rowf(v.name, label, elapsed, hits, faults)
 		}
 	}
+	t.flush()
 	fmt.Fprintf(w, "\nDense-node preparation during import took %v (the paper's ~10 min\n", densePhase)
 	fmt.Fprintln(w, "intermediate step at crawl scale). Typed traversals from hubs then skip")
 	fmt.Fprintln(w, "every unrelated relationship record instead of scanning the mixed chain.")

@@ -106,6 +106,7 @@ func printSeries(w io.Writer, xLabel string, pts []point) {
 			t.rowf(row...)
 		}
 	}
+	t.flush()
 }
 
 func runFig4Q31(e *Env, w io.Writer) error {
@@ -274,6 +275,7 @@ func runFig4Q61(e *Env, w io.Writer) error {
 			fmt.Sprintf("%.3f", float64(sa.total.Microseconds())/float64(sa.n)/1000),
 			na.n)
 	}
+	t.flush()
 	fmt.Fprintln(w, "\nPaper shape: time grows with path length; the Neo4j-analog computes")
 	fmt.Fprintln(w, "shortest paths more efficiently than the navigation-API engine.")
 	return nil

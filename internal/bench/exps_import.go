@@ -22,6 +22,7 @@ func runFig2(e *Env, w io.Writer) error {
 			t.rowf(p.Phase, p.Label, p.Count, p.Elapsed.Milliseconds())
 		}
 	}
+	t.flush()
 	fmt.Fprintln(w, "\n(b) edge import series")
 	t = newTable(w, "phase", "label", "rows", "elapsed_ms")
 	for _, p := range res.Series {
@@ -29,6 +30,7 @@ func runFig2(e *Env, w io.Writer) error {
 			t.rowf(p.Phase, p.Label, p.Count, p.Elapsed.Milliseconds())
 		}
 	}
+	t.flush()
 	r := res.Report
 	fmt.Fprintf(w, `
 Phases (paper: node+edge import, ~10 min intermediate dense-node step,
@@ -79,6 +81,7 @@ func runFig3(e *Env, w io.Writer) error {
 			t.rowf(p.Phase, p.Rows, p.Elapsed.Milliseconds(), flag)
 		}
 	}
+	t.flush()
 	fmt.Fprintln(w, "\n(b) edge import series (vertical line = end of follows, ~80% of edges)")
 	t = newTable(w, "phase", "rows", "elapsed_ms", "flush")
 	for _, p := range series {
@@ -90,6 +93,7 @@ func runFig3(e *Env, w io.Writer) error {
 			t.rowf(p.Phase, p.Rows, p.Elapsed.Milliseconds(), flag)
 		}
 	}
+	t.flush()
 	followsShare := float64(sum.Follows) / float64(sum.TotalEdges())
 	fmt.Fprintf(w, "\nfollows share of edges: %.1f%% (paper: ~80%%); flush stalls: %d; total: %v\n",
 		100*followsShare, rep.Flushes, rep.Duration)
@@ -125,6 +129,7 @@ func runMaterialize(e *Env, w io.Writer) error {
 	t := newTable(w, "materialize neighbors", "import time", "relative")
 	t.rowf("off (paper's choice)", off, "1.00x")
 	t.rowf("on (paper aborted at 8h)", on, fmt.Sprintf("%.2fx", float64(on)/float64(off)))
+	t.flush()
 	fmt.Fprintln(w, "\nWith materialisation every edge maintains a direct neighbor index")
 	fmt.Fprintln(w, "in addition to its link bitmaps, roughly doubling import write volume.")
 	return nil

@@ -96,6 +96,7 @@ func runSemantic(e *Env, w io.Writer) error {
 		}
 		t.rowf(v.name, elapsed, faults)
 	}
+	t.flush()
 	fmt.Fprintln(w, "\nSame graph, same queries; only the physical placement of relationship")
 	fmt.Fprintln(w, "records differs. Partitioning records by relationship type — knowing the")
 	fmt.Fprintln(w, "queries traverse one type at a time — cuts cold-cache page faults (the")

@@ -35,6 +35,7 @@ func runTable1(e *Env, w io.Writer) error {
 	}
 	t.rowf("Total", sum.TotalNodes(), paperTable1.totalNodes, "", "Total", sum.TotalEdges(), paperTable1.totalRels)
 
+	t.flush()
 	fmt.Fprintf(w, "\nShape checks (paper ratio vs this run):\n")
 	ratio := func(name string, paper, got float64) {
 		fmt.Fprintf(w, "  %-22s paper %8.3f   this run %8.3f\n", name, paper, got)
@@ -102,6 +103,7 @@ func runTable2(e *Env, w io.Writer) error {
 		}
 		t.rowf(q.ID, q.Category, star, len(nRows), len(sRows), agree)
 	}
+	t.flush()
 	fmt.Fprintf(w, "\nProbe user: uid=%d (mentioned %d times); hashtag %q; threshold %d.\n",
 		probe, deg[probe], p["tag"], p["threshold"])
 	return nil

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"path/filepath"
 	"reflect"
@@ -237,7 +238,7 @@ func TestMidStreamAbortCountsExactlyOnce(t *testing.T) {
 // chaosProbe is one read query with its embedded ground truth.
 type chaosProbe struct {
 	query  string
-	params map[string]any
+	params twitter.Params
 	want   map[string][][]any // engine name → expected rows
 }
 
@@ -254,59 +255,29 @@ func TestChaosDifferential(t *testing.T) {
 	neo, spark, engines := buildEngines(t)
 	addr, srv := startServer(t, serve.Config{MaxConcurrent: 8}, engines...)
 
-	// Freeze ground truth from the embedded stores up front (reads are
-	// deterministic; the chaos run makes no writes).
-	idRows := func(ids []int64, err error) [][]any {
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows := make([][]any, len(ids))
-		for i, id := range ids {
-			rows[i] = []any{id}
-		}
-		return rows
-	}
-	countedRows := func(cs []twitter.Counted, err error) [][]any {
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows := make([][]any, len(cs))
-		for i, c := range cs {
-			rows[i] = []any{c.ID, c.Count}
-		}
-		return rows
-	}
-	strRows := func(ss []string, err error) [][]any {
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows := make([][]any, len(ss))
-		for i, s := range ss {
-			rows[i] = []any{s}
-		}
-		return rows
-	}
+	// Freeze ground truth from the embedded stores up front, through the
+	// table entry the server runs (reads are deterministic; the chaos run
+	// makes no writes). Every read of the table is probed.
 	var probes []chaosProbe
 	for _, uid := range []int64{1, 2, 17, 42, 250} {
-		probes = append(probes,
-			chaosProbe{"followees", map[string]any{"uid": uid}, map[string][][]any{
-				"neo":      idRows(neo.Followees(uid)),
-				"sparksee": idRows(spark.Followees(uid)),
-			}},
-			chaosProbe{"co_mentioned", map[string]any{"uid": uid, "n": int64(5)}, map[string][][]any{
-				"neo":      countedRows(neo.CoMentionedUsers(uid, 5)),
-				"sparksee": countedRows(spark.CoMentionedUsers(uid, 5)),
-			}},
-			chaosProbe{"hashtags_of_followees", map[string]any{"uid": uid}, map[string][][]any{
-				"neo":      strRows(neo.HashtagsOfFollowees(uid)),
-				"sparksee": strRows(spark.HashtagsOfFollowees(uid)),
-			}},
-		)
+		for _, q := range twitter.Queries {
+			if !q.Idempotent {
+				continue
+			}
+			spec, _ := twitter.LookupQuery(q.Wire)
+			p := twitter.Params{"uid": uid, "uid2": uid*7%300 + 1, "n": int64(5), "threshold": uid % 20,
+				"tag": fmt.Sprintf("topic%d", uid%30+1)}
+			probe := chaosProbe{q.Wire, p, map[string][][]any{}}
+			for _, s := range []twitter.Store{neo, spark} {
+				rows, err := spec.Run(s, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				probe.want[s.Name()] = rows
+			}
+			probes = append(probes, probe)
+		}
 	}
-	probes = append(probes, chaosProbe{"users_over", map[string]any{"threshold": int64(5)}, map[string][][]any{
-		"neo":      idRows(neo.UsersWithFollowersOver(5)),
-		"sparksee": idRows(spark.UsersWithFollowersOver(5)),
-	}})
 
 	faults := faultconn.Config{
 		Seed:             42,

@@ -3,7 +3,6 @@ package twitter_test
 import (
 	"testing"
 
-	"twigraph/internal/gen"
 	"twigraph/internal/twitter"
 )
 
@@ -105,31 +104,7 @@ func TestTweetRankerPrimitives(t *testing.T) {
 }
 
 func TestTopicExpertsRequiresRanker(t *testing.T) {
-	var s twitter.Store = plainStore{}
-	if _, err := twitter.TopicExperts(s, 1, "x", 5); err == nil {
+	if _, err := twitter.TopicExperts(&fakeStore{}, 1, "x", 5); err == nil {
 		t.Error("non-ranker store accepted")
 	}
 }
-
-// plainStore implements Store but not TweetRanker.
-type plainStore struct{}
-
-func (plainStore) Name() string                                           { return "plain" }
-func (plainStore) Close() error                                           { return nil }
-func (plainStore) UsersWithFollowersOver(int64) ([]int64, error)          { return nil, nil }
-func (plainStore) Followees(int64) ([]int64, error)                       { return nil, nil }
-func (plainStore) TweetsOfFollowees(int64) ([]int64, error)               { return nil, nil }
-func (plainStore) HashtagsOfFollowees(int64) ([]string, error)            { return nil, nil }
-func (plainStore) CoMentionedUsers(int64, int) ([]twitter.Counted, error) { return nil, nil }
-func (plainStore) CoOccurringHashtags(string, int) ([]twitter.CountedTag, error) {
-	return nil, nil
-}
-func (plainStore) RecommendFollowees(int64, int) ([]twitter.Counted, error) { return nil, nil }
-func (plainStore) RecommendFollowersOfFollowees(int64, int) ([]twitter.Counted, error) {
-	return nil, nil
-}
-func (plainStore) CurrentInfluence(int64, int) ([]twitter.Counted, error)   { return nil, nil }
-func (plainStore) PotentialInfluence(int64, int) ([]twitter.Counted, error) { return nil, nil }
-func (plainStore) ShortestPathLength(int64, int64, int) (int, bool, error)  { return 0, false, nil }
-
-var _ = gen.Default // keep the gen import for helpers above

@@ -56,10 +56,11 @@ func BenchmarkQ11UsersOver(b *testing.B) {
 	})
 }
 
-func BenchmarkQ31CoMentioned(b *testing.B) {
+// benchTopN runs a top-n query over every probe with no budget.
+func benchTopN(b *testing.B, q func(twitter.Store, int64, int) ([]twitter.Counted, error)) {
 	benchWorkloads(b, func(s twitter.Store) error {
 		for _, uid := range benchProbes {
-			if _, err := s.CoMentionedUsers(uid, 1<<30); err != nil {
+			if _, err := q(s, uid, 1<<30); err != nil {
 				return err
 			}
 		}
@@ -67,38 +68,12 @@ func BenchmarkQ31CoMentioned(b *testing.B) {
 	})
 }
 
-func BenchmarkQ41RecommendFollowees(b *testing.B) {
-	benchWorkloads(b, func(s twitter.Store) error {
-		for _, uid := range benchProbes {
-			if _, err := s.RecommendFollowees(uid, 1<<30); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
+func BenchmarkQ31CoMentioned(b *testing.B)        { benchTopN(b, twitter.Store.CoMentionedUsers) }
+func BenchmarkQ41RecommendFollowees(b *testing.B) { benchTopN(b, twitter.Store.RecommendFollowees) }
 func BenchmarkQ42RecommendFollowers(b *testing.B) {
-	benchWorkloads(b, func(s twitter.Store) error {
-		for _, uid := range benchProbes {
-			if _, err := s.RecommendFollowersOfFollowees(uid, 1<<30); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	benchTopN(b, twitter.Store.RecommendFollowersOfFollowees)
 }
-
-func BenchmarkQ52PotentialInfluence(b *testing.B) {
-	benchWorkloads(b, func(s twitter.Store) error {
-		for _, uid := range benchProbes {
-			if _, err := s.PotentialInfluence(uid, 1<<30); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
+func BenchmarkQ52PotentialInfluence(b *testing.B) { benchTopN(b, twitter.Store.PotentialInfluence) }
 
 func BenchmarkQ61ShortestPath(b *testing.B) {
 	pairs := [][2]int64{{1, 750}, {2, 1400}, {5, 1000}, {17, 1200}}

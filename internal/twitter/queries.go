@@ -184,8 +184,11 @@ var Queries = []Query{
 				return nil, err
 			}
 			length, found, err := s.ShortestPathLength(a, b, p.optInt("max_hops", 3))
-			if err != nil || !found {
+			if err != nil {
 				return nil, err
+			}
+			if !found {
+				return [][]any{}, nil
 			}
 			return [][]any{{int64(length)}}, nil
 		}},

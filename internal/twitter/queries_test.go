@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"twigraph/internal/gen"
 	"twigraph/internal/twitter"
 )
 
@@ -245,5 +246,16 @@ func TestQueryDefaults(t *testing.T) {
 				t.Errorf("%s with %s=%v: store got %v, want %d", c.wire, c.param, v, got, want)
 			}
 		}
+	}
+}
+
+func TestStoreInterfacesComplete(t *testing.T) {
+	var _ twitter.UpdateStore = (*twitter.NeoStore)(nil)
+	var _ twitter.UpdateStore = (*twitter.SparkStore)(nil)
+}
+
+func TestApplyUnknownEvent(t *testing.T) {
+	if _, err := twitter.ApplyAll(nil, []gen.Event{{Kind: gen.EventKind(99)}}); err == nil {
+		t.Error("unknown event kind accepted")
 	}
 }
