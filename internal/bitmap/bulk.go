@@ -112,6 +112,43 @@ func (b *Bitmap) AddSorted(vals []uint64) {
 	}
 }
 
+// FromWords returns the set of base+64w+j for every bit j set in
+// words[w]: a dense bitset over a value range, read straight into
+// containers. base must lie on a container boundary (a multiple of
+// 2^16). Each container is an array up to arrayToBitmapThreshold
+// members and a bitset above, as a loop of Add leaves it.
+func FromWords(base uint64, words []uint64) *Bitmap {
+	if base&(containerSize-1) != 0 {
+		panic("bitmap: FromWords base not on a container boundary")
+	}
+	b := New()
+	for k := 0; k*wordsPerSet < len(words); k++ {
+		chunk := words[k*wordsPerSet : min((k+1)*wordsPerSet, len(words))]
+		card := 0
+		for _, w := range chunk {
+			card += bits.OnesCount64(w)
+		}
+		if card == 0 {
+			continue
+		}
+		c := &container{key: base>>containerBits + uint64(k)}
+		if card > arrayToBitmapThreshold {
+			c.set = make([]uint64, wordsPerSet)
+			copy(c.set, chunk)
+			c.card = card
+		} else {
+			c.array = make([]uint16, 0, card)
+			for w, word := range chunk {
+				for ; word != 0; word &= word - 1 {
+					c.array = append(c.array, uint16(w<<6|bits.TrailingZeros64(word)))
+				}
+			}
+		}
+		b.containers = append(b.containers, c)
+	}
+	return b
+}
+
 // addContainerSorted merges a non-decreasing run of same-key values.
 // When the target container is already a bitset the values word-OR
 // straight in — a single pass with no intermediate allocation, the

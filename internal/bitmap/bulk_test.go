@@ -146,3 +146,32 @@ func BenchmarkAddSortedVsLoop(b *testing.B) {
 		}
 	})
 }
+
+// TestFromWordsMatchesAddLoop reads random dense bitsets, sparse and
+// full, spanning containers, into sets: each equals the Add loop over
+// its bits, with the same array/bitset container mix.
+func TestFromWordsMatchesAddLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const base = 3 << 40
+	for _, density := range []float64{0, 0.001, 0.05, 0.0626, 0.5, 1} {
+		for _, n := range []int{0, 1, wordsPerSet - 1, wordsPerSet, 2*wordsPerSet + 5} {
+			words := make([]uint64, n)
+			slow := New()
+			for i := 0; i < n*64; i++ {
+				if rng.Float64() < density {
+					words[i>>6] |= 1 << (i & 63)
+					slow.Add(base + uint64(i))
+				}
+			}
+			fast := FromWords(base, words)
+			if !fast.Equal(slow) {
+				t.Errorf("density %v, %d words: FromWords differs from the Add loop", density, n)
+			}
+			fa, fr, fb := fast.ContainerCounts()
+			sa, sr, sb := slow.ContainerCounts()
+			if fa != sa || fr != sr || fb != sb {
+				t.Errorf("density %v, %d words: containers %d/%d/%d, Add loop %d/%d/%d", density, n, fa, fr, fb, sa, sr, sb)
+			}
+		}
+	}
+}

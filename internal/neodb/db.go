@@ -115,6 +115,13 @@ type DB struct {
 	labels    *nameTable
 	relTypes  *nameTable
 	propKeys  *nameTable
+	// catalogDirty is set when a name or an index is created and cleared
+	// when catalog.json is written. Tx.Commit writes a dirty catalog
+	// before it logs, so no durable commit refers to a name the file
+	// lacks.
+	catalogDirty  atomic.Bool
+	catalogFileMu sync.Mutex        // serialises catalog.json writes
+	savedRelStats map[string]uint64 // relationship counts as catalog.json holds them
 
 	labelScan *idx.LabelScan
 	indexMu   sync.RWMutex
@@ -161,11 +168,12 @@ type indexKey struct {
 // relationship types and property keys.
 type nameTable struct {
 	byName map[string]uint32
-	byID   []string // index = id-1
+	byID   []string     // index = id-1
+	dirty  *atomic.Bool // set on every new name: the catalog must be written
 }
 
-func newNameTable() *nameTable {
-	return &nameTable{byName: make(map[string]uint32)}
+func newNameTable(dirty *atomic.Bool) *nameTable {
+	return &nameTable{byName: make(map[string]uint32), dirty: dirty}
 }
 
 func (t *nameTable) id(name string) (uint32, bool) {
@@ -180,6 +188,7 @@ func (t *nameTable) idOrCreate(name string) uint32 {
 	t.byID = append(t.byID, name)
 	id := uint32(len(t.byID))
 	t.byName[name] = id
+	t.dirty.Store(true)
 	return id
 }
 
@@ -206,9 +215,6 @@ func Open(dir string, cfg Config) (*DB, error) {
 		dir:      dir,
 		cfg:      cfg,
 		fsys:     fsys,
-		labels:   newNameTable(),
-		relTypes: newNameTable(),
-		propKeys: newNameTable(),
 		indexes:  make(map[indexKey]*idx.HashIndex),
 		relStats: make(map[graph.TypeID]uint64),
 		reg:      obs.NewEngineRegistry(),
@@ -217,6 +223,9 @@ func Open(dir string, cfg Config) (*DB, error) {
 		stats:    qstats.NewStats(0),
 		logger:   olog.New("neo"),
 	}
+	db.labels = newNameTable(&db.catalogDirty)
+	db.relTypes = newNameTable(&db.catalogDirty)
+	db.propKeys = newNameTable(&db.catalogDirty)
 	db.cFetches = db.reg.Counter(obs.CRecordFetches)
 	db.cFaults = db.reg.Counter(obs.CPageFaults)
 	db.cChainHops = db.reg.Counter(CRelChainHops)
@@ -281,7 +290,8 @@ func Open(dir string, cfg Config) (*DB, error) {
 		db.closePartial()
 		return nil, err
 	}
-	if err = db.loadIndexes(); err != nil {
+	unsaved, err := db.loadIndexes()
+	if err != nil {
 		db.closePartial()
 		return nil, err
 	}
@@ -300,6 +310,12 @@ func Open(dir string, cfg Config) (*DB, error) {
 	if err = db.recover(); err != nil {
 		db.Close()
 		return nil, err
+	}
+	for _, k := range unsaved {
+		if err = db.populateIndex(db.indexes[k], k); err != nil {
+			db.Close()
+			return nil, err
+		}
 	}
 	return db, nil
 }
@@ -369,6 +385,8 @@ func (db *DB) loadCatalog() (int, error) {
 			db.relStats[graph.TypeID(id)] = n
 		}
 	}
+	db.savedRelStats = cf.RelStats
+	db.catalogDirty.Store(false) // the names just read are the file's
 	return cf.DenseThreshold, nil
 }
 
@@ -396,26 +414,51 @@ func (db *DB) settleDenseThreshold(stored, want int) error {
 	return db.saveCatalog()
 }
 
-func (db *DB) saveCatalog() error {
+// saveCatalog writes catalog.json with every field current: a
+// checkpoint's, a bulk import's or a new store's catalog.
+func (db *DB) saveCatalog() error { return db.writeCatalog(true) }
+
+// writeCatalog writes catalog.json: names, indexes and the dense
+// threshold as they stand, and the relationship counts as they stand
+// when withStats is set, else as the file last recorded them. Counts
+// are current only where the stores hold every counted edge (a
+// checkpoint): WAL replay re-counts each edge it re-creates, so counts
+// taken between checkpoints would count those edges twice.
+func (db *DB) writeCatalog(withStats bool) (err error) {
+	db.catalogFileMu.Lock()
+	defer db.catalogFileMu.Unlock()
 	db.catalogMu.RLock()
+	// Cleared under the read lock: a name created after the snapshot
+	// sets it again, and a failed write restores it (below).
+	db.catalogDirty.Store(false)
 	db.statsMu.RLock()
 	db.indexMu.RLock()
 	cf := catalogFile{
 		Labels:         append([]string(nil), db.labels.byID...),
 		RelTypes:       append([]string(nil), db.relTypes.byID...),
 		PropKeys:       append([]string(nil), db.propKeys.byID...),
-		RelStats:       make(map[string]uint64, len(db.relStats)),
+		RelStats:       db.savedRelStats,
 		DenseThreshold: db.cfg.DenseThreshold,
 	}
 	for k := range db.indexes {
 		cf.Indexes = append(cf.Indexes, [2]uint32{uint32(k.label), uint32(k.key)})
 	}
-	for id, n := range db.relStats {
-		cf.RelStats[db.relTypes.name(uint32(id))] = n
+	if withStats {
+		cf.RelStats = make(map[string]uint64, len(db.relStats))
+		for id, n := range db.relStats {
+			cf.RelStats[db.relTypes.name(uint32(id))] = n
+		}
 	}
 	db.indexMu.RUnlock()
 	db.statsMu.RUnlock()
 	db.catalogMu.RUnlock()
+	defer func() {
+		if err != nil {
+			db.catalogDirty.Store(true)
+		} else {
+			db.savedRelStats = cf.RelStats
+		}
+	}()
 
 	data, err := json.MarshalIndent(cf, "", "  ")
 	if err != nil {
@@ -437,22 +480,34 @@ func (db *DB) saveCatalog() error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	return db.fsys.Rename(tmp, db.catalogPath())
+	if err := db.fsys.Rename(tmp, db.catalogPath()); err != nil {
+		return err
+	}
+	db.fsys.SyncDir(db.catalogPath()) // best-effort: rename durability
+	return nil
 }
 
 func (db *DB) indexPath(k indexKey) string {
 	return filepath.Join(db.dir, fmt.Sprintf("index-%d-%d.idx", k.label, k.key))
 }
 
-func (db *DB) loadIndexes() error {
+// loadIndexes opens every index the catalog declares. It returns those
+// with no file yet: declared after the last checkpoint, they hold only
+// what WAL replay adds, and are filled from the label scan after it.
+func (db *DB) loadIndexes() (unsaved []indexKey, err error) {
 	for k := range db.indexes {
+		if f, err := vfs.Open(db.fsys, db.indexPath(k)); err == nil {
+			f.Close()
+		} else if os.IsNotExist(err) {
+			unsaved = append(unsaved, k)
+		}
 		ix, err := idx.OpenHashIndexFS(db.fsys, db.indexPath(k))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		db.indexes[k] = ix
 	}
-	return nil
+	return unsaved, nil
 }
 
 // ---------- catalog API ----------
@@ -539,10 +594,14 @@ func (db *DB) CreateIndex(label graph.TypeID, key graph.AttrID) error {
 	}
 	ix := idx.NewHashIndexFS(db.fsys, db.indexPath(k))
 	db.indexes[k] = ix
+	db.catalogDirty.Store(true)
 	db.indexMu.Unlock()
+	return db.populateIndex(ix, k)
+}
 
-	// Populate from existing nodes.
-	nodes := db.labelScan.Nodes(label)
+// populateIndex adds the key's value on every node of the label to ix.
+func (db *DB) populateIndex(ix *idx.HashIndex, k indexKey) error {
+	nodes := db.labelScan.Nodes(k.label)
 	if nodes == nil {
 		return nil
 	}
@@ -554,7 +613,7 @@ func (db *DB) CreateIndex(label graph.TypeID, key graph.AttrID) error {
 	rd := db.Reader()
 	defer rd.Close()
 	var scanErr error
-	rd.eachNodeProp(ids, key, func(id graph.NodeID, v graph.Value, err error) bool {
+	rd.eachNodeProp(ids, k.key, func(id graph.NodeID, v graph.Value, err error) bool {
 		if err != nil {
 			scanErr = err
 			return false

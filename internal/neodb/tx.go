@@ -130,6 +130,13 @@ func (tx *Tx) Commit() error {
 		tx.releaseIDs()
 		return err
 	}
+	// A name or index created since catalog.json was last written is
+	// made durable before any logged op can refer to it.
+	if db.catalogDirty.Load() {
+		if err := db.writeCatalog(false); err != nil {
+			return fail(err)
+		}
+	}
 	for _, op := range tx.ops {
 		if _, err := db.log.Append(op.kind, op.payload); err != nil {
 			return fail(err)

@@ -320,6 +320,9 @@ func TestChaosDifferential(t *testing.T) {
 				MaxBackoff:  10 * time.Millisecond,
 				FetchSize:   8, // many PULL round-trips: more wire to corrupt
 				Seed:        int64(w + 1),
+				// A garbled length prefix would otherwise leave the
+				// reader waiting for bytes that never come.
+				CallTimeout: 2 * time.Second,
 			})
 			defer cli.Close()
 			engNames := []string{"neo", "sparksee"}

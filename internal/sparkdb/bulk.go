@@ -56,7 +56,7 @@ func (db *DB) NewNodeBatch(typeID graph.TypeID, attrIDs []graph.AttrID, rows int
 		first := makeOID(typeID, ti.nextSeq+1)
 		ti.objects.AddRange(first, first+uint64(allowed)-1)
 		for _, ai := range ais {
-			ai.size(ti.nextSeq + uint64(allowed))
+			ai.size(ti.nextSeq+uint64(allowed), true)
 		}
 		for r := 0; r < allowed; r++ {
 			oid := makeOID(typeID, ti.nextSeq+uint64(r)+1)

@@ -140,64 +140,118 @@ type attrInfo struct {
 	name    string
 	kind    graph.Kind
 	indexed bool
-	// values is the OID→value column: values[seq-1] holds the value of
-	// makeOID(typeID, seq), NilValue when unset. A type's OIDs are dense
-	// and never deleted, so a slice stands where a map would; set counts
-	// its non-nil entries (Save's value count). Single values are read
-	// and written only through get and put; scans range over it in OID
-	// order.
-	values  []graph.Value
+	// The OID→value column, dense over the type's sequence numbers:
+	// slot seq-1 holds the value of makeOID(typeID, seq). A type's OIDs
+	// are never deleted, so slices stand where a map would. The payload
+	// lives in the one slice of the declared kind — ints for int and
+	// bool (0/1), floats, strs — and present has bit seq-1 set when the
+	// slot holds a value; an unset slot holds the zero payload. set
+	// counts the present slots (Save's value count). Single values are
+	// read and written only through get and put; scans run in OID order.
+	present []uint64
+	ints    []int64
+	floats  []float64
+	strs    []string
 	set     int
 	index   map[string]*bitmap.Bitmap // Value.Key() -> OIDs
 	keyVals map[string]graph.Value    // Value.Key() -> Value
 }
 
+// slots returns the column's length, that of its payload slice.
+func (ai *attrInfo) slots() uint64 {
+	switch ai.kind {
+	case graph.KindFloat:
+		return uint64(len(ai.floats))
+	case graph.KindString:
+		return uint64(len(ai.strs))
+	}
+	return uint64(len(ai.ints))
+}
+
+// has reports whether slot i holds a value.
+func (ai *attrInfo) has(i uint64) bool {
+	return i>>6 < uint64(len(ai.present)) && ai.present[i>>6]&(1<<(i&63)) != 0
+}
+
+// slot returns the value in slot i, which is present.
+func (ai *attrInfo) slot(i uint64) graph.Value {
+	switch ai.kind {
+	case graph.KindInt:
+		return graph.IntValue(ai.ints[i])
+	case graph.KindBool:
+		return graph.BoolValue(ai.ints[i] != 0)
+	case graph.KindFloat:
+		return graph.FloatValue(ai.floats[i])
+	}
+	return graph.StringValue(ai.strs[i])
+}
+
 // get returns the value stored for oid: NilValue when unset or when oid
 // is not an object of the attribute's type.
 func (ai *attrInfo) get(oid uint64) graph.Value {
-	if ObjectType(oid) != ai.typeID {
-		return graph.NilValue
-	}
-	if i := seqOf(oid) - 1; i < uint64(len(ai.values)) {
-		return ai.values[i]
+	if i := seqOf(oid) - 1; ObjectType(oid) == ai.typeID && ai.has(i) {
+		return ai.slot(i)
 	}
 	return graph.NilValue
 }
 
 // put stores v for oid, NilValue clearing it, and keeps set in step.
 // The caller has checked that oid is a live object of the attribute's
-// type, which bounds the column by the type's sequence counter.
+// type, which bounds the column by the type's sequence counter, and
+// that v is nil or of the declared kind.
 func (ai *attrInfo) put(oid uint64, v graph.Value) {
 	i := seqOf(oid) - 1
-	if i >= uint64(len(ai.values)) {
+	if i >= ai.slots() {
 		if v.IsNil() {
 			return
 		}
-		ai.values = append(ai.values, make([]graph.Value, i+1-uint64(len(ai.values)))...)
+		ai.size(i+1, false)
 	}
-	if old := ai.values[i]; old.IsNil() != v.IsNil() {
+	if ai.has(i) != !v.IsNil() {
+		ai.present[i>>6] ^= 1 << (i & 63)
 		if v.IsNil() {
 			ai.set--
 		} else {
 			ai.set++
 		}
 	}
-	ai.values[i] = v
+	switch ai.kind {
+	case graph.KindFloat:
+		ai.floats[i] = v.Float()
+	case graph.KindString:
+		ai.strs[i] = v.Str()
+	default:
+		ai.ints[i] = v.Int()
+	}
 }
 
-// size lengthens the column to n entries at exactly that capacity, for
-// callers that know how many objects the type is about to hold.
-func (ai *attrInfo) size(n uint64) {
-	if n <= uint64(len(ai.values)) {
-		return
+// size lengthens the column to n slots. exact allocates exactly n, for
+// callers that know how many objects the type is about to hold; else
+// the column grows by append.
+func (ai *attrInfo) size(n uint64, exact bool) {
+	switch ai.kind {
+	case graph.KindFloat:
+		ai.floats = lengthened(ai.floats, n, exact)
+	case graph.KindString:
+		ai.strs = lengthened(ai.strs, n, exact)
+	default:
+		ai.ints = lengthened(ai.ints, n, exact)
 	}
-	if n <= uint64(cap(ai.values)) {
-		ai.values = ai.values[:n]
-		return
+	ai.present = lengthened(ai.present, (n+63)/64, exact)
+}
+
+// lengthened returns s extended with zeros to n entries, reallocated at
+// exactly n when exact and its capacity is short.
+func lengthened[T any](s []T, n uint64, exact bool) []T {
+	switch {
+	case n <= uint64(len(s)):
+		return s
+	case exact && n > uint64(cap(s)):
+		col := make([]T, n)
+		copy(col, s)
+		return col
 	}
-	col := make([]graph.Value, n)
-	copy(col, ai.values)
-	ai.values = col
+	return append(s, make([]T, n-uint64(len(s)))...)
 }
 
 // New creates an empty database.
@@ -551,7 +605,17 @@ func (db *DB) GetAttribute(oid uint64, attr graph.AttrID) graph.Value {
 	if ai == nil {
 		return graph.NilValue
 	}
-	return ai.get(oid)
+	// ai.get(oid), inlined by hand, with int, the common kind, read
+	// ahead of slot's switch: the call and the switch would cost this
+	// per-OID read path about a sixth (BenchmarkGetInts/per-oid).
+	i := seqOf(oid) - 1
+	if ObjectType(oid) != ai.typeID || !ai.has(i) {
+		return graph.NilValue
+	}
+	if ai.kind == graph.KindInt {
+		return graph.IntValue(ai.ints[i])
+	}
+	return ai.slot(i)
 }
 
 // GetInts appends to dst the integer value of attr on each of oids, in
@@ -563,10 +627,15 @@ func (db *DB) GetInts(oids []uint64, attr graph.AttrID, dst []int64) []int64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	ai := db.attrInfo(attr)
+	if ai == nil || (ai.kind != graph.KindInt && ai.kind != graph.KindBool) {
+		return append(dst, make([]int64, len(oids))...)
+	}
+	// An unset slot holds 0, so the payload is read without its
+	// presence bit.
 	for _, oid := range oids {
 		var v int64
-		if ai != nil {
-			v = ai.get(oid).Int()
+		if i := seqOf(oid) - 1; ObjectType(oid) == ai.typeID && i < uint64(len(ai.ints)) {
+			v = ai.ints[i]
 		}
 		dst = append(dst, v)
 	}

@@ -1,6 +1,11 @@
 package sparkdb
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+
+	"twigraph/internal/graph"
+)
 
 // IntegrityReport is the result of a structural integrity check. Total
 // counts every violation found; Violations holds the first
@@ -206,19 +211,35 @@ func (db *DB) checkEdgeType(r *IntegrityReport, ti *typeInfo) {
 }
 
 func (db *DB) checkAttr(r *IntegrityReport, ai *attrInfo) {
+	// A typed slot cannot hold another kind; what can go wrong is
+	// presence against payload: an unset slot must hold the zero
+	// payload, and the presence bits must number set, none past the
+	// column's end.
+	n := ai.slots()
+	if words := uint64(len(ai.present)); words != (n+63)/64 {
+		r.addf("attr %s: %d presence words for %d slots", ai.name, words, n)
+	}
+	bitsSet := 0
+	for _, w := range ai.present {
+		bitsSet += bits.OnesCount64(w)
+	}
+	if bitsSet != ai.set {
+		r.addf("attr %s: %d presence bits but set count %d", ai.name, bitsSet, ai.set)
+	}
 	set := 0
-	for i, v := range ai.values {
-		if v.IsNil() {
+	for i := uint64(0); i < n; i++ {
+		if !ai.has(i) {
+			if !ai.zeroPayload(i) {
+				r.addf("attr %s: unset seq %d holds a payload", ai.name, i+1)
+			}
 			continue
 		}
+		v := ai.slot(i)
 		set++
 		r.Attrs++
-		oid := makeOID(ai.typeID, uint64(i+1))
+		oid := makeOID(ai.typeID, i+1)
 		if !db.live(oid) {
 			r.addf("attr %s: value on dead object %d", ai.name, oid)
-		}
-		if v.Kind() != ai.kind {
-			r.addf("attr %s: object %d holds kind %v, declared %v", ai.name, oid, v.Kind(), ai.kind)
 		}
 		if ai.indexed {
 			if b := ai.index[v.Key()]; b == nil || !b.Contains(oid) {
@@ -258,4 +279,15 @@ func (db *DB) checkAttr(r *IntegrityReport, ai *attrInfo) {
 	if len(ai.keyVals) != len(ai.index) {
 		r.addf("attr %s: %d value records for %d posting lists", ai.name, len(ai.keyVals), len(ai.index))
 	}
+}
+
+// zeroPayload reports whether slot i holds its kind's zero payload.
+func (ai *attrInfo) zeroPayload(i uint64) bool {
+	switch ai.kind {
+	case graph.KindFloat:
+		return ai.floats[i] == 0
+	case graph.KindString:
+		return ai.strs[i] == ""
+	}
+	return ai.ints[i] == 0
 }

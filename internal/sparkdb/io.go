@@ -172,14 +172,14 @@ func (db *DB) save(w io.Writer) error {
 		// The column is in ascending OID order, so repeated saves of the
 		// same database are byte-identical (the import determinism tests
 		// compare images).
-		for i, v := range ai.values {
-			if v.IsNil() {
+		for i := uint64(0); i < ai.slots(); i++ {
+			if !ai.has(i) {
 				continue
 			}
-			if err := put64(makeOID(ai.typeID, uint64(i+1))); err != nil {
+			if err := put64(makeOID(ai.typeID, i+1)); err != nil {
 				return err
 			}
-			if err := graph.WriteValue(w, v); err != nil {
+			if err := graph.WriteValue(w, ai.slot(i)); err != nil {
 				return err
 			}
 		}
@@ -407,7 +407,7 @@ func (db *DB) load(r *imageReader) error {
 		ai := db.attrs[aid-1]
 		ti := db.typeInfo(ai.typeID)
 		if nVals > 0 {
-			ai.size(ti.nextSeq)
+			ai.size(ti.nextSeq, true)
 		}
 		// Values arrive in ascending OID order on objects of the
 		// attribute's type; anything else is corruption, caught before
@@ -429,6 +429,9 @@ func (db *DB) load(r *imageReader) error {
 			}
 			if v.IsNil() {
 				return fmt.Errorf("%s value on %#x is nil", name, oid)
+			}
+			if v.Kind() != ai.kind {
+				return fmt.Errorf("%s value on %#x is %v, declared %v", name, oid, v.Kind(), ai.kind)
 			}
 			ai.put(oid, v)
 			if indexed {

@@ -3,6 +3,8 @@ package sparkdb
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"twigraph/internal/bitmap"
 	"twigraph/internal/graph"
@@ -162,19 +164,59 @@ func (db *DB) Select(attr graph.AttrID, op CompareOp, v graph.Value) *Objects {
 	}
 	// Full column scan in OID order: one fetch per set value compared.
 	db.cBitmapScan.Inc()
-	out := bitmap.New()
-	var compared uint64
-	for i, val := range ai.values {
-		if val.IsNil() {
-			continue
+	db.cFetches.Add(uint64(ai.set))
+	// hits has bit seq set for each matching slot seq-1: the matching
+	// OIDs as a bitset over the type's OID range.
+	hits := make([]uint64, (ai.slots()+64)/64)
+	if ai.kind == graph.KindInt && v.Kind() == graph.KindInt {
+		// int64 against int64: Compare's order is the integers' own,
+		// so the predicate is a range test on the payload.
+		lo, hi, neg := intRange(op, v.Int())
+		for w, word := range ai.present {
+			for ; word != 0; word &= word - 1 {
+				i := uint64(w)<<6 | uint64(bits.TrailingZeros64(word))
+				if x := ai.ints[i]; (lo <= x && x <= hi) != neg {
+					hits[(i+1)>>6] |= 1 << ((i + 1) & 63)
+				}
+			}
 		}
-		compared++
-		if matchOp(val.Compare(v), op) {
-			out.Add(makeOID(ai.typeID, uint64(i+1)))
+	} else {
+		for i := uint64(0); i < ai.slots(); i++ {
+			if ai.has(i) && matchOp(ai.slot(i).Compare(v), op) {
+				hits[(i+1)>>6] |= 1 << ((i + 1) & 63)
+			}
 		}
 	}
-	db.cFetches.Add(compared)
-	return db.newObjects(out)
+	return db.newObjects(bitmap.FromWords(makeOID(ai.typeID, 0), hits))
+}
+
+// intRange states `x op v` on int64s as lo <= x <= hi, negated when neg
+// is set. An operator that no integer satisfies gives lo > hi.
+func intRange(op CompareOp, v int64) (lo, hi int64, neg bool) {
+	lo, hi = math.MinInt64, math.MaxInt64
+	switch op {
+	case Eq:
+		return v, v, false
+	case NotEq:
+		return v, v, true
+	case Greater:
+		if v == math.MaxInt64 {
+			return 1, 0, false
+		}
+		lo = v + 1
+	case GreaterEq:
+		lo = v
+	case Less:
+		if v == math.MinInt64 {
+			return 1, 0, false
+		}
+		hi = v - 1
+	case LessEq:
+		hi = v
+	default:
+		return 1, 0, false
+	}
+	return lo, hi, false
 }
 
 func matchOp(cmp int, op CompareOp) bool {

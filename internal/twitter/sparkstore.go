@@ -3,6 +3,7 @@ package twitter
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -168,7 +169,7 @@ func (s *SparkStore) intsOf(objs *sparkdb.Objects, attr graph.AttrID) []int64 {
 		return true
 	})
 	out := s.db.GetInts(oids, attr, make([]int64, 0, len(oids)))
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -508,9 +509,21 @@ func (s *SparkStore) countSharded(q *runningQuery, items []uint64, visit func(it
 // topN materialises the counting map and ranks it — the client-side
 // ranking Sparksee forces on its users.
 func (s *SparkStore) topN(counts map[uint64]int64, n int) []Counted {
+	oids := make([]uint64, 0, len(counts))
 	out := make([]Counted, 0, len(counts))
 	for oid, c := range counts {
-		out = append(out, Counted{ID: s.uidOf(oid), Count: c})
+		oids = append(oids, oid)
+		out = append(out, Counted{Count: c})
+	}
+	return s.rankUIDs(oids, out, n)
+}
+
+// rankUIDs sets out[i].ID to the uid of the candidate user oids[i], all
+// read with one GetInts call, and keeps the first n of out by count
+// then uid.
+func (s *SparkStore) rankUIDs(oids []uint64, out []Counted, n int) []Counted {
+	for i, uid := range s.db.GetInts(oids, s.uidAttr, make([]int64, 0, len(oids))) {
+		out[i].ID = uid
 	}
 	return firstN(out, n, byCountThenID)
 }

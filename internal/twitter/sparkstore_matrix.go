@@ -69,15 +69,17 @@ func (s *SparkStore) twoHopGather(q *runningQuery, first, second spmat.Source, a
 // excluded columns (the anchor itself, already-followed users). The
 // accumulator is recycled.
 func (s *SparkStore) topNAccum(acc *spmat.Accum, n int, skip func(col uint64) bool) []Counted {
+	cols := make([]uint64, 0, acc.Len())
 	out := make([]Counted, 0, acc.Len())
 	acc.ForEach(func(col uint64, c int64) {
 		if skip != nil && skip(col) {
 			return
 		}
-		out = append(out, Counted{ID: s.uidOf(col), Count: c})
+		cols = append(cols, col)
+		out = append(out, Counted{Count: c})
 	})
 	s.accPool.Put(acc)
-	return firstN(out, n, byCountThenID)
+	return s.rankUIDs(cols, out, n)
 }
 
 // coMentionedMatrix is Q3.1 algebraically: frontier = the tweets
