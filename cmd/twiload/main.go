@@ -30,15 +30,13 @@ func main() {
 	out := flag.String("out", "dbs", "output directory for the store files")
 	batch := flag.Int("batch", 100000, "pipeline batch size and progress sampling granularity (rows)")
 	workers := flag.Int("workers", 0, "import pipeline workers (0 = GOMAXPROCS, 1 = serial)")
-	groupCommit := flag.Bool("group-commit", false, "neo: WAL group commit, one fsync per batch (crash recovers whole batches)")
 	cache := flag.Int64("spark-cache", 0, "sparksee extent-cache bytes (0 = script default, 5 GiB)")
 	materialize := flag.Bool("materialize", false, "sparksee: materialise neighbor indexes during import")
 	verify := flag.Bool("verify", false, "run a structural integrity check on each store after import")
-	spill := flag.Bool("spill", false, "neo: spill import id maps to sorted disk segments after the node phase")
 	flag.Parse()
 
 	if *engine == "neo" || *engine == "both" {
-		if err := loadNeo(*csvDir, filepath.Join(*out, "neo"), *batch, *workers, *groupCommit, *verify, *spill); err != nil {
+		if err := loadNeo(*csvDir, filepath.Join(*out, "neo"), *batch, *workers, *verify); err != nil {
 			fmt.Fprintln(os.Stderr, "twiload:", err)
 			os.Exit(1)
 		}
@@ -84,13 +82,9 @@ func dirBytes(dir string) int64 {
 	return total
 }
 
-func loadNeo(csvDir, dbDir string, batch, workers int, groupCommit, verify, spill bool) error {
+func loadNeo(csvDir, dbDir string, batch, workers int, verify bool) error {
 	fmt.Printf("== importing into the Neo4j-analog at %s ==\n", dbDir)
-	cfg := neodb.Config{ImportWorkers: workers, ImportGroupCommit: groupCommit}
-	if spill {
-		cfg.ImportSpillDir = dbDir
-	}
-	res, err := load.BuildNeo(csvDir, dbDir, cfg, batch)
+	res, err := load.BuildNeo(csvDir, dbDir, neodb.Config{ImportWorkers: workers}, batch)
 	if err != nil {
 		return err
 	}
@@ -103,12 +97,8 @@ func loadNeo(csvDir, dbDir string, batch, workers int, groupCommit, verify, spil
 		r.Nodes, r.Edges, r.NodePhase, r.DensePhase, r.EdgePhase, r.IndexPhase, r.Total)
 	fmt.Printf("throughput: nodes %s | edges %s | overall %s (wall %v)\n",
 		rate(r.Nodes, r.NodePhase), rate(r.Edges, r.EdgePhase), rate(r.Nodes+r.Edges, r.Total), r.Total)
-	spilledNote := ""
-	if r.Spilled {
-		spilledNote = " (spilled to disk)"
-	}
-	fmt.Printf("store: nodes %d, edges %d, store bytes %d, id-map bytes %d%s, peak heap %d\n",
-		r.Nodes, r.Edges, dirBytes(dbDir), r.IDMapBytes, spilledNote, peakHeapBytes())
+	fmt.Printf("store: nodes %d, edges %d, store bytes %d, id-map bytes %d, peak heap %d\n",
+		r.Nodes, r.Edges, dirBytes(dbDir), r.IDMapBytes, peakHeapBytes())
 	printStoreFiles(dbDir)
 	fmt.Println()
 	if verify {

@@ -168,34 +168,13 @@ func (ix *HashIndex) ForEach(fn func(v graph.Value, ids *bitmap.Bitmap) bool) {
 	}
 }
 
-// Sync writes the snapshot to the index path, fsyncing the temp file
-// before renaming it into place.
+// Sync replaces the snapshot at the index path atomically
+// (vfs.WriteFileAtomic).
 func (ix *HashIndex) Sync() error {
 	if ix.path == "" {
 		return nil
 	}
-	tmp := ix.path + ".tmp"
-	f, err := vfs.Create(ix.fsys, tmp)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	if err := ix.save(w); err != nil {
-		f.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return ix.fsys.Rename(tmp, ix.path)
+	return vfs.WriteFileAtomic(ix.fsys, ix.path, ix.save)
 }
 
 // Snapshot format: count, then per entry a serialised value and bitmap.

@@ -7,6 +7,7 @@ import (
 
 	"twigraph/internal/bitmap"
 	"twigraph/internal/graph"
+	"twigraph/internal/vfs"
 )
 
 func TestHashIndexAddLookupRemove(t *testing.T) {
@@ -237,5 +238,46 @@ func TestMemoryOnlySyncIsNoop(t *testing.T) {
 	}
 	if err := NewLabelScan("").Sync(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSnapshotSyncSurvivesCrash replaces an older label-scan and index
+// snapshot with Sync, crashes, and reloads: the new contents must be
+// read back. Sync returning is a checkpoint's promise that the snapshot
+// is durable, so its rename must be made durable too (the directory
+// fsync), not only the temp file's bytes.
+func TestSnapshotSyncSurvivesCrash(t *testing.T) {
+	ffs := vfs.NewFaultFS()
+	ls := NewLabelScanFS(ffs, "/db/labels.idx")
+	ix := NewHashIndexFS(ffs, "/db/index-1-1.idx")
+	ls.Add(1, 10)
+	ix.Add(graph.IntValue(1), 10)
+	for _, s := range []interface{ Sync() error }{ls, ix} {
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ls.Add(1, 11)
+	ix.Add(graph.IntValue(2), 11)
+	for _, s := range []interface{ Sync() error }{ls, ix} {
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ffs.Crash()
+
+	ls2, err := OpenLabelScanFS(ffs, "/db/labels.idx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ls2.Count(1); n != 2 {
+		t.Errorf("label scan after crash holds %d nodes, want the new snapshot's 2", n)
+	}
+	ix2, err := OpenHashIndexFS(ffs, "/db/index-1-1.idx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := ix2.Lookup(graph.IntValue(2)); b == nil || !b.Contains(11) {
+		t.Errorf("index after crash lacks the new snapshot's entry 2 -> 11: %v", b)
 	}
 }

@@ -111,34 +111,12 @@ func (ls *LabelScan) Count(label graph.TypeID) int {
 	return 0
 }
 
-// Sync writes the snapshot to disk, fsyncing the temp file before
-// renaming it into place.
+// Sync replaces the snapshot on disk atomically (vfs.WriteFileAtomic).
 func (ls *LabelScan) Sync() error {
 	if ls.path == "" {
 		return nil
 	}
-	tmp := ls.path + ".tmp"
-	f, err := vfs.Create(ls.fsys, tmp)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	if err := ls.save(w); err != nil {
-		f.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return ls.fsys.Rename(tmp, ls.path)
+	return vfs.WriteFileAtomic(ls.fsys, ls.path, ls.save)
 }
 
 func (ls *LabelScan) save(w io.Writer) error {

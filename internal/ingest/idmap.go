@@ -1,12 +1,6 @@
 package ingest
 
-import (
-	"encoding/binary"
-	"fmt"
-	"os"
-	"sort"
-	"sync"
-)
+import "sync"
 
 // idMapShards is the fixed shard count of an IDMap. Power of two so the
 // shard pick is a mask.
@@ -19,9 +13,6 @@ const idMapShards = 64
 // may run concurrently.
 type IDMap struct {
 	shards [idMapShards]idMapShard
-
-	segMu sync.RWMutex
-	seg   *spillSegment // sorted on-disk overflow, nil until Spill
 }
 
 type idMapShard struct {
@@ -52,26 +43,16 @@ func (im *IDMap) Put(key int64, id uint64) {
 	s.mu.Unlock()
 }
 
-// Get resolves key, reporting whether it is present. In-memory entries
-// win over a spilled segment (they are newer).
+// Get resolves key, reporting whether it is present.
 func (im *IDMap) Get(key int64) (uint64, bool) {
 	s := im.shardFor(key)
 	s.mu.RLock()
 	id, ok := s.m[key]
 	s.mu.RUnlock()
-	if ok {
-		return id, true
-	}
-	im.segMu.RLock()
-	seg := im.seg
-	im.segMu.RUnlock()
-	if seg != nil {
-		return seg.get(key)
-	}
-	return 0, false
+	return id, ok
 }
 
-// Len returns the number of stored keys (in memory plus spilled).
+// Len returns the number of stored keys.
 func (im *IDMap) Len() int {
 	n := 0
 	for i := range im.shards {
@@ -80,11 +61,6 @@ func (im *IDMap) Len() int {
 		n += len(s.m)
 		s.mu.RUnlock()
 	}
-	im.segMu.RLock()
-	if im.seg != nil {
-		n += im.seg.n
-	}
-	im.segMu.RUnlock()
 	return n
 }
 
@@ -93,175 +69,5 @@ func (im *IDMap) Len() int {
 // overflow pointers at Go's ~6.5-entries-per-8-slot-bucket load factor.
 const idMapBytesPerEntry = 32
 
-// MemBytes estimates the map's in-memory footprint. Spilled entries
-// cost nothing here — that is the point of spilling.
-func (im *IDMap) MemBytes() int {
-	n := 0
-	for i := range im.shards {
-		s := &im.shards[i]
-		s.mu.RLock()
-		n += len(s.m)
-		s.mu.RUnlock()
-	}
-	return n * idMapBytesPerEntry
-}
-
-// Spill freezes the map's current entries into a sorted fixed-width
-// segment file at path and releases the in-memory shards. Get falls
-// back to an O(log n) binary search over the file (16-byte records,
-// read via ReadAt — safe for the edge phase's concurrent resolvers);
-// later Puts land in memory again and shadow the segment. Spilling a
-// map that already has a segment merges into a new file.
-//
-// The node phase of an import is the intended call site: each label's
-// map is fully built before any edge phase reads it, so spilling
-// between the phases caps the resolver's memory at one segment's page
-// cache instead of a giant map.
-func (im *IDMap) Spill(path string) error {
-	im.segMu.Lock()
-	defer im.segMu.Unlock()
-
-	type kv struct {
-		k int64
-		v uint64
-	}
-	entries := make([]kv, 0, im.memLenLocked())
-	for i := range im.shards {
-		s := &im.shards[i]
-		s.mu.Lock()
-		for k, v := range s.m {
-			entries = append(entries, kv{k, v})
-		}
-		s.m = make(map[int64]uint64)
-		s.mu.Unlock()
-	}
-	if old := im.seg; old != nil {
-		// Merge the previous segment under the fresh entries (memory is
-		// newer, so on key collision the map entry wins).
-		seenNew := make(map[int64]bool, len(entries))
-		for _, e := range entries {
-			seenNew[e.k] = true
-		}
-		if err := old.forEach(func(k int64, v uint64) {
-			if !seenNew[k] {
-				entries = append(entries, kv{k, v})
-			}
-		}); err != nil {
-			return err
-		}
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].k < entries[j].k })
-
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, 0, 1<<16)
-	for _, e := range entries {
-		var rec [16]byte
-		binary.LittleEndian.PutUint64(rec[0:8], uint64(e.k))
-		binary.LittleEndian.PutUint64(rec[8:16], e.v)
-		buf = append(buf, rec[:]...)
-		if len(buf) >= 1<<16 {
-			if _, err := f.Write(buf); err != nil {
-				f.Close()
-				return err
-			}
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		if _, err := f.Write(buf); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if old := im.seg; old != nil {
-		old.close()
-	}
-	im.seg = &spillSegment{f: f, n: len(entries)}
-	return nil
-}
-
-// Spilled reports whether the map carries an on-disk segment.
-func (im *IDMap) Spilled() bool {
-	im.segMu.RLock()
-	defer im.segMu.RUnlock()
-	return im.seg != nil
-}
-
-// Close releases the spill segment, if any. The map stays usable as a
-// purely in-memory map afterwards (spilled entries become invisible).
-func (im *IDMap) Close() error {
-	im.segMu.Lock()
-	defer im.segMu.Unlock()
-	if im.seg == nil {
-		return nil
-	}
-	err := im.seg.close()
-	im.seg = nil
-	return err
-}
-
-// memLenLocked counts in-memory entries; caller holds segMu.
-func (im *IDMap) memLenLocked() int {
-	n := 0
-	for i := range im.shards {
-		s := &im.shards[i]
-		s.mu.RLock()
-		n += len(s.m)
-		s.mu.RUnlock()
-	}
-	return n
-}
-
-// spillSegment is a sorted array of (key int64, id uint64) records in
-// a file, searched with ReadAt — no shared file offset, so concurrent
-// Gets need no lock.
-type spillSegment struct {
-	f *os.File
-	n int
-}
-
-const spillRecBytes = 16
-
-func (sg *spillSegment) readRec(i int) (int64, uint64, error) {
-	var rec [spillRecBytes]byte
-	if _, err := sg.f.ReadAt(rec[:], int64(i)*spillRecBytes); err != nil {
-		return 0, 0, err
-	}
-	return int64(binary.LittleEndian.Uint64(rec[0:8])), binary.LittleEndian.Uint64(rec[8:16]), nil
-}
-
-func (sg *spillSegment) get(key int64) (uint64, bool) {
-	lo, hi := 0, sg.n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		k, v, err := sg.readRec(mid)
-		if err != nil {
-			return 0, false
-		}
-		switch {
-		case k == key:
-			return v, true
-		case k < key:
-			lo = mid + 1
-		default:
-			hi = mid
-		}
-	}
-	return 0, false
-}
-
-func (sg *spillSegment) forEach(fn func(k int64, v uint64)) error {
-	for i := 0; i < sg.n; i++ {
-		k, v, err := sg.readRec(i)
-		if err != nil {
-			return fmt.Errorf("ingest: reading spill segment: %w", err)
-		}
-		fn(k, v)
-	}
-	return nil
-}
-
-func (sg *spillSegment) close() error { return sg.f.Close() }
+// MemBytes estimates the map's heap footprint.
+func (im *IDMap) MemBytes() int { return im.Len() * idMapBytesPerEntry }

@@ -38,9 +38,6 @@ const (
 	HResolveNanos = "import_resolve_nanos"
 	// HApplyNanos times the ordered apply of one batch (caller side).
 	HApplyNanos = "import_apply_nanos"
-	// CWALGroupCommits counts group-commit fsyncs: one per applied
-	// batch when a WAL-backed engine imports in group-commit mode.
-	CWALGroupCommits = "wal_group_commits"
 )
 
 // DefaultBatchRows is the pipeline batch size when Options.BatchRows

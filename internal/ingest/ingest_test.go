@@ -225,4 +225,7 @@ func TestIDMap(t *testing.T) {
 	if im.Len() != 12_000 {
 		t.Fatalf("len after concurrent phase = %d", im.Len())
 	}
+	if got, want := im.MemBytes(), 12_000*idMapBytesPerEntry; got != want {
+		t.Errorf("MemBytes = %d, want %d", got, want)
+	}
 }

@@ -52,46 +52,6 @@ func TestNeoImportDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestNeoImportDeterministicWithGroupCommit runs the same differential
-// with WAL group commit enabled on the parallel side: the redo-logged
-// bulk path must land the exact bytes the classic checkpoint path does.
-func TestNeoImportDeterministicWithGroupCommit(t *testing.T) {
-	csvDir, _ := generate(t, smallCfg())
-	type variant struct {
-		name string
-		cfg  neodb.Config
-	}
-	variants := []variant{
-		{"classic-w1", neodb.Config{CachePages: 256, ImportWorkers: 1}},
-		{"groupcommit-w8", neodb.Config{CachePages: 256, ImportWorkers: 8, ImportGroupCommit: true}},
-	}
-	dirs := map[string]string{}
-	for _, v := range variants {
-		dbDir := filepath.Join(t.TempDir(), v.name)
-		res, err := BuildNeo(csvDir, dbDir, v.cfg, 50)
-		if err != nil {
-			t.Fatalf("%s: %v", v.name, err)
-		}
-		if err := res.Store.Close(); err != nil {
-			t.Fatalf("%s close: %v", v.name, err)
-		}
-		dirs[v.name] = dbDir
-	}
-	for _, name := range storeFiles {
-		a, err := os.ReadFile(filepath.Join(dirs["classic-w1"], name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(filepath.Join(dirs["groupcommit-w8"], name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s differs between classic serial and group-commit parallel import", name)
-		}
-	}
-}
-
 // TestSparkImportDeterministicAcrossWorkers does the sparkdb half of the
 // differential: the persisted image after a serial load and after an
 // 8-worker load must match byte-for-byte. This exercises both the

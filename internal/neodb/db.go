@@ -25,6 +25,7 @@ package neodb
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -53,7 +54,6 @@ const (
 	CDenseGroupScans  = "dense_group_scans"
 	CQueriesCancelled = "queries_cancelled"
 	CQueriesTimedOut  = "queries_timed_out"
-	CWALGroupCommits  = "wal_group_commits"
 )
 
 // Config tunes an engine instance.
@@ -78,17 +78,6 @@ type Config struct {
 	// count: 0 means GOMAXPROCS, 1 forces the serial path. The final
 	// stores are byte-identical at any setting.
 	ImportWorkers int
-	// ImportGroupCommit redo-logs each import batch as one WAL frame
-	// followed by one fsync, making completed batches durable during the
-	// import. Off by default: the classic import path defers all
-	// durability to the final checkpoint, and a crash mid-import is
-	// detected by integrity checks rather than recovered.
-	ImportGroupCommit bool
-	// ImportSpillDir, when set, spills each label's external-id map to a
-	// sorted segment file in that directory after its node phase, so the
-	// edge phase resolves endpoints by binary-searching disk instead of
-	// holding every id in memory — the paper-scale ingest path.
-	ImportSpillDir string
 }
 
 // DefaultCachePages gives each store file a 32 MiB cache by default.
@@ -308,7 +297,10 @@ func Open(dir string, cfg Config) (*DB, error) {
 		return nil, err
 	}
 	if err = db.recover(); err != nil {
-		db.Close()
+		// Not Close: its checkpoint would truncate the WAL, and the next
+		// Open would skip the frame this replay refused.
+		db.log.Close()
+		db.closePartial()
 		return nil, err
 	}
 	for _, k := range unsaved {
@@ -464,27 +456,10 @@ func (db *DB) writeCatalog(withStats bool) (err error) {
 	if err != nil {
 		return err
 	}
-	tmp := db.catalogPath() + ".tmp"
-	f, err := db.fsys.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	return vfs.WriteFileAtomic(db.fsys, db.catalogPath(), func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := db.fsys.Rename(tmp, db.catalogPath()); err != nil {
-		return err
-	}
-	db.fsys.SyncDir(db.catalogPath()) // best-effort: rename durability
-	return nil
+	})
 }
 
 func (db *DB) indexPath(k indexKey) string {

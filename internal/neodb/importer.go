@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"twigraph/internal/graph"
 	"twigraph/internal/ingest"
 	"twigraph/internal/obs"
+	"twigraph/internal/storage"
 )
 
 // This file implements the batch import tool, the analogue of
@@ -28,10 +30,9 @@ import (
 // parsing and value decoding happen on worker goroutines while record
 // application stays on the calling goroutine in file order, so the
 // final stores are byte-identical at any Config.ImportWorkers setting.
-// With Config.ImportGroupCommit set, every applied batch is first
-// redo-logged as a single WAL frame and fsynced once (group commit), so
-// a crash mid-import recovers every completed batch instead of relying
-// on integrity checks alone.
+// Like neo4j-import, it writes no WAL: durability comes only from the
+// final checkpoint, and a crash mid-import is detected by integrity
+// checks, not recovered.
 
 // ColumnSpec declares one CSV property column.
 type ColumnSpec struct {
@@ -77,11 +78,8 @@ type ImportReport struct {
 	Total        time.Duration
 	// IDMapBytes is the estimated heap held by the external-id maps at
 	// the end of the node phase — the resolver state the edge phase
-	// needs, and what ImportSpillDir trades for disk.
+	// needs.
 	IDMapBytes int
-	// Spilled reports whether that state was released to sorted on-disk
-	// segments (ImportSpillDir) before the edge phase ran.
-	Spilled bool
 }
 
 // Importer is the batch import tool. It must be used on a freshly
@@ -92,35 +90,29 @@ type Importer struct {
 	progress    func(ProgressPoint)
 	interleaved bool
 	workers     int
-	groupCommit bool
 
 	hParse, hResolve, hApply *obs.Histogram
-	cGroupCommits            *obs.Counter
 
-	idMaps   map[string]*ingest.IDMap // label -> external id -> node id
-	spillDir string                   // non-empty: spill id maps after the node phase
+	idMaps map[string]*ingest.IDMap // label -> external id -> node id
 }
 
 // NewImporter creates an importer for db. progress may be nil;
 // batchRows controls both the pipeline batch size and progress sampling
-// granularity (default 100k rows). Worker count and group commit come
-// from the database Config.
+// granularity (default 100k rows). The worker count comes from the
+// database Config.
 func (db *DB) NewImporter(batchRows int, progress func(ProgressPoint)) *Importer {
 	if batchRows <= 0 {
 		batchRows = 100_000
 	}
 	return &Importer{
-		db:            db,
-		batchRows:     batchRows,
-		progress:      progress,
-		workers:       db.cfg.ImportWorkers,
-		groupCommit:   db.cfg.ImportGroupCommit,
-		hParse:        db.reg.Histogram(ingest.HParseNanos),
-		hResolve:      db.reg.Histogram(ingest.HResolveNanos),
-		hApply:        db.reg.Histogram(ingest.HApplyNanos),
-		cGroupCommits: db.reg.Counter(CWALGroupCommits),
-		idMaps:        make(map[string]*ingest.IDMap),
-		spillDir:      db.cfg.ImportSpillDir,
+		db:        db,
+		batchRows: batchRows,
+		progress:  progress,
+		workers:   db.cfg.ImportWorkers,
+		hParse:    db.reg.Histogram(ingest.HParseNanos),
+		hResolve:  db.reg.Histogram(ingest.HResolveNanos),
+		hApply:    db.reg.Histogram(ingest.HApplyNanos),
+		idMaps:    make(map[string]*ingest.IDMap),
 	}
 }
 
@@ -136,54 +128,37 @@ func (imp *Importer) batchOptions() ingest.Options {
 	}
 }
 
-// logBatch makes one applied batch durable: one WAL frame, one fsync.
-func (imp *Importer) logBatch(kind uint8, payload []byte) error {
-	if _, err := imp.db.log.Append(kind, payload); err != nil {
-		return err
-	}
-	if err := imp.db.log.Sync(); err != nil {
-		return err
-	}
-	imp.cGroupCommits.Inc()
-	return nil
-}
-
 // Run imports all node files, performs the dense-node step, imports all
 // edge files, and builds indexes on the id columns of every node spec.
 func (imp *Importer) Run(nodeSpecs []NodeSpec, edgeSpecs []EdgeSpec) (ImportReport, error) {
 	var rep ImportReport
 	start := time.Now()
 
-	// Background flusher: concurrent, continuous disk writes. Group
-	// commit must not run it — recovery semantics depend on no store
-	// page becoming durable before the final checkpoint, so the WAL is
-	// the only file synced while the import is in flight.
-	if !imp.groupCommit {
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ticker := time.NewTicker(100 * time.Millisecond)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-ticker.C:
-					// Best-effort: flush errors surface later at Sync.
-					imp.db.nodes.Sync()
-					imp.db.rels.Sync()
-					imp.db.props.Sync()
-					imp.db.strs.Sync()
-				}
+	// Background flusher: concurrent, continuous disk writes.
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		ticker := time.NewTicker(100 * time.Millisecond)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-ticker.C:
+				// Best-effort: flush errors surface later at Sync.
+				imp.db.nodes.Sync()
+				imp.db.rels.Sync()
+				imp.db.props.Sync()
+				imp.db.strs.Sync()
 			}
-		}()
-		defer func() {
-			close(stop)
-			wg.Wait()
-		}()
-	}
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
 
 	phaseStart := time.Now()
 	for _, spec := range nodeSpecs {
@@ -193,23 +168,8 @@ func (imp *Importer) Run(nodeSpecs []NodeSpec, edgeSpecs []EdgeSpec) (ImportRepo
 		}
 		rep.Nodes += n
 	}
-	// Resolver memory accounting — and, when configured, the spill to
-	// sorted on-disk segments the edge phase binary-searches instead.
-	for label, m := range imp.idMaps {
+	for _, m := range imp.idMaps {
 		rep.IDMapBytes += m.MemBytes()
-		if imp.spillDir != "" {
-			if err := m.Spill(filepath.Join(imp.spillDir, "idmap-"+label+".seg")); err != nil {
-				return rep, fmt.Errorf("spilling id map for %s: %w", label, err)
-			}
-		}
-	}
-	if imp.spillDir != "" {
-		rep.Spilled = true
-		defer func() {
-			for _, m := range imp.idMaps {
-				m.Close()
-			}
-		}()
 	}
 	rep.NodePhase = time.Since(phaseStart)
 
@@ -279,15 +239,6 @@ func (imp *Importer) importNodes(spec NodeSpec) (int, error) {
 	}
 	idMap := ingest.NewIDMap()
 	imp.idMaps[spec.Label] = idMap
-	// Group-commit frames reference the label and property keys by
-	// catalog id. Persist the name tables before the first frame that
-	// uses them, so a recovery that replays the frames can resolve the
-	// ids it finds (the catalog is otherwise only saved at checkpoints).
-	if imp.groupCommit {
-		if err := imp.db.saveCatalog(); err != nil {
-			return 0, err
-		}
-	}
 
 	ncols := len(spec.Columns)
 	phaseStart := time.Now()
@@ -311,16 +262,10 @@ func (imp *Importer) importNodes(spec NodeSpec) (int, error) {
 		return vals, nil
 	}
 	// Stage 3 (caller goroutine, file order): reserve a contiguous id
-	// extent for the batch, optionally group-commit it to the WAL, then
-	// write the records.
+	// extent for the batch, then write the records.
 	apply := func(batch [][]string, prepped any) error {
 		vals := prepped.([]graph.Value)
 		base := imp.db.nodes.AllocateRun(len(batch))
-		if imp.groupCommit {
-			if err := imp.logBatch(opImportNodes, encodeImportNodes(label, keys, base, len(batch), vals)); err != nil {
-				return err
-			}
-		}
 		for r := range batch {
 			rowVals := vals[r*ncols : (r+1)*ncols]
 			id := graph.NodeID(base + uint64(r))
@@ -416,12 +361,7 @@ func (imp *Importer) denseNodeStep(edgeSpecs []EdgeSpec) error {
 			ids = append(ids, n)
 		}
 	}
-	sortNodeIDs(ids)
-	if imp.groupCommit {
-		if err := imp.logBatch(opImportDense, encodeImportDense(ids)); err != nil {
-			return err
-		}
-	}
+	slices.Sort(ids) // mark order independent of map iteration
 	if err := imp.db.applyImportDense(ids); err != nil {
 		return err
 	}
@@ -437,13 +377,6 @@ func (imp *Importer) importEdges(spec EdgeSpec) (int, error) {
 	dstMap := imp.idMaps[spec.DstLabel]
 	if srcMap == nil || dstMap == nil {
 		return 0, fmt.Errorf("edge %s references unimported labels %s/%s", spec.Type, spec.SrcLabel, spec.DstLabel)
-	}
-	// As in importNodes: make the freshly created relationship type name
-	// durable before any frame references its id.
-	if imp.groupCommit {
-		if err := imp.db.saveCatalog(); err != nil {
-			return 0, err
-		}
 	}
 	phaseStart := time.Now()
 	rows := 0
@@ -478,11 +411,6 @@ func (imp *Importer) importEdges(spec EdgeSpec) (int, error) {
 	apply := func(batch [][]string, prepped any) error {
 		pairs := prepped.([]graph.NodeID)
 		base := imp.db.rels.AllocateRun(len(batch))
-		if imp.groupCommit {
-			if err := imp.logBatch(opImportRels, encodeImportRels(t, base, pairs)); err != nil {
-				return err
-			}
-		}
 		for r := 0; r < len(batch); r++ {
 			id := graph.EdgeID(base + uint64(r))
 			if err := imp.db.applyCreateRel(id, t, pairs[2*r], pairs[2*r+1]); err != nil {
@@ -502,6 +430,46 @@ func (imp *Importer) importEdges(spec EdgeSpec) (int, error) {
 		imp.progress(ProgressPoint{Phase: "edges", Label: spec.Type, Count: rows, Elapsed: time.Since(phaseStart)})
 	}
 	return rows, nil
+}
+
+// applyImportNodeRow writes one imported node: property chain first
+// (back-to-front so the chain follows column order), then a single node
+// record carrying the chain head, then the label-scan entry.
+func (db *DB) applyImportNodeRow(id graph.NodeID, label graph.TypeID, keys []graph.AttrID, vals []graph.Value) error {
+	var firstProp uint64
+	for i := len(vals) - 1; i >= 0; i-- {
+		kind, payload, err := db.encodePropValue(vals[i])
+		if err != nil {
+			return err
+		}
+		pid := db.props.Allocate()
+		prec := storage.PropRecord{InUse: true, Key: keys[i], Kind: kind, Payload: payload, Next: firstProp}
+		if err := db.props.Put(pid, prec); err != nil {
+			return err
+		}
+		firstProp = pid
+	}
+	if err := db.nodes.Put(id, storage.NodeRecord{InUse: true, Label: label, FirstProp: firstProp}); err != nil {
+		return err
+	}
+	db.labelScan.Add(label, id)
+	return nil
+}
+
+// applyImportDense sets the dense flag on the listed nodes, all of
+// them created by the node phase.
+func (db *DB) applyImportDense(ids []graph.NodeID) error {
+	for _, n := range ids {
+		rec, err := db.nodes.Get(n)
+		if err != nil {
+			return err
+		}
+		rec.Dense = true
+		if err := db.nodes.Put(n, rec); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ---------- CSV plumbing ----------

@@ -46,6 +46,9 @@ func TestImporterFullPipeline(t *testing.T) {
 	if rep.Total <= 0 || rep.NodePhase <= 0 || rep.EdgePhase <= 0 {
 		t.Errorf("phases not timed: %+v", rep)
 	}
+	if rep.IDMapBytes <= 0 {
+		t.Errorf("IDMapBytes not accounted: %+v", rep)
+	}
 
 	// Progress covers all phases.
 	phases := map[string]bool{}
@@ -95,68 +98,6 @@ func TestImporterFullPipeline(t *testing.T) {
 	// Stats populated.
 	if db.RelTypeCount(follows) != 4 {
 		t.Errorf("follows count = %d", db.RelTypeCount(follows))
-	}
-}
-
-// TestImporterSpillEquivalence runs the same import with and without
-// the id-map spill path: the resulting graphs must match and the
-// report must reflect the spill.
-func TestImporterSpillEquivalence(t *testing.T) {
-	csvDir := writeTinyCSVDir(t)
-
-	build := func(spill bool) (*DB, ImportReport) {
-		cfg := Config{CachePages: 64}
-		if spill {
-			cfg.ImportSpillDir = t.TempDir()
-		}
-		db, err := Open(t.TempDir(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { db.Close() })
-		nodes, edges := ImportDirLayout(csvDir)
-		rep, err := db.NewImporter(1, nil).Run(nodes, edges)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return db, rep
-	}
-
-	plain, prep := build(false)
-	spilled, srep := build(true)
-	if prep.Spilled || !srep.Spilled {
-		t.Fatalf("Spilled flags wrong: plain %v, spill %v", prep.Spilled, srep.Spilled)
-	}
-	if prep.IDMapBytes <= 0 || srep.IDMapBytes <= 0 {
-		t.Fatalf("IDMapBytes not accounted: plain %d, spill %d", prep.IDMapBytes, srep.IDMapBytes)
-	}
-	if prep.Nodes != srep.Nodes || prep.Edges != srep.Edges {
-		t.Fatalf("row counts diverge: %+v vs %+v", prep, srep)
-	}
-
-	// Same adjacency either way.
-	for uid := int64(1); uid <= 3; uid++ {
-		for _, db := range []*DB{plain, spilled} {
-			if _, ok := db.FindNode(db.LabelID("user"), db.PropKeyID("uid"), graph.IntValue(uid)); !ok {
-				t.Fatalf("uid %d missing", uid)
-			}
-		}
-		p, _ := plain.FindNode(plain.LabelID("user"), plain.PropKeyID("uid"), graph.IntValue(uid))
-		s, _ := spilled.FindNode(spilled.LabelID("user"), spilled.PropKeyID("uid"), graph.IntValue(uid))
-		pn, err := plain.Neighbors(p, plain.RelTypeID("follows"), graph.Outgoing)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sn, err := spilled.Neighbors(s, spilled.RelTypeID("follows"), graph.Outgoing)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pn.Cardinality() != sn.Cardinality() {
-			t.Fatalf("uid %d followee counts diverge: %d vs %d", uid, pn.Cardinality(), sn.Cardinality())
-		}
-	}
-	if rep := spilled.CheckIntegrity(); !rep.OK() {
-		t.Fatalf("spilled import failed integrity:\n%s", rep)
 	}
 }
 

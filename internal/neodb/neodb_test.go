@@ -3,11 +3,13 @@ package neodb
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"twigraph/internal/graph"
+	"twigraph/internal/wal"
 )
 
 func openTemp(t *testing.T) *DB {
@@ -692,5 +694,49 @@ func TestNodePropRunMatchesNodeProp(t *testing.T) {
 	err := r.NodePropRun(ids[5:15], db.PropKey("a"), make([]graph.Value, 10))
 	if !errors.Is(err, graph.ErrNotFound) {
 		t.Errorf("run over a deleted node: err %v, want ErrNotFound", err)
+	}
+}
+
+// TestOpenRefusesRetiredImportFrame: kinds 16–18 were bulk-import WAL
+// frames that the import no longer writes. A WAL still holding one
+// (left by a crashed import of an older build) must fail Open naming
+// the kind, never be skipped.
+func TestOpenRefusesRetiredImportFrame(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, Config{CachePages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedSocial(t, db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := wal.Open(filepath.Join(dir, "neodb.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.Append(16, []byte{1, 0, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := Open(dir, Config{CachePages: 64})
+	if err == nil {
+		db2.Close()
+		t.Fatal("Open replayed a WAL holding a retired kind-16 frame")
+	}
+	if !strings.Contains(err.Error(), "unknown op kind 16") {
+		t.Fatalf("Open error = %v, want it to name unknown op kind 16", err)
+	}
+	// The failed Open must leave the frame in place: a second Open
+	// refuses it again rather than finding the log checkpointed away.
+	db3, err := Open(dir, Config{CachePages: 64})
+	if err == nil {
+		db3.Close()
+		t.Fatal("second Open succeeded: the failed recovery discarded the WAL")
 	}
 }

@@ -11,7 +11,9 @@ import (
 	"twigraph/internal/storage"
 )
 
-// WAL record kinds.
+// WAL record kinds. Kinds 16–18 were bulk-import frames, which the
+// import no longer writes; they are retired and must not be reused, so
+// a WAL still holding one fails replay with "unknown op kind".
 const (
 	opCreateNode uint8 = iota + 1
 	opCreateRel
@@ -190,14 +192,7 @@ func (tx *Tx) releaseIDs() {
 // not hand a replayed id out a second time.
 func (db *DB) recover() error {
 	db.recovering = true
-	// Replay of bulk-import frames hits the same dense hubs over and
-	// over; the group cache spares the per-edge group-chain walk, exactly
-	// as it does during the live import.
-	db.groupCache = make(map[groupCacheKey]uint64)
-	defer func() {
-		db.recovering = false
-		db.groupCache = nil
-	}()
+	defer func() { db.recovering = false }()
 	return db.log.Replay(func(_ uint64, kind uint8, payload []byte) error {
 		return db.applyOp(kind, payload)
 	})
@@ -231,16 +226,6 @@ func (db *DB) applyOp(kind uint8, payload []byte) error {
 	case opDeleteNode:
 		id := graph.NodeID(binary.LittleEndian.Uint64(payload[0:8]))
 		return db.applyDeleteNode(id)
-	case opImportNodes:
-		return db.applyImportNodes(payload)
-	case opImportDense:
-		ids, err := db.decodeImportDense(payload)
-		if err != nil {
-			return err
-		}
-		return db.applyImportDense(ids)
-	case opImportRels:
-		return db.applyImportRels(payload)
 	}
 	return fmt.Errorf("neodb: unknown op kind %d", kind)
 }

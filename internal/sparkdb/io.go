@@ -36,52 +36,24 @@ func (db *DB) Save(path string) error {
 }
 
 // SaveFS is Save on an explicit filesystem (fault-injection tests swap
-// in a vfs.FaultFS; production code uses Save).
-//
-// The temp file is fsynced before the rename — without it a crash can
-// publish a zero-length "committed" image — and the parent directory is
-// fsynced best-effort afterwards so the rename itself is durable.
+// in a vfs.FaultFS; production code uses Save). The image, CRC trailer
+// included, replaces path through vfs.WriteFileAtomic.
 func (db *DB) SaveFS(fsys vfs.FS, path string) error {
 	// Canonicalise every bitmap representation first: image bytes then
 	// depend only on contents, so the worker-count determinism
 	// comparisons keep holding.
 	db.Optimize()
-	tmp := path + ".tmp"
-	f, err := vfs.Create(fsys, tmp)
-	if err != nil {
+	return vfs.WriteFileAtomic(fsys, path, func(w io.Writer) error {
+		sum := crc32.NewIEEE()
+		if err := db.save(io.MultiWriter(w, sum)); err != nil {
+			return err
+		}
+		var trailer [8]byte
+		binary.LittleEndian.PutUint32(trailer[0:4], imageTrailerMagic)
+		binary.LittleEndian.PutUint32(trailer[4:8], sum.Sum32())
+		_, err := w.Write(trailer[:])
 		return err
-	}
-	w := bufio.NewWriter(f)
-	sum := crc32.NewIEEE()
-	if err := db.save(io.MultiWriter(w, sum)); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	var trailer [8]byte
-	binary.LittleEndian.PutUint32(trailer[0:4], imageTrailerMagic)
-	binary.LittleEndian.PutUint32(trailer[4:8], sum.Sum32())
-	if _, err := w.Write(trailer[:]); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		return err
-	}
-	fsys.SyncDir(path) // best-effort: rename durability
-	return nil
+	})
 }
 
 func (db *DB) save(w io.Writer) error {

@@ -19,8 +19,10 @@ import (
 //
 // Crash() discards all volatile state, reverting every file to its last
 // synced image (files never synced revert to empty; files created but
-// never synced disappear). Rename is durable metadata, applied to both
-// images at once — which faithfully reproduces the classic
+// never synced disappear). A Rename takes effect at once for the live
+// process but becomes durable only at a SyncDir of the new name's
+// directory: Crash undoes every rename not yet synced that way. A
+// synced rename of a never-synced file reproduces the classic
 // "rename-before-fsync publishes an empty file" failure mode.
 //
 // Faults are scripted with AddFault: fail the Nth write, tear it short,
@@ -33,11 +35,14 @@ import (
 //
 // All methods are safe for concurrent use.
 type FaultFS struct {
-	mu     sync.Mutex
-	nodes  map[string]*memNode
-	dirs   map[string]bool
-	faults []*Fault
-	counts map[Op]uint64
+	mu    sync.Mutex
+	nodes map[string]*memNode
+	dirs  map[string]bool
+	// renames are the renames no SyncDir has made durable yet, oldest
+	// first.
+	renames []rename
+	faults  []*Fault
+	counts  map[Op]uint64
 
 	halted    bool
 	crashOp   Op
@@ -52,10 +57,17 @@ type memNode struct {
 	volatile []byte
 	durable  []byte
 	// durableExists records whether the file survives a crash at all. A
-	// file created but never synced (and never renamed over a durable
-	// one) vanishes on Crash.
+	// file neither synced nor moved by a rename that a SyncDir made
+	// durable vanishes on Crash.
 	durableExists bool
 	poisoned      error // sticky sync failure
+}
+
+// rename is one Rename awaiting a SyncDir: node moved from old to new,
+// displacing whatever new named before (nil if nothing).
+type rename struct {
+	old, new        string
+	node, displaced *memNode
 }
 
 // Op classifies filesystem operations for fault matching and crash
@@ -171,17 +183,40 @@ func (ffs *FaultFS) CrashDuringWrite(n uint64, keep int) {
 func (ffs *FaultFS) Crash() {
 	ffs.mu.Lock()
 	defer ffs.mu.Unlock()
-	for path, n := range ffs.nodes {
-		if !n.durableExists {
-			delete(ffs.nodes, path)
-			continue
-		}
+	ffs.nodes = ffs.durableNodes()
+	for _, n := range ffs.nodes {
 		n.volatile = append([]byte(nil), n.durable...)
 		n.poisoned = nil
 	}
+	ffs.renames = nil
 	ffs.halted = false
 	ffs.crashN = 0
 	ffs.faults = nil
+}
+
+// durableNodes returns the namespace a crash would leave: the live one
+// with every unsynced rename undone, newest first, and every file that
+// was never made durable dropped. Caller holds ffs.mu.
+func (ffs *FaultFS) durableNodes() map[string]*memNode {
+	nodes := make(map[string]*memNode, len(ffs.nodes))
+	for path, n := range ffs.nodes {
+		nodes[path] = n
+	}
+	for i := len(ffs.renames) - 1; i >= 0; i-- {
+		r := ffs.renames[i]
+		nodes[r.old] = r.node
+		if r.displaced != nil {
+			nodes[r.new] = r.displaced
+		} else {
+			delete(nodes, r.new)
+		}
+	}
+	for path, n := range nodes {
+		if !n.durableExists {
+			delete(nodes, path)
+		}
+	}
+	return nodes
 }
 
 // Halted reports whether a CrashAfter/CrashDuringWrite boundary has
@@ -223,7 +258,7 @@ func (ffs *FaultFS) VolatileLen(path string) int {
 func (ffs *FaultFS) DurableLen(path string) int {
 	ffs.mu.Lock()
 	defer ffs.mu.Unlock()
-	if n, ok := ffs.nodes[filepath.Clean(path)]; ok && n.durableExists {
+	if n, ok := ffs.durableNodes()[filepath.Clean(path)]; ok {
 		return len(n.durable)
 	}
 	return -1
@@ -309,14 +344,9 @@ func (ffs *FaultFS) Rename(oldPath, newPath string) error {
 	if !ok {
 		return &os.LinkError{Op: "rename", Old: oldPath, New: newPath, Err: fs.ErrNotExist}
 	}
+	ffs.renames = append(ffs.renames, rename{old: oldPath, new: newPath, node: n, displaced: ffs.nodes[newPath]})
 	delete(ffs.nodes, oldPath)
 	ffs.nodes[newPath] = n
-	// Rename is durable metadata: the name change survives a crash, but
-	// the file's *content* durability is whatever its last Sync made it.
-	// Renaming a never-synced file over a durable one therefore replaces
-	// it with an empty durable image — the exact failure the
-	// sync-before-rename discipline exists to prevent.
-	n.durableExists = true
 	return nil
 }
 
@@ -344,12 +374,27 @@ func (ffs *FaultFS) MkdirAll(path string, perm fs.FileMode) error {
 	return nil
 }
 
+// SyncDir makes durable every pending rename into path's directory.
+// The name change then survives a crash, but the file's content
+// durability is whatever its last Sync made it: a never-synced file
+// renamed this way survives empty — the exact failure the
+// sync-before-rename discipline exists to prevent.
 func (ffs *FaultFS) SyncDir(path string) error {
 	ffs.mu.Lock()
 	defer ffs.mu.Unlock()
 	if ffs.halted {
 		return &fs.PathError{Op: "syncdir", Path: path, Err: ErrCrashed}
 	}
+	dir := filepath.Dir(filepath.Clean(path))
+	pending := ffs.renames[:0]
+	for _, r := range ffs.renames {
+		if filepath.Dir(r.new) == dir {
+			r.node.durableExists = true
+			continue
+		}
+		pending = append(pending, r)
+	}
+	ffs.renames = pending
 	return nil
 }
 

@@ -7,6 +7,7 @@
 package vfs
 
 import (
+	"bufio"
 	"io"
 	"io/fs"
 	"os"
@@ -83,6 +84,38 @@ func WriteFile(fsys FS, path string, data []byte, perm fs.FileMode) error {
 		return err
 	}
 	return f.Close()
+}
+
+// WriteFileAtomic replaces path with the bytes write produces. It
+// writes them to path+".tmp" through a buffer, fsyncs and closes that
+// file, renames it over path and fsyncs the directory, so a crash leaves
+// either the old file or the new one, never an empty or torn mix. On
+// failure before the rename the temp file is removed.
+func WriteFileAtomic(fsys FS, path string, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := Create(fsys, tmp)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	err = write(w)
+	if err == nil {
+		err = w.Flush()
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, path)
+	}
+	if err != nil {
+		fsys.Remove(tmp) // best effort: err is what the caller needs
+		return err
+	}
+	return fsys.SyncDir(path)
 }
 
 // ---------- os passthrough ----------

@@ -89,6 +89,9 @@ func TestFaultFSRenameWithoutSyncPublishesEmpty(t *testing.T) {
 	if err := ffs.Rename("/img.tmp", "/img"); err != nil {
 		t.Fatal(err)
 	}
+	if err := ffs.SyncDir("/img"); err != nil {
+		t.Fatal(err)
+	}
 	ffs.Crash()
 	data, err := ReadFile(ffs, "/img")
 	if err != nil {
@@ -107,10 +110,49 @@ func TestFaultFSRenameWithoutSyncPublishesEmpty(t *testing.T) {
 	}
 	f2.Close()
 	ffs2.Rename("/img.tmp", "/img")
+	if err := ffs2.SyncDir("/img"); err != nil {
+		t.Fatal(err)
+	}
 	ffs2.Crash()
 	data, err = ReadFile(ffs2, "/img")
 	if err != nil || string(data) != "full image" {
 		t.Fatalf("synced renamed image = %q, %v", data, err)
+	}
+}
+
+// TestFaultFSRenameRevertsWithoutSyncDir: a rename over a durable file
+// is undone by a crash unless its directory was synced; a SyncDir of
+// another directory does not count.
+func TestFaultFSRenameRevertsWithoutSyncDir(t *testing.T) {
+	ffs := NewFaultFS()
+	if err := WriteFileAtomic(ffs, "/db/img", func(w io.Writer) error {
+		_, err := w.Write([]byte("old image"))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	f, _ := Create(ffs, "/db/img.tmp")
+	f.Write([]byte("new image"))
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if err := ffs.Rename("/db/img.tmp", "/db/img"); err != nil {
+		t.Fatal(err)
+	}
+	if got := ffs.DurableLen("/db/img"); got != len("old image") {
+		t.Fatalf("durable len before SyncDir = %d, want the old image's %d", got, len("old image"))
+	}
+	if err := ffs.SyncDir("/other/x"); err != nil {
+		t.Fatal(err)
+	}
+	ffs.Crash()
+	data, err := ReadFile(ffs, "/db/img")
+	if err != nil || string(data) != "old image" {
+		t.Fatalf("after crash img = %q, %v; want the old image", data, err)
+	}
+	if data, err := ReadFile(ffs, "/db/img.tmp"); err != nil || string(data) != "new image" {
+		t.Fatalf("after crash img.tmp = %q, %v; want the synced new image back", data, err)
 	}
 }
 
@@ -276,5 +318,34 @@ func TestFaultFSOpenFlags(t *testing.T) {
 	}
 	if _, err := Open(ffs, "/f"); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("open removed = %v", err)
+	}
+}
+
+// TestWriteFileAtomicFailureKeepsOld: a failed write or fsync leaves
+// the old file as it was and no temp file behind.
+func TestWriteFileAtomicFailureKeepsOld(t *testing.T) {
+	ffs := NewFaultFS()
+	write := func(s string) func(io.Writer) error {
+		return func(w io.Writer) error {
+			_, err := w.Write([]byte(s))
+			return err
+		}
+	}
+	if err := WriteFileAtomic(ffs, "/d/f", write("old")); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	if err := WriteFileAtomic(ffs, "/d/f", func(io.Writer) error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the callback's", err)
+	}
+	ffs.AddFault(Fault{Op: OpSync, PathSubstr: ".tmp", Nth: 1, Kind: KindErr})
+	if err := WriteFileAtomic(ffs, "/d/f", write("new")); !errors.Is(err, ErrInjected) {
+		t.Fatalf("err = %v, want ErrInjected", err)
+	}
+	if got := ffs.VolatileLen("/d/f.tmp"); got != -1 {
+		t.Fatalf("temp file left behind (%d bytes)", got)
+	}
+	if data, err := ReadFile(ffs, "/d/f"); err != nil || string(data) != "old" {
+		t.Fatalf("f = %q, %v; want \"old\"", data, err)
 	}
 }
